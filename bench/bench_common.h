@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parse_int.h"
 #include "exec/sharded_runner.h"
 #include "hypernel/system.h"
 #include "obs/export.h"
@@ -230,53 +231,33 @@ inline void print_rule(int width = 78) {
   std::putchar('\n');
 }
 
-/// Parse the common bench arguments (--jobs=N, --metrics-out=F) from
-/// argv, storing them where make_*_system / record_cell_metrics /
-/// write_bench_metrics can see them.  Unknown arguments are a usage
-/// error so typos don't silently run the default.
-inline BenchArgs parse_args(int argc, char** argv) {
-  BenchArgs parsed;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      parsed.jobs =
-          static_cast<unsigned>(std::strtoul(argv[i] + 7, nullptr, 0));
-    } else if (std::strncmp(argv[i], "--metrics-out=", 14) == 0) {
-      parsed.metrics_out = argv[i] + 14;
-    } else if (std::strncmp(argv[i], "--trace-out=", 12) == 0) {
-      parsed.trace_out = argv[i] + 12;
-    } else if (std::strncmp(argv[i], "--timeseries-out=", 17) == 0) {
-      parsed.timeseries_out = argv[i] + 17;
-    } else if (std::strncmp(argv[i], "--sample-cycles=", 16) == 0) {
-      parsed.sample_cycles = std::strtoull(argv[i] + 16, nullptr, 0);
-    } else if (std::strcmp(argv[i], "--sample-cycles") == 0) {
-      parsed.sample_cycles = obs::kDefaultSampleCycles;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--jobs=N] [--metrics-out=F] [--trace-out=F]\n"
-                   "          [--timeseries-out=F] [--sample-cycles[=N]]\n",
-                   argv[0]);
-      std::exit(2);
-    }
-  }
-  detail::args() = parsed;
-  return parsed;
+namespace detail {
+
+/// The common flags' usage line; a usage error exits 2.
+[[noreturn]] inline void usage_exit(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [--jobs=N] [--metrics-out=F] [--trace-out=F]\n"
+               "          [--timeseries-out=F] [--sample-cycles[=N]]\n",
+               argv0);
+  std::exit(2);
 }
 
-/// Back-compat shim for drivers that only care about the job count.
-inline unsigned parse_jobs(int argc, char** argv) {
-  return parse_args(argc, argv).jobs;
-}
+}  // namespace detail
 
 /// For drivers whose framework owns the command line (google-benchmark):
-/// extract --jobs/--metrics-out from argv, compacting it in place, and
-/// leave every other flag for the framework's own parser.
+/// extract the common bench flags from argv, compacting it in place, and
+/// leave every other flag for the framework's own parser.  A malformed
+/// integer value is a usage error, never a silent 0.
 inline BenchArgs parse_and_strip_args(int* argc, char** argv) {
   BenchArgs parsed;
+  auto bad_number = [argv](const char* arg) {
+    std::fprintf(stderr, "malformed number in '%s'\n", arg);
+    detail::usage_exit(argv[0]);
+  };
   int out = 1;
   for (int i = 1; i < *argc; ++i) {
     if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      parsed.jobs =
-          static_cast<unsigned>(std::strtoul(argv[i] + 7, nullptr, 0));
+      if (!parse_u32(argv[i] + 7, &parsed.jobs)) bad_number(argv[i]);
     } else if (std::strncmp(argv[i], "--metrics-out=", 14) == 0) {
       parsed.metrics_out = argv[i] + 14;
     } else if (std::strncmp(argv[i], "--trace-out=", 12) == 0) {
@@ -284,7 +265,9 @@ inline BenchArgs parse_and_strip_args(int* argc, char** argv) {
     } else if (std::strncmp(argv[i], "--timeseries-out=", 17) == 0) {
       parsed.timeseries_out = argv[i] + 17;
     } else if (std::strncmp(argv[i], "--sample-cycles=", 16) == 0) {
-      parsed.sample_cycles = std::strtoull(argv[i] + 16, nullptr, 0);
+      if (!parse_u64(argv[i] + 16, &parsed.sample_cycles)) {
+        bad_number(argv[i]);
+      }
     } else if (std::strcmp(argv[i], "--sample-cycles") == 0) {
       parsed.sample_cycles = obs::kDefaultSampleCycles;
     } else {
@@ -293,6 +276,16 @@ inline BenchArgs parse_and_strip_args(int* argc, char** argv) {
   }
   *argc = out;
   detail::args() = parsed;
+  return parsed;
+}
+
+/// Parse the common bench arguments (--jobs=N, --metrics-out=F, ...) from
+/// argv, storing them where make_*_system / record_cell_metrics /
+/// write_bench_metrics can see them.  Unknown arguments are a usage
+/// error so typos don't silently run the default.
+inline BenchArgs parse_args(int argc, char** argv) {
+  const BenchArgs parsed = parse_and_strip_args(&argc, argv);
+  if (argc > 1) detail::usage_exit(argv[0]);
   return parsed;
 }
 

@@ -13,11 +13,10 @@
 //   bulk_copy    — read/write_block_bulk over a non-cacheable buffer
 //                  (the charge-replay path; bus-visible traffic)
 //   fuzz_replay  — whole differential fuzz sequences across the quick
-//                  configuration matrix (end-to-end replay cost; fast
-//                  mode adds temporally decoupled charging)
+//                  configuration matrix (end-to-end replay cost)
 //   campaign     — run_campaign end-to-end (the hypernel_fuzz pipeline):
-//                  fast path + decoupled + snapshot-boot vs fresh-boot
-//                  reference, corpus digests asserted equal
+//                  fast path + snapshot-boot vs fresh-boot reference,
+//                  corpus digests asserted equal
 //   snapshot_fork— ready-to-fuzz systems forked from a per-configuration
 //                  boot snapshot (COW restore, --snapshot-boot) instead
 //                  of re-booted fresh per exec (boot amortization)
@@ -25,9 +24,10 @@
 // Both modes run the same simulated workload; the bench asserts their
 // simulated cycles and key counters are bit-identical before reporting,
 // so a speedup can never be bought with a behaviour change.  Results are
-// printed as a table and written to BENCH_sim_throughput.json.
+// printed as a table and written to BENCH_sim_throughput.json, stamped
+// with the source revision the build was configured from.
 //
-//   bench_sim_throughput [--quick] [--out=PATH]
+//   bench_sim_throughput [--quick] [--repeat=N] [--out=PATH]
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -327,20 +327,15 @@ LoopResult bench_bulk_copy(u64 iters) {
 }
 
 /// End-to-end: whole fuzz sequences across the quick matrix.  Fast mode
-/// is the full v2 pipeline (host fast path + temporally decoupled
-/// charging); reference is the naive recompute path.  Every run's
-/// fingerprint — functional hash AND simulated cycles — folds into a
-/// per-mode ledger digest, and the two modes' digests are asserted
+/// is the host fast path; reference is the naive recompute path.  Every
+/// run's fingerprint — functional hash AND simulated cycles — folds into
+/// a per-mode ledger digest, and the two modes' digests are asserted
 /// equal: the speedup can never be bought with a behaviour change.
 LoopResult bench_fuzz_replay(u64 sequences) {
   const u64 matrix = fuzz::build_matrix(/*full=*/false).size();
   auto run = [&](bool fast_mode, u64* digest) {
     auto specs = fuzz::build_matrix(/*full=*/false);
-    for (auto& spec : specs) {
-      spec.host_fast_path = fast_mode;
-      spec.decoupled_quantum =
-          fast_mode ? fuzz::kDefaultDecoupledQuantum : 0;
-    }
+    for (auto& spec : specs) spec.host_fast_path = fast_mode;
     const fuzz::GeneratorOptions gen;
     fuzz::ExecutorOptions exec;
     exec.collect_metrics = fast_mode && hn::bench::metrics_enabled();
@@ -400,10 +395,9 @@ LoopResult bench_fuzz_replay(u64 sequences) {
 /// Whole-campaign throughput: run_campaign end-to-end — generation,
 /// matrix execution, oracles, per-sequence determinism rerun, digest
 /// fold — the way `hypernel_fuzz` actually runs it.  Fast mode is the
-/// shipping fast configuration (fast path + decoupled charging +
-/// snapshot-boot forking); reference boots every system fresh in
-/// reference mode.  The corpus digest must be identical across the two —
-/// the determinism contract `--seed=N` promises.
+/// fast path plus snapshot-boot forking; reference boots every system
+/// fresh in reference mode.  The corpus digest must be identical across
+/// the two — the determinism contract `--seed=N` promises.
 LoopResult bench_campaign(u64 sequences) {
   const u64 matrix = fuzz::build_matrix(/*full=*/false).size();
   auto run = [&](bool fast_mode, u64* digest) {
@@ -412,7 +406,6 @@ LoopResult bench_campaign(u64 sequences) {
     opt.sequences = sequences;
     opt.jobs = 1;  // single worker: measure the pipeline, not the pool
     opt.host_fast_path = fast_mode;
-    opt.decoupled_quantum = fast_mode ? fuzz::kDefaultDecoupledQuantum : 0;
     opt.snapshot_boot = fast_mode;
     Stopwatch sw;
     const fuzz::CampaignResult result = fuzz::run_campaign(opt);
@@ -511,6 +504,7 @@ void write_json(const std::string& path, bool quick,
     std::exit(1);
   }
   std::fprintf(f, "{\n  \"bench\": \"sim_throughput\",\n");
+  std::fprintf(f, "  \"rev\": \"%s\",\n", HN_GIT_REV);
   std::fprintf(f, "  \"quick\": %s,\n  \"loops\": [\n", quick ? "true" : "false");
   for (size_t i = 0; i < loops.size(); ++i) {
     const LoopResult& l = loops[i];
@@ -549,8 +543,8 @@ int main(int argc, char** argv) {
       quick = true;
     } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
       out = argv[i] + 6;
-    } else if (std::strncmp(argv[i], "--repeat=", 9) == 0) {
-      g_repeat = static_cast<unsigned>(std::strtoul(argv[i] + 9, nullptr, 0));
+    } else if (std::strncmp(argv[i], "--repeat=", 9) == 0 &&
+               hn::parse_u32(argv[i] + 9, &g_repeat)) {
       if (g_repeat == 0) g_repeat = 1;
     } else {
       std::fprintf(stderr,

@@ -129,7 +129,6 @@ Scorecard run_scorecard(const ScorecardOptions& options) {
   }
   std::vector<FuzzConfigSpec> specs = detector_configs();
   for (FuzzConfigSpec& spec : specs) {
-    spec.decoupled_quantum = options.decoupled_quantum;
     spec.cores = options.cores == 0 ? 1 : options.cores;
   }
   const std::vector<fuzz::Op> benign_ops = benign_workload();

@@ -31,11 +31,6 @@ struct ScorecardOptions {
   /// Capture the causal flight recorder per cell and require every
   /// detection to be attributable to a bus write through the cause chain.
   bool trace_attribution = true;
-  /// Non-zero = temporally decoupled execution for every cell
-  /// (sim::MachineConfig::decoupled_quantum).  Host wiring only: the
-  /// scorecard JSON must be byte-identical at any quantum — the
-  /// scorecard tests pin this.
-  Cycles decoupled_quantum = 0;
   /// Enable the host self-time profiler per cell and merge the reports
   /// into Scorecard::profile.  Reporting only, never part of the digest.
   bool profile = false;

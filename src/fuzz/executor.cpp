@@ -71,6 +71,66 @@ struct Mapping {
   u64 len = 0;
 };
 
+// --- Boot ----------------------------------------------------------------
+
+/// A system ready for its first op: booted, detectors installed, user
+/// scratch buffer mapped.  A fresh-boot run owns one; with snapshot_boot a
+/// per-configuration boot session owns one and every case forks from it.
+/// Members destroy in reverse order, detectors before their system.
+struct Booted {
+  std::unique_ptr<hypernel::System> sys;
+  std::unique_ptr<secapps::ObjectIntegrityMonitor> monitor;
+  std::unique_ptr<secapps::InvariantChecker> invariant;
+  std::unique_ptr<secapps::CfiMonitor> cfi;
+  VirtAddr scratch_va = 0;
+};
+
+/// The one boot sequence: create -> object monitor -> invariant checker ->
+/// CFI monitor -> scratch mmap.  `metrics` enables the observability
+/// registry from System::create; `trace` turns the flight recorder on
+/// before the monitor installs, so region registration is part of the
+/// causal record.  Neither changes simulated state.
+Status boot(const FuzzConfigSpec& spec, bool metrics, bool trace,
+            Booted& out) {
+  hypernel::SystemConfig cfg = spec.system_config();
+  cfg.metrics = metrics;
+  auto built = hypernel::System::create(cfg);
+  if (!built.ok()) return built.status();
+  out.sys = std::move(built).value();
+  hypernel::System& sys = *out.sys;
+  if (trace) sys.machine().trace().set_enabled(true);
+  auto install = [](auto& app, const char* what) {
+    Status s = app->install();
+    if (s.ok()) return s;
+    return Status(s.code(), std::string(what) + " install: " + s.message());
+  };
+  if (spec.monitored()) {
+    out.monitor = std::make_unique<secapps::ObjectIntegrityMonitor>(
+        sys, spec.granularity);
+    if (Status s = install(out.monitor, "monitor"); !s.ok()) return s;
+  }
+  if (spec.has_invariant_checker()) {
+    out.invariant = std::make_unique<secapps::InvariantChecker>(sys);
+    if (Status s = install(out.invariant, "invariant checker"); !s.ok()) {
+      return s;
+    }
+  }
+  if (spec.has_cfi_monitor()) {
+    out.cfi = std::make_unique<secapps::CfiMonitor>(
+        sys, /*watch_dentry_ops=*/!spec.monitored());
+    if (Status s = install(out.cfi, "cfi monitor"); !s.ok()) return s;
+  }
+  // Shared user scratch buffer for IPC payloads; part of every run, so
+  // it is itself configuration-invariant.
+  auto scratch = sys.kernel().sys_mmap(4 * kPageSize, /*writable=*/true);
+  if (!scratch.ok()) {
+    return Status(scratch.status().code(),
+                  "scratch mmap: " + scratch.status().message());
+  }
+  out.scratch_va = scratch.value();
+  return Status::Ok();
+}
+
 // --- Snapshot-boot sessions ------------------------------------------------
 //
 // ExecutorOptions::snapshot_boot forks every case from a boot-time COW
@@ -82,13 +142,8 @@ struct Mapping {
 struct BootSession {
   u64 digest = 0;
   /// Boot failures replay on every case, exactly like a fresh-boot run.
-  bool build_failed = false;
-  std::string build_error;
-  std::unique_ptr<hypernel::System> sys;
-  std::unique_ptr<secapps::ObjectIntegrityMonitor> monitor;
-  std::unique_ptr<secapps::InvariantChecker> invariant;
-  std::unique_ptr<secapps::CfiMonitor> cfi;
-  VirtAddr scratch_va = 0;
+  Status status;
+  Booted booted;
   sim::Snapshot boot;                // system state at the fork point
   std::vector<u8> monitor_state;     // executor-owned monitor, saved apart
   std::vector<u8> invariant_state;
@@ -109,14 +164,12 @@ u64 session_digest(const FuzzConfigSpec& spec) {
   h = fold(h, spec.l1_miss_fill);
   h = fold(h, spec.use_sections ? 1 : 0);
   h = fold(h, spec.host_fast_path ? 1 : 0);
-  h = fold(h, spec.decoupled_quantum);
   h = fold(h, spec.cores);
   return h;
 }
 
-/// Find or create this worker's boot session for `spec`.  The fork point is
-/// the same state a fresh-boot run reaches before its first op: booted
-/// system + installed monitor + mapped scratch buffer.
+/// Find or create this worker's boot session for `spec`: boot once, then
+/// save the system and detector states as the fork point.
 BootSession& boot_session(const FuzzConfigSpec& spec) {
   thread_local std::vector<std::unique_ptr<BootSession>> sessions;
   const u64 digest = session_digest(spec);
@@ -125,66 +178,20 @@ BootSession& boot_session(const FuzzConfigSpec& spec) {
   }
   auto session = std::make_unique<BootSession>();
   session->digest = digest;
-  auto built = hypernel::System::create(spec.system_config());
-  if (!built.ok()) {
-    session->build_failed = true;
-    session->build_error = built.status().message();
-  } else {
-    session->sys = std::move(built).value();
-    // Detector install order (monitor -> invariant -> CFI) matches the
-    // fresh-boot path exactly: the snapshot invariance suite pins the two
-    // paths bit-identical.
-    if (spec.monitored()) {
-      session->monitor = std::make_unique<secapps::ObjectIntegrityMonitor>(
-          *session->sys, spec.granularity);
-      if (Status s = session->monitor->install(); !s.ok()) {
-        session->build_failed = true;
-        session->build_error = "monitor install: " + s.message();
-      }
-    }
-    if (!session->build_failed && spec.has_invariant_checker()) {
-      session->invariant =
-          std::make_unique<secapps::InvariantChecker>(*session->sys);
-      if (Status s = session->invariant->install(); !s.ok()) {
-        session->build_failed = true;
-        session->build_error = "invariant checker install: " + s.message();
-      }
-    }
-    if (!session->build_failed && spec.has_cfi_monitor()) {
-      session->cfi = std::make_unique<secapps::CfiMonitor>(
-          *session->sys, /*watch_dentry_ops=*/!spec.monitored());
-      if (Status s = session->cfi->install(); !s.ok()) {
-        session->build_failed = true;
-        session->build_error = "cfi monitor install: " + s.message();
-      }
-    }
-    if (!session->build_failed) {
-      auto scratch =
-          session->sys->kernel().sys_mmap(4 * kPageSize, /*writable=*/true);
-      if (!scratch.ok()) {
-        session->build_failed = true;
-        session->build_error = "scratch mmap: " + scratch.status().message();
-      } else {
-        session->scratch_va = scratch.value();
-        session->boot = session->sys->save_state();
-        auto blob = [](const auto& app) {
-          sim::SnapWriter w;
-          app->save_state(w);
-          return w.take();
-        };
-        if (session->monitor) session->monitor_state = blob(session->monitor);
-        if (session->invariant) {
-          session->invariant_state = blob(session->invariant);
-        }
-        if (session->cfi) session->cfi_state = blob(session->cfi);
-      }
-    }
-    if (session->build_failed) {
-      session->cfi.reset();
-      session->invariant.reset();
-      session->monitor.reset();
-      session->sys.reset();
-    }
+  Booted booted;  // a failed boot's leftovers die with this scope
+  session->status = boot(spec, /*metrics=*/false, /*trace=*/false, booted);
+  if (session->status.ok()) {
+    session->booted = std::move(booted);
+    const Booted& b = session->booted;
+    session->boot = b.sys->save_state();
+    auto blob = [](const auto& app) {
+      sim::SnapWriter w;
+      app->save_state(w);
+      return w.take();
+    };
+    if (b.monitor) session->monitor_state = blob(b.monitor);
+    if (b.invariant) session->invariant_state = blob(b.invariant);
+    if (b.cfi) session->cfi_state = blob(b.cfi);
   }
   sessions.push_back(std::move(session));
   return *sessions.back();
@@ -296,134 +303,75 @@ class Exec {
   /// and no per-run host instrumentation — a COW restore of this worker's
   /// cached boot session.  Returns false with out.build_* set on failure.
   bool prepare(RunResult& out) {
+    auto fail = [&out](std::string error) {
+      out.build_failed = true;
+      out.build_error = std::move(error);
+      return false;
+    };
     const bool from_snapshot = opt_.snapshot_boot && opt_.trace_step == ~0ull &&
                                !opt_.collect_metrics && !opt_.capture_trace;
     if (from_snapshot) {
       BootSession& session = boot_session(spec_);
-      if (session.build_failed) {
-        out.build_failed = true;
-        out.build_error = session.build_error;
-        return false;
-      }
+      if (!session.status.ok()) return fail(session.status.message());
+      const Booted& b = session.booted;
       if (opt_.profile) {
         // The session machine persists across runs on this worker; arm and
         // zero its profiler so each RunResult carries only its own time.
-        session.sys->machine().profiler().set_enabled(true);
-        session.sys->machine().profiler().reset();
+        b.sys->machine().profiler().set_enabled(true);
+        b.sys->machine().profiler().reset();
       }
-      obs::SelfProfiler::Scope prof(session.sys->machine().profiler(),
+      obs::SelfProfiler::Scope prof(b.sys->machine().profiler(),
                                     obs::ProfileBucket::kSnapshot);
       // Every case restores — including the first, right after the boot
       // that produced the snapshot — so all cases share one start state.
-      if (Status s = session.sys->restore_state(session.boot); !s.ok()) {
-        out.build_failed = true;
-        out.build_error = "snapshot restore: " + s.message();
-        return false;
+      if (Status s = b.sys->restore_state(session.boot); !s.ok()) {
+        return fail("snapshot restore: " + s.message());
       }
-      auto restore_blob = [&out](auto& app, const std::vector<u8>& blob,
-                                 const char* what) {
+      auto restore_blob = [&fail](auto& app, const std::vector<u8>& blob,
+                                  const char* what) {
         if (!app) return true;
         sim::SnapReader r(blob);
         app->restore_state(r);
-        if (!r.ok()) {
-          out.build_failed = true;
-          out.build_error =
-              std::string(what) + " restore: " + r.status().message();
-          return false;
-        }
-        return true;
+        return r.ok() ||
+               fail(std::string(what) + " restore: " + r.status().message());
       };
-      if (!restore_blob(session.monitor, session.monitor_state, "monitor") ||
-          !restore_blob(session.invariant, session.invariant_state,
+      if (!restore_blob(b.monitor, session.monitor_state, "monitor") ||
+          !restore_blob(b.invariant, session.invariant_state,
                         "invariant checker") ||
-          !restore_blob(session.cfi, session.cfi_state, "cfi monitor")) {
+          !restore_blob(b.cfi, session.cfi_state, "cfi monitor")) {
         return false;
       }
-      sys_ = session.sys.get();
-      monitor_ = session.monitor.get();
-      invariant_ = session.invariant.get();
-      cfi_ = session.cfi.get();
-      scratch_va_ = session.scratch_va;
-      // Arm the sampler at the op-phase fork point.  restore_state just
-      // cleared samples and disarmed, the restored cycle counts equal the
-      // fresh-boot path's, and boundaries are absolute — so the sampled
-      // stream comes out byte-identical to a fresh boot's.
-      if (opt_.sample_cycles != 0) m().arm_timeseries(opt_.sample_cycles);
-      return true;
-    }
-
-    hypernel::SystemConfig cfg = spec_.system_config();
-    cfg.metrics = opt_.collect_metrics || opt_.capture_trace;
-    const u64 boot_start = obs::profile_now_ns();
-    auto built = hypernel::System::create(cfg);
-    if (!built.ok()) {
-      out.build_failed = true;
-      out.build_error = built.status().message();
-      return false;
-    }
-    owned_sys_ = std::move(built).value();
-    sys_ = owned_sys_.get();
-    // Instrumented runs bind the span tracer to the raw cycle counter
-    // (CycleAccount::cycles_ref()), which bypasses the decoupled fold —
-    // run them on the exact path.  Observable results are identical
-    // either way, so this only narrows where the optimization applies.
-    if (opt_.trace_step != ~0ull || opt_.collect_metrics ||
-        opt_.capture_trace) {
-      m().set_decoupled_quantum(0);
-    }
-    if (opt_.profile) {
-      // System::create predates the machine's profiler; charge the whole
-      // build + boot stretch to kBoot by hand.
-      m().profiler().set_enabled(true);
-      m().profiler().reset();
-      boot_ns_ = obs::profile_now_ns() - boot_start;
-    }
-    // Whole-run flight recorder, on before the monitor installs so region
-    // registration is part of the causal record.
-    if (opt_.capture_trace) m().trace().set_enabled(true);
-    if (spec_.monitored()) {
-      owned_monitor_ = std::make_unique<secapps::ObjectIntegrityMonitor>(
-          *sys_, spec_.granularity);
-      if (Status s = owned_monitor_->install(); !s.ok()) {
-        out.build_failed = true;
-        out.build_error = "monitor install: " + s.message();
-        return false;
+      use(b);
+    } else {
+      const u64 boot_start = obs::profile_now_ns();
+      if (Status s = boot(spec_, opt_.collect_metrics || opt_.capture_trace,
+                          opt_.capture_trace, owned_);
+          !s.ok()) {
+        return fail(s.message());
       }
-      monitor_ = owned_monitor_.get();
-    }
-    if (spec_.has_invariant_checker()) {
-      owned_invariant_ = std::make_unique<secapps::InvariantChecker>(*sys_);
-      if (Status s = owned_invariant_->install(); !s.ok()) {
-        out.build_failed = true;
-        out.build_error = "invariant checker install: " + s.message();
-        return false;
+      use(owned_);
+      if (opt_.profile) {
+        // System::create predates the machine's profiler; charge the whole
+        // build + boot stretch to kBoot by hand.
+        m().profiler().set_enabled(true);
+        m().profiler().reset();
+        boot_ns_ = obs::profile_now_ns() - boot_start;
       }
-      invariant_ = owned_invariant_.get();
     }
-    if (spec_.has_cfi_monitor()) {
-      owned_cfi_ = std::make_unique<secapps::CfiMonitor>(
-          *sys_, /*watch_dentry_ops=*/!spec_.monitored());
-      if (Status s = owned_cfi_->install(); !s.ok()) {
-        out.build_failed = true;
-        out.build_error = "cfi monitor install: " + s.message();
-        return false;
-      }
-      cfi_ = owned_cfi_.get();
-    }
-    // Shared user scratch buffer for IPC payloads; part of every run, so
-    // it is itself configuration-invariant.
-    auto scratch = sys_->kernel().sys_mmap(4 * kPageSize, /*writable=*/true);
-    if (!scratch.ok()) {
-      out.build_failed = true;
-      out.build_error = "scratch mmap: " + scratch.status().message();
-      return false;
-    }
-    scratch_va_ = scratch.value();
-    // Arm the sampler at the same point the snapshot path does (right
-    // after boot + installs + scratch mmap) so both paths stamp the same
-    // absolute boundaries from the same baseline.
+    // Arm the sampler at the op-phase fork point, the same on both paths.
+    // restore_state just cleared samples and disarmed, the restored cycle
+    // counts equal the fresh boot's, and boundaries are absolute — so the
+    // sampled stream is byte-identical either way.
     if (opt_.sample_cycles != 0) m().arm_timeseries(opt_.sample_cycles);
     return true;
+  }
+
+  void use(const Booted& b) {
+    sys_ = b.sys.get();
+    monitor_ = b.monitor.get();
+    invariant_ = b.invariant.get();
+    cfi_ = b.cfi.get();
+    scratch_va_ = b.scratch_va;
   }
 
   kernel::Kernel& k() { return sys_->kernel(); }
@@ -1175,19 +1123,16 @@ class Exec {
 
   const FuzzConfigSpec& spec_;
   const ExecutorOptions& opt_;
-  // Fresh-boot path: the Exec owns the system; snapshot-boot path: the
-  // thread-local BootSession does, and these stay empty.
-  std::unique_ptr<hypernel::System> owned_sys_;
-  std::unique_ptr<secapps::ObjectIntegrityMonitor> owned_monitor_;
-  std::unique_ptr<secapps::InvariantChecker> owned_invariant_;
-  std::unique_ptr<secapps::CfiMonitor> owned_cfi_;
+  // Fresh-boot path: the Exec owns the booted system; snapshot-boot path:
+  // the thread-local BootSession does, and this stays empty.
+  Booted owned_;
   hypernel::System* sys_ = nullptr;
   secapps::ObjectIntegrityMonitor* monitor_ = nullptr;
   secapps::InvariantChecker* invariant_ = nullptr;
   secapps::CfiMonitor* cfi_ = nullptr;
   sim::Iommu iommu_;  // bypass mode: DMA passes in every configuration
   VirtAddr scratch_va_ = 0;
-  u64 boot_ns_ = 0;  // System::create wall time (profile's kBoot share)
+  u64 boot_ns_ = 0;  // fresh boot() wall time (profile's kBoot share)
   size_t step_ = 0;
   OpKind cur_kind_ = OpKind::kCreat;
   std::vector<std::string> violations_;
@@ -1224,7 +1169,6 @@ hypernel::SystemConfig FuzzConfigSpec::system_config() const {
   if (cache_size_bytes != 0) cfg.machine.cache.size_bytes = cache_size_bytes;
   if (l1_miss_fill != 0) cfg.machine.timing.l1_miss_fill = l1_miss_fill;
   cfg.machine.host_fast_path = host_fast_path;
-  cfg.machine.decoupled_quantum = decoupled_quantum;
   cfg.machine.cores = cores == 0 ? 1 : cores;
   cfg.kernel.use_sections = use_sections;
   // enable_mbm stays true in every mode: with the MBM attached, Native

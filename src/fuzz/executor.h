@@ -28,11 +28,6 @@
 
 namespace hn::fuzz {
 
-/// Default quantum for `--decoupled` without an explicit value: large
-/// enough to amortize the fold, small enough that the pending charge
-/// never grows past a few syscalls' worth of cycles.
-inline constexpr Cycles kDefaultDecoupledQuantum = 4096;
-
 /// One cell of the configuration matrix.  Spec -> SystemConfig is pure, so
 /// a spec names a reproducible system.
 struct FuzzConfigSpec {
@@ -58,12 +53,6 @@ struct FuzzConfigSpec {
   /// charge-replay).  Results are bit-identical either way; the fast-path
   /// differential test runs the corpus with this forced off.
   bool host_fast_path = true;
-  /// Non-zero = temporally decoupled mode (sim::MachineConfig::
-  /// decoupled_quantum): cycle charges accumulate locally and fold at
-  /// every observation point, so all observable timing — bus timestamps,
-  /// detection latencies, fingerprint cycles — stays bit-identical to the
-  /// exact path.  Host wiring only; never part of simulated state.
-  Cycles decoupled_quantum = 0;
   /// Simulated core count (sim::MachineConfig::cores).  A differential
   /// dimension like the mode matrix: 1 reproduces every pre-SMP digest
   /// bit-for-bit; >1 adds the deterministic SMP machinery (DESIGN.md §15).
@@ -131,8 +120,8 @@ struct RunResult {
   std::vector<u8> trace_blob;
   /// Serialized HNTSERIE time-series stream of the whole run
   /// (ExecutorOptions::sample_cycles; format in obs/timeseries.h).
-  /// Bit-identical across --jobs, fast-path/reference, decoupled, and
-  /// snapshot-boot — the matrix determinism test pins all four axes.
+  /// Bit-identical across --jobs, fast-path/reference and snapshot-boot —
+  /// the matrix determinism test pins these axes.
   std::vector<u8> timeseries_blob;
   /// Host self-time attribution of the run (ExecutorOptions::profile).
   /// Host wall clock — nondeterministic, never folded into digests.

@@ -152,7 +152,6 @@ CampaignResult run_campaign(const FuzzOptions& options, std::ostream* log) {
   std::vector<FuzzConfigSpec> specs = build_matrix(options.full_matrix);
   for (FuzzConfigSpec& spec : specs) {
     spec.host_fast_path = options.host_fast_path;
-    spec.decoupled_quantum = options.decoupled_quantum;
     spec.cores = options.cores;
   }
   GeneratorOptions gen{.ops = options.ops,

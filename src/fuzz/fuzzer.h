@@ -65,10 +65,6 @@ struct FuzzOptions {
   /// Simulated core count for every configuration in the matrix (1 =
   /// pre-SMP behaviour, bit-identical digests).
   unsigned cores = 1;
-  /// Non-zero = temporally decoupled execution for every configuration
-  /// (sim::MachineConfig::decoupled_quantum).  Host wiring only: the
-  /// campaign digest must be identical at any quantum.
-  Cycles decoupled_quantum = 0;
   /// Enable the host self-time profiler on every run and merge the
   /// reports (index order) into CampaignResult::profile.  Host wall
   /// clock — never part of digests or verdicts.

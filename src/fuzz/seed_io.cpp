@@ -1,9 +1,10 @@
 #include "fuzz/seed_io.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
+
+#include "common/parse_int.h"
 
 namespace hn::fuzz {
 namespace {
@@ -24,13 +25,6 @@ std::vector<std::string_view> tokenize(std::string_view line) {
     i = j;
   }
   return out;
-}
-
-bool parse_u64(std::string_view tok, u64* out) {
-  const std::string s(tok);
-  char* end = nullptr;
-  *out = std::strtoull(s.c_str(), &end, 0);  // base 0: decimal or 0x hex
-  return end != nullptr && *end == '\0' && end != s.c_str();
 }
 
 }  // namespace

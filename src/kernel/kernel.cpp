@@ -43,12 +43,7 @@ class Kernel::SvcScope {
     machine_.advance(machine_.timing().svc_entry);
     ++machine_.counters().svc_calls;
     kernel.obs_syscalls_.add();
-    // cycles() folds any pending decoupled charge; only pay for it when
-    // the trace ring actually records.
-    if (machine_.trace().enabled()) {
-      machine_.trace().record(machine_.account().cycles(),
-                              sim::TraceKind::kSvc);
-    }
+    machine_.trace().record(machine_.account().cycles(), sim::TraceKind::kSvc);
   }
   ~SvcScope() { machine_.advance(machine_.timing().svc_exit); }
   SvcScope(const SvcScope&) = delete;

@@ -73,70 +73,28 @@ struct Counters {
 };
 
 /// The machine's cycle ledger.
-///
-/// Temporally decoupled mode (DESIGN.md §14): with a non-zero quantum the
-/// core runs ahead on a local clock — charges accumulate in `pending_`
-/// and fold into the committed clock when the quantum overflows or when
-/// anyone *observes* the clock through cycles().  Every clock-observable
-/// event (bus-transaction timestamps, trace records, timer reads,
-/// snapshot saves) goes through cycles(), so every observed value is
-/// bit-identical to the exact (quantum = 0) path by construction.  The
-/// one deliberate exception is cycles_ref(): it exposes the committed
-/// clock raw, so the span tracer bound to it must only run with the
-/// quantum forced to 0 (the fuzz executor does this for every
-/// metrics/trace-instrumented run).
 class CycleAccount {
  public:
-  void charge(Cycles c) {
-    if (quantum_ == 0) [[likely]] {
-      cycles_ += c;
-      return;
-    }
-    pending_ += c;
-    if (pending_ >= quantum_) fold();
-  }
+  void charge(Cycles c) { cycles_ += c; }
   /// Charge `n` events of `per` cycles at once.  Exactly equal to calling
   /// charge(per) n times — used by the bulk-transfer loops, which replay
   /// uniform per-word/per-line charges without a per-event call.
   void charge_batch(Cycles per, u64 n) { charge(per * n); }
-  /// Observing the clock synchronizes the decoupled local time.
-  [[nodiscard]] Cycles cycles() const {
-    if (pending_ != 0) fold();
-    return cycles_;
-  }
-  /// Stable address of the committed cycle counter — the simulated-time
-  /// clock the observability span tracer binds to (obs/span.h).  Bypasses
-  /// the decoupled fold; see the class comment.
+  [[nodiscard]] Cycles cycles() const { return cycles_; }
+  /// Stable address of the cycle counter — the simulated-time clock the
+  /// observability span tracer binds to (obs/span.h).
   [[nodiscard]] const Cycles* cycles_ref() const { return &cycles_; }
-
-  /// Decoupled-mode quantum; 0 = exact (charge commits immediately).
-  /// Setting it folds any run-ahead first, so flips are safe mid-run.
-  void set_decoupled_quantum(Cycles quantum) {
-    fold();
-    quantum_ = quantum;
-  }
-  [[nodiscard]] Cycles decoupled_quantum() const { return quantum_; }
 
   Counters& counters() { return counters_; }
   [[nodiscard]] const Counters& counters() const { return counters_; }
 
   void reset() {
     cycles_ = 0;
-    pending_ = 0;
     counters_ = Counters{};
   }
 
  private:
-  void fold() const {
-    cycles_ += pending_;
-    pending_ = 0;
-  }
-
-  // Mutable: cycles() is a logically-const observation that commits the
-  // local run-ahead.
-  mutable Cycles cycles_ = 0;
-  mutable Cycles pending_ = 0;
-  Cycles quantum_ = 0;  // host wiring, not snapshot state
+  Cycles cycles_ = 0;
   Counters counters_;
 };
 

@@ -19,7 +19,6 @@ Machine::Machine(const MachineConfig& config)
     cores_.push_back(
         std::make_unique<CoreState>(config_, phys_, bus_, obs_, trace_));
     cores_.back()->mmu.tlb().set_index_enabled(config.host_fast_path);
-    cores_.back()->account.set_decoupled_quantum(config.decoupled_quantum);
     cores_.back()->cache.set_bus_provenance(static_cast<u8>(i),
                                             &bus_last_timestamp_);
   }
@@ -51,8 +50,7 @@ void Machine::enroll_builtin_tracks() {
   // Hypersec layers enroll theirs later in construction order, so the
   // serialized track table is deterministic for a given system shape.
   // The probes read the per-core ledgers directly (always live, not
-  // registry-gated) through the decoupled-fold rule: Counters fields
-  // only mutate on committed charges, and cycles() folds on observe.
+  // registry-gated).
   for (unsigned i = 0; i < cores_.size(); ++i) {
     const CoreState* core = cores_[i].get();
     const std::string prefix = "sim.core" + std::to_string(i) + ".";
@@ -83,7 +81,7 @@ void Machine::set_active_core(unsigned core) {
   active_core_ = core;
   cur_ = cores_[core].get();
   // The span tracer reads simulated time through a bound clock pointer;
-  // repoint it at the newly active core's committed counter.
+  // repoint it at the newly active core's cycle counter.
   spans_.bind_clock(cur_->account.cycles_ref());
   trace_.set_active_core(static_cast<u8>(core));
   if (ipi_pending_[core] != 0) {
@@ -224,10 +222,9 @@ Cycles Machine::bus_timestamp() {
   }
   // Identity on a single core: the one clock is the bus clock.
   bus_last_timestamp_ = now;
-  // Time-series poll site: every bus transaction observes the clock
-  // already, so sampling here is free of extra folds.  Never poll inside
-  // perform() — the exact and fast-path modes batch physical accesses
-  // differently, while every mode funnels word bus traffic through here.
+  // Time-series poll site.  Never poll inside perform() — the exact and
+  // fast-path modes batch physical accesses differently, while every mode
+  // funnels word bus traffic through here.
   if (timeseries_.armed()) [[unlikely]] timeseries_.poll(now);
   return now;
 }

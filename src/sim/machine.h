@@ -62,13 +62,6 @@ struct MachineConfig {
   /// counters, bus traffic and fingerprints are bit-identical either way
   /// (the fast-path differential test pins this).  Off = reference mode.
   bool host_fast_path = true;
-  /// Temporal decoupling (DESIGN.md §14): with a non-zero quantum the
-  /// core's cycle charges accumulate on a local clock and commit when the
-  /// quantum overflows or the clock is observed (bus timestamps, trace
-  /// records, timer reads, snapshot saves all observe it).  Observable
-  /// values are bit-identical to quantum = 0; the campaign-digest and
-  /// differential tests pin this.  Opt-in; 0 = exact charging.
-  Cycles decoupled_quantum = 0;
   /// Time-series sampling interval in simulated cycles (DESIGN.md §16):
   /// non-zero enrolls the built-in per-core and machine tracks and arms
   /// obs::TimeSeries from boot.  0 (the default) disables sampling — the
@@ -208,15 +201,6 @@ class Machine {
   }
   [[nodiscard]] bool host_fast_path() const { return fast_path_; }
 
-  /// Runtime temporal-decoupling switch (see MachineConfig).  Folds any
-  /// local run-ahead first, so flipping mid-run never loses cycles.
-  void set_decoupled_quantum(Cycles quantum) {
-    for (auto& c : cores_) c->account.set_decoupled_quantum(quantum);
-  }
-  [[nodiscard]] Cycles decoupled_quantum() const {
-    return cur_->account.decoupled_quantum();
-  }
-
   // --- EL0/EL1 virtual-address accesses -------------------------------------
   Access64 read64(VirtAddr va, bool user = false);
   Access64 write64(VirtAddr va, u64 value, bool user = false);
@@ -261,8 +245,7 @@ class Machine {
   /// A time-series poll site: compute charges dominate long quiet
   /// stretches, so sampling here bounds the stamp skew past an interval
   /// boundary.  Identical in fast-path and reference mode (both charge
-  /// through advance), and poll() observes the folded clock, so the
-  /// sample stream is bit-identical under temporal decoupling too.
+  /// through advance).
   void advance(Cycles c) {
     cur_->account.charge(c);
     if (timeseries_.armed()) [[unlikely]] timeseries_.poll(bus_order_now());

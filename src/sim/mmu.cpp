@@ -195,15 +195,10 @@ TranslateOutcome Mmu::translate(VirtAddr va, const AccessType& access,
   ++account_.counters().tlb_misses;
   obs_tlb_misses_.add();
   obs_s1_walks_.add();
-  if (obs_walk_cycles_.active()) {
-    const Cycles before = account_.cycles();
-    TranslateOutcome out = walk_stage1(va, access, ctx);
-    obs_walk_cycles_.record_cycles(account_.cycles() - before);
-    return out;
-  }
-  // Observability off: don't touch the clock just to feed a disabled
-  // histogram (reading it also synchronizes the decoupled local time).
-  return walk_stage1(va, access, ctx);
+  const Cycles before = account_.cycles();
+  TranslateOutcome out = walk_stage1(va, access, ctx);
+  obs_walk_cycles_.record_cycles(account_.cycles() - before);
+  return out;
 }
 
 }  // namespace hn::sim

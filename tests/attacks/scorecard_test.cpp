@@ -90,28 +90,6 @@ TEST(Scorecard, SnapshotBootMatchesFreshBoot) {
   EXPECT_TRUE(a.sample_trace.empty());
 }
 
-TEST(Scorecard, DecoupledModeKeepsJsonByteIdentical) {
-  // Temporally decoupled execution is host wiring only: every latency
-  // and alert instant in the JSON must match the exact path.  With
-  // attribution off the cells really do run decoupled (trace capture
-  // would force the exact path); pin against the untraced golden.
-  ScorecardOptions dec;
-  dec.jobs = 4;
-  dec.trace_attribution = false;
-  dec.decoupled_quantum = fuzz::kDefaultDecoupledQuantum;
-  const Scorecard score = run_scorecard(dec);
-  EXPECT_EQ(score.digest, kGoldenUntracedDigest) << score.json;
-
-  // With attribution on, the executor forces instrumented runs onto the
-  // exact path — the traced report must be untouched as well.
-  ScorecardOptions traced;
-  traced.jobs = 4;
-  traced.decoupled_quantum = fuzz::kDefaultDecoupledQuantum;
-  const Scorecard t = run_scorecard(traced);
-  EXPECT_EQ(t.json, traced_serial_scorecard().json);
-  EXPECT_EQ(t.digest, kGoldenTracedDigest);
-}
-
 // --- SMP scorecards (--cores > 1) ------------------------------------------
 //
 // On a multi-core machine the cross-core scenarios join the matrix: a

@@ -1,10 +1,12 @@
 // Unit tests for the common utilities: types helpers, status/result
-// plumbing, bit operations, RNG determinism, timing conversions.
+// plumbing, bit operations, RNG determinism, timing conversions, strict
+// integer parsing.
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "common/bitops.h"
+#include "common/parse_int.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/timing.h"
@@ -190,6 +192,35 @@ TEST(Timing, DefaultsSane) {
   EXPECT_GT(t.noncacheable_access, t.l1_hit);
   EXPECT_GT(t.hvc_roundtrip, t.sysreg_trap / 2);
   EXPECT_GT(t.vm_exit + t.vm_entry, t.hvc_roundtrip);
+}
+
+TEST(ParseInt, AcceptsDecimalAndHex) {
+  u64 v = 0;
+  EXPECT_TRUE(parse_u64("0", &v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(parse_u64("40", &v));
+  EXPECT_EQ(v, 40u);
+  EXPECT_TRUE(parse_u64("0x1F", &v));
+  EXPECT_EQ(v, 31u);
+  EXPECT_TRUE(parse_u64("18446744073709551615", &v));
+  EXPECT_EQ(v, ~0ull);
+}
+
+TEST(ParseInt, RejectsWhatStrtoullLetsThrough) {
+  u64 v = 7;
+  for (const char* bad : {"", "12abc", "-1", "+1", " 5", "5 ", "0x", "abc",
+                          "18446744073709551616"}) {
+    EXPECT_FALSE(parse_u64(bad, &v)) << "'" << bad << "'";
+  }
+  EXPECT_EQ(v, 7u);  // untouched on failure
+}
+
+TEST(ParseInt, U32RejectsValuesPastItsRange) {
+  u32 v = 0;
+  EXPECT_TRUE(parse_u32("4294967295", &v));
+  EXPECT_EQ(v, 4294967295u);
+  EXPECT_FALSE(parse_u32("4294967296", &v));
+  EXPECT_FALSE(parse_u32("lots", &v));
 }
 
 }  // namespace

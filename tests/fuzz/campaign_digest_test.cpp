@@ -8,9 +8,10 @@
 //   * the golden digest for the canonical quick campaign (--seed=1
 //     --sequences=50) — any change to simulated behaviour, intended or
 //     not, shows up as a digest mismatch and must be justified;
-//   * fast-path vs reference-mode equality — the host fast path
-//     (DESIGN.md §9) must reproduce the digest bit-for-bit, which is the
-//     strongest whole-system statement of "wall-clock only".
+//   * host-mode equality — the host fast path (DESIGN.md §9), snapshot
+//     boot and metrics collection must each reproduce the digest
+//     bit-for-bit, the strongest whole-system statement of "wall-clock
+//     only".
 #include <gtest/gtest.h>
 
 #include "fuzz/fuzzer.h"
@@ -50,28 +51,28 @@ TEST(CampaignDigest, ReferenceModeIsBitIdentical) {
   EXPECT_EQ(r.corpus_digest, kGoldenDigest);
 }
 
-TEST(CampaignDigest, DecoupledModeIsBitIdentical) {
-  // Temporal decoupling (DESIGN.md §14) batches cycle charges on a local
-  // clock and folds on every observation, so every timestamp the digest
-  // folds — fingerprint cycles, alert instants, detection latencies —
-  // must be exact.  The golden digest is the whole-system witness.
+TEST(CampaignDigest, SnapshotBootIsBitIdentical) {
+  // Forking every case from a COW boot snapshot must land on the golden
+  // digest: the fork point is the state a fresh boot reaches.
   FuzzOptions opt = canonical_options();
-  opt.decoupled_quantum = kDefaultDecoupledQuantum;
+  opt.snapshot_boot = true;
   const CampaignResult r = run_campaign(opt);
   EXPECT_EQ(r.failures, 0u);
   EXPECT_EQ(r.corpus_digest, kGoldenDigest);
 }
 
-TEST(CampaignDigest, DecoupledSnapshotBootOddQuantumIsBitIdentical) {
-  // The stacked fast paths compose: COW boot snapshots + decoupled
-  // charging at an awkward quantum (prime, far from any charge size)
-  // still land on the golden digest.
+TEST(CampaignDigest, MetricsCollectionIsBitIdentical) {
+  // Metrics runs bind the span tracer to the cycle counter and boot with
+  // the registry on; charging is exact either way, so collecting metrics
+  // must leave every result on the golden digest.
   FuzzOptions opt = canonical_options();
-  opt.snapshot_boot = true;
-  opt.decoupled_quantum = 61;
+  opt.collect_metrics = true;
   const CampaignResult r = run_campaign(opt);
   EXPECT_EQ(r.failures, 0u);
   EXPECT_EQ(r.corpus_digest, kGoldenDigest);
+#if HN_OBS
+  EXPECT_FALSE(r.metrics.entries.empty());  // the registry really ran
+#endif
 }
 
 TEST(CampaignDigest, ProfileCaptureNeverPerturbsResults) {

@@ -10,10 +10,9 @@
 // Three pins, harvested from
 //   ./build/tools/hypernel_fuzz --seed=1 --sequences=20 --ops=40
 //       --attack-seeds --cores=N
-// and each invariant across --jobs, --snapshot-boot, --reference and
-// --decoupled.  The cores=1 pin proves the SMP machinery is inert on a
-// single core: this campaign predates the SMP work, and its digest did
-// not move.
+// and each invariant across --jobs, --snapshot-boot and --reference.
+// The cores=1 pin proves the SMP machinery is inert on a single core:
+// this campaign predates the SMP work, and its digest did not move.
 #include <gtest/gtest.h>
 
 #include "attacks/scenario.h"
@@ -81,14 +80,6 @@ TEST(SmpCampaign, QuadCoreReferenceModeInvariant) {
   // it does the single-core one.
   FuzzOptions opt = smp_options(4);
   opt.host_fast_path = false;
-  const CampaignResult r = run_campaign(opt);
-  EXPECT_EQ(r.failures, 0u);
-  EXPECT_EQ(r.corpus_digest, kGoldenQuadCore);
-}
-
-TEST(SmpCampaign, QuadCoreDecoupledInvariant) {
-  FuzzOptions opt = smp_options(4);
-  opt.decoupled_quantum = kDefaultDecoupledQuantum;
   const CampaignResult r = run_campaign(opt);
   EXPECT_EQ(r.failures, 0u);
   EXPECT_EQ(r.corpus_digest, kGoldenQuadCore);

@@ -3,8 +3,8 @@
 //
 // The sampler's contract is that the serialized HNTSERIE stream is a
 // pure function of the simulated universe: byte-identical at any --jobs
-// count, across fresh-boot vs --snapshot-boot, and under temporal
-// decoupling — for every core count.  The matrix below pins all four
+// count, across fresh-boot vs --snapshot-boot, and with the host fast
+// path on or off — for every core count.  The matrix below pins these
 // axes (identity holds *within* each cores value; different core counts
 // legitimately sample different universes).
 //
@@ -44,9 +44,9 @@ FuzzConfigSpec monitor_spec(unsigned cores) {
 }
 
 std::vector<u8> sampled_stream(unsigned cores, bool snapshot_boot,
-                               Cycles decoupled_quantum) {
+                               bool host_fast_path) {
   FuzzConfigSpec spec = monitor_spec(cores);
-  spec.decoupled_quantum = decoupled_quantum;
+  spec.host_fast_path = host_fast_path;
   ExecutorOptions exec;
   exec.snapshot_boot = snapshot_boot;
   exec.sample_cycles = kInterval;
@@ -56,22 +56,20 @@ std::vector<u8> sampled_stream(unsigned cores, bool snapshot_boot,
 TEST(TimeSeriesMatrix, ByteIdenticalAcrossBootAndTimingModes) {
   for (const unsigned cores : {1u, 2u, 4u}) {
     SCOPED_TRACE(testing::Message() << "cores=" << cores);
-    const std::vector<u8> fresh_exact = sampled_stream(cores, false, 0);
-    ASSERT_FALSE(fresh_exact.empty());
+    const std::vector<u8> fresh = sampled_stream(cores, false, true);
+    ASSERT_FALSE(fresh.empty());
 
     // The stream actually sampled something: tracks and rows exist.
     obs::TimeSeriesData data;
-    ASSERT_TRUE(obs::parse_timeseries(fresh_exact, data).ok());
+    ASSERT_TRUE(obs::parse_timeseries(fresh, data).ok());
     EXPECT_EQ(data.interval, kInterval);
     EXPECT_GT(data.tracks.size(), 0u);
     EXPECT_GT(data.samples.size(), 0u);
 
-    EXPECT_EQ(sampled_stream(cores, true, 0), fresh_exact)
+    EXPECT_EQ(sampled_stream(cores, true, true), fresh)
         << "snapshot-boot diverged";
-    EXPECT_EQ(sampled_stream(cores, false, 61), fresh_exact)
-        << "decoupled=61 diverged";
-    EXPECT_EQ(sampled_stream(cores, true, 61), fresh_exact)
-        << "snapshot-boot + decoupled=61 diverged";
+    EXPECT_EQ(sampled_stream(cores, false, false), fresh)
+        << "reference mode diverged";
   }
 }
 

@@ -32,19 +32,17 @@ namespace {
 /// twin machine in the other mode).
 class Rig {
  public:
-  explicit Rig(bool fast_path, unsigned tlb_entries = 16, Cycles quantum = 0)
-      : machine_(make_config(fast_path, tlb_entries, quantum)),
+  explicit Rig(bool fast_path, unsigned tlb_entries = 16)
+      : machine_(make_config(fast_path, tlb_entries)),
         next_table_(1 * 1024 * 1024) {
     root_ = alloc_table();
     machine_.set_sysreg_raw(SysReg::TTBR1_EL1, root_);
   }
 
-  static MachineConfig make_config(bool fast_path, unsigned tlb_entries,
-                                   Cycles quantum) {
+  static MachineConfig make_config(bool fast_path, unsigned tlb_entries) {
     MachineConfig cfg;
     cfg.host_fast_path = fast_path;
     cfg.tlb_entries = tlb_entries;  // small: eviction pressure in scenarios
-    cfg.decoupled_quantum = quantum;
     return cfg;
   }
 
@@ -123,37 +121,23 @@ void expect_ledgers_equal(const Ledger& a, const Ledger& b) {
 
 #undef HN_EXPECT_COUNTER_EQ
 
-/// Run `scenario` on a fresh rig in each mode and require identical
-/// ledgers.  Four modes: fast path, reference, and the fast path under
-/// two temporally decoupled quanta (the large default plus a small odd
-/// one that forces frequent folds at awkward charge boundaries).
-struct ModeSpec {
-  bool fast_path;
-  Cycles quantum;
-};
-constexpr ModeSpec kModes[] = {
-    {true, 0}, {false, 0}, {true, 4096}, {true, 61}};
-
+/// Run `scenario` on a fresh rig with the fast path on and in reference
+/// mode, and require identical ledgers.
 template <typename Scenario>
 void differential(Scenario scenario, unsigned tlb_entries = 16) {
-  Ledger ledgers[std::size(kModes)];
-  for (size_t mode = 0; mode < std::size(kModes); ++mode) {
-    Rig rig(kModes[mode].fast_path, tlb_entries, kModes[mode].quantum);
-    scenario(rig, ledgers[mode]);
-    // cycles() folds any pending decoupled charge, so the final ledger
-    // read is exact in every mode by construction.
-    ledgers[mode].cycles = rig.m().account().cycles();
-    ledgers[mode].counters = rig.m().counters();
-    ledgers[mode].bus_txns = rig.m().bus().transaction_count();
+  Ledger ledgers[2];
+  for (const bool fast_path : {true, false}) {
+    Rig rig(fast_path, tlb_entries);
+    Ledger& ledger = ledgers[fast_path ? 0 : 1];
+    scenario(rig, ledger);
+    ledger.cycles = rig.m().account().cycles();
+    ledger.counters = rig.m().counters();
+    ledger.bus_txns = rig.m().bus().transaction_count();
     // The modes must agree they ran in the intended mode.
-    EXPECT_EQ(rig.m().host_fast_path(), kModes[mode].fast_path);
-    EXPECT_EQ(rig.m().tlb().index_enabled(), kModes[mode].fast_path);
-    EXPECT_EQ(rig.m().decoupled_quantum(), kModes[mode].quantum);
+    EXPECT_EQ(rig.m().host_fast_path(), fast_path);
+    EXPECT_EQ(rig.m().tlb().index_enabled(), fast_path);
   }
-  for (size_t mode = 1; mode < std::size(kModes); ++mode) {
-    SCOPED_TRACE("mode " + std::to_string(mode));
-    expect_ledgers_equal(ledgers[0], ledgers[mode]);
-  }
+  expect_ledgers_equal(ledgers[0], ledgers[1]);
 }
 
 constexpr VirtAddr kVa = kKernelVaBase + 0x100000;
@@ -336,13 +320,9 @@ TEST(FastPathDifferential, CapturedTraceIsByteIdentical) {
   // The flight recorder extends the "wall-clock only" contract: the
   // serialized trace — every kBusWrite the charge-replay loop stamps,
   // every timestamp — must match the reference walk byte for byte.
-  // Third flavor: decoupled mode must stamp every timestamp — bus
-  // events, cause links — identically too (the recorder observes the
-  // clock, which folds the pending quantum first).
-  std::vector<u8> blobs[3];
-  for (int mode = 0; mode < 3; ++mode) {
-    Rig rig(/*fast_path=*/mode != 1, /*tlb_entries=*/16,
-            /*quantum=*/mode == 2 ? 4096 : 0);
+  std::vector<u8> blobs[2];
+  for (int mode = 0; mode < 2; ++mode) {
+    Rig rig(/*fast_path=*/mode == 0);
     Machine& m = rig.m();
     m.trace().set_enabled(true);
     PageAttrs nc{.write = true};
@@ -365,7 +345,6 @@ TEST(FastPathDifferential, CapturedTraceIsByteIdentical) {
   }
   ASSERT_FALSE(blobs[0].empty());
   EXPECT_EQ(blobs[0], blobs[1]);
-  EXPECT_EQ(blobs[0], blobs[2]);
 }
 
 TEST(FastPathDifferential, RuntimeModeFlipConverges) {
@@ -397,58 +376,6 @@ TEST(FastPathDifferential, RuntimeModeFlipConverges) {
   const Cycles pure_ref = run(2);
   EXPECT_EQ(flipping, pure_fast);
   EXPECT_EQ(pure_fast, pure_ref);
-}
-
-TEST(FastPathDifferential, DecoupledEveryObservationIsExact) {
-  // The decoupled contract is stronger than "final cycles match": ANY
-  // observation of the clock folds the pending quantum first, so the
-  // value returned is exact at every single read — here checked after
-  // every access against a lockstep exact-mode twin.
-  Rig exact(/*fast_path=*/true);
-  Rig dec(/*fast_path=*/true, /*tlb_entries=*/16, /*quantum=*/4096);
-  for (unsigned p = 0; p < 4; ++p) {
-    exact.map(kVa + p * kPageSize, kPa + p * kPageSize, PageAttrs{.write = true});
-    dec.map(kVa + p * kPageSize, kPa + p * kPageSize, PageAttrs{.write = true});
-  }
-  SplitMix64 rng(3);
-  for (int i = 0; i < 600; ++i) {
-    const VirtAddr va = kVa + rng.next_below(4) * kPageSize +
-                        rng.next_below(kPageSize / 8) * 8;
-    const u64 value = rng.next();
-    ASSERT_TRUE(exact.m().write64(va, value).ok);
-    ASSERT_TRUE(dec.m().write64(va, value).ok);
-    ASSERT_EQ(exact.m().account().cycles(), dec.m().account().cycles())
-        << "access " << i;
-  }
-}
-
-TEST(FastPathDifferential, DecoupledQuantumFlipsMidRunConverge) {
-  // Re-wiring the quantum mid-run (what the fuzz executor does when it
-  // forces instrumented runs onto the exact path) folds the pending
-  // charge and changes nothing observable.
-  auto run = [](bool flip) {
-    Rig rig(/*fast_path=*/true);
-    for (unsigned p = 0; p < 8; ++p) {
-      rig.map(kVa + p * kPageSize, kPa + p * kPageSize,
-              PageAttrs{.write = true});
-    }
-    Machine& m = rig.m();
-    SplitMix64 rng(17);
-    for (int i = 0; i < 1200; ++i) {
-      if (flip && i % 100 == 0) {
-        m.set_decoupled_quantum(i % 300 == 0 ? 0 : (i % 200 == 0 ? 61 : 4096));
-      }
-      const VirtAddr va = kVa + rng.next_below(8) * kPageSize +
-                          rng.next_below(kPageSize / 8) * 8;
-      if (rng.chance(1, 2)) {
-        EXPECT_TRUE(m.write64(va, rng.next()).ok);
-      } else {
-        EXPECT_TRUE(m.read64(va).ok);
-      }
-    }
-    return m.account().cycles();
-  };
-  EXPECT_EQ(run(true), run(false));
 }
 
 TEST(FastPathDifferential, El2BlockCountsNoncacheableAccessesWhenCacheOff) {

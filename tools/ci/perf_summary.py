@@ -101,7 +101,7 @@ def main(argv):
     # "did replay get faster" without reading the whole table.
     e2e = [l for l in results["loops"] if l["name"] in ("fuzz_replay", "campaign")]
     if e2e:
-        lines += ["", "### End-to-end replay (fast+decoupled vs reference)", ""]
+        lines += ["", "### End-to-end replay (fast vs reference)", ""]
         for loop in e2e:
             base = base_loops.get(loop["name"])
             lines.append(

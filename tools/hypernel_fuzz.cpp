@@ -29,6 +29,7 @@
 
 #include "attacks/scenario.h"
 #include "attacks/scorecard.h"
+#include "common/parse_int.h"
 #include "fuzz/fuzzer.h"
 #include "fuzz/seed_io.h"
 #include "obs/export.h"
@@ -102,10 +103,6 @@ void usage() {
       "  --no-shrink       report original failing sequences unshrunk\n"
       "  --reference       force host-side reference mode (no sim fast\n"
       "                    path); output must stay byte-identical\n"
-      "  --decoupled[=N]   temporally decoupled execution: cycle charges\n"
-      "                    accumulate in a local quantum of N cycles\n"
-      "                    (default 4096) and fold at every observation\n"
-      "                    point; output must stay byte-identical\n"
       "  --profile         host self-time profile (boot/step/dispatch/\n"
       "                    syscall/translate/memory/audit/digest/snapshot)\n"
       "                    rendered to stderr; folded into --metrics-out as\n"
@@ -119,16 +116,22 @@ void usage() {
       "                    (the detection oracle must catch this)");
 }
 
+/// Reports a malformed integer flag; the caller's usage error.
+bool bad_number(const char* arg) {
+  std::fprintf(stderr, "malformed number in '%s'\n", arg);
+  return false;
+}
+
 bool parse(int argc, char** argv, Options* opt) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     std::optional<std::string> v;
     if ((v = arg_value(arg, "--seed"))) {
-      opt->fuzz.seed = std::strtoull(v->c_str(), nullptr, 0);
+      if (!hn::parse_u64(*v, &opt->fuzz.seed)) return bad_number(arg);
     } else if ((v = arg_value(arg, "--sequences"))) {
-      opt->fuzz.sequences = std::strtoull(v->c_str(), nullptr, 0);
+      if (!hn::parse_u64(*v, &opt->fuzz.sequences)) return bad_number(arg);
     } else if ((v = arg_value(arg, "--ops"))) {
-      opt->fuzz.ops = std::strtoull(v->c_str(), nullptr, 0);
+      if (!hn::parse_u64(*v, &opt->fuzz.ops)) return bad_number(arg);
     } else if ((v = arg_value(arg, "--matrix"))) {
       if (*v == "full") {
         opt->fuzz.full_matrix = true;
@@ -139,19 +142,18 @@ bool parse(int argc, char** argv, Options* opt) {
     } else if ((v = arg_value(arg, "--replay-file"))) {
       opt->replay_file = *v;
     } else if ((v = arg_value(arg, "--replay"))) {
-      opt->replay_seed = std::strtoull(v->c_str(), nullptr, 0);
+      hn::u64 seed = 0;
+      if (!hn::parse_u64(*v, &seed)) return bad_number(arg);
+      opt->replay_seed = seed;
     } else if (std::strcmp(arg, "--attack-seeds") == 0) {
       opt->fuzz.extended_attacks = true;
       opt->fuzz.scenario_pool = hn::attacks::scenario_pool();
     } else if ((v = arg_value(arg, "--audit-stride"))) {
-      opt->fuzz.audit_stride =
-          static_cast<unsigned>(std::strtoul(v->c_str(), nullptr, 0));
+      if (!hn::parse_u32(*v, &opt->fuzz.audit_stride)) return bad_number(arg);
     } else if ((v = arg_value(arg, "--jobs"))) {
-      opt->fuzz.jobs =
-          static_cast<unsigned>(std::strtoul(v->c_str(), nullptr, 0));
+      if (!hn::parse_u32(*v, &opt->fuzz.jobs)) return bad_number(arg);
     } else if ((v = arg_value(arg, "--cores"))) {
-      opt->fuzz.cores =
-          static_cast<unsigned>(std::strtoul(v->c_str(), nullptr, 0));
+      if (!hn::parse_u32(*v, &opt->fuzz.cores)) return bad_number(arg);
       if (opt->fuzz.cores == 0 || opt->fuzz.cores > 8) {
         std::fprintf(stderr, "--cores must be in [1, 8]\n");
         return false;
@@ -163,7 +165,7 @@ bool parse(int argc, char** argv, Options* opt) {
       opt->trace_out = *v;
       opt->fuzz.capture_trace = true;
     } else if ((v = arg_value(arg, "--sample-cycles"))) {
-      opt->fuzz.sample_cycles = std::strtoull(v->c_str(), nullptr, 0);
+      if (!hn::parse_u64(*v, &opt->fuzz.sample_cycles)) return bad_number(arg);
     } else if (std::strcmp(arg, "--sample-cycles") == 0) {
       opt->fuzz.sample_cycles = hn::obs::kDefaultSampleCycles;
     } else if ((v = arg_value(arg, "--timeseries-out"))) {
@@ -176,10 +178,6 @@ bool parse(int argc, char** argv, Options* opt) {
       opt->fuzz.capture_trace = true;  // reproducers ship with their trace
     } else if (std::strcmp(arg, "--reference") == 0) {
       opt->fuzz.host_fast_path = false;
-    } else if ((v = arg_value(arg, "--decoupled"))) {
-      opt->fuzz.decoupled_quantum = std::strtoull(v->c_str(), nullptr, 0);
-    } else if (std::strcmp(arg, "--decoupled") == 0) {
-      opt->fuzz.decoupled_quantum = hn::fuzz::kDefaultDecoupledQuantum;
     } else if (std::strcmp(arg, "--profile") == 0) {
       opt->fuzz.profile = true;
     } else if (std::strcmp(arg, "--snapshot-boot") == 0) {
@@ -209,7 +207,6 @@ int replay(const Options& opt) {
   auto specs = hn::fuzz::build_matrix(opt.fuzz.full_matrix);
   for (auto& spec : specs) {
     spec.host_fast_path = opt.fuzz.host_fast_path;
-    spec.decoupled_quantum = opt.fuzz.decoupled_quantum;
     spec.cores = opt.fuzz.cores;
   }
   hn::fuzz::GeneratorOptions gen{.ops = opt.fuzz.ops,
@@ -286,7 +283,6 @@ int replay_file(const Options& opt) {
   }
   for (auto& spec : specs) {
     spec.host_fast_path = opt.fuzz.host_fast_path;
-    spec.decoupled_quantum = opt.fuzz.decoupled_quantum;
     spec.cores = opt.fuzz.cores;
   }
   hn::fuzz::ExecutorOptions exec{.inject_bypass = opt.fuzz.inject_bypass,

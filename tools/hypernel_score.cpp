@@ -18,6 +18,7 @@
 #include <fstream>
 
 #include "attacks/scorecard.h"
+#include "common/parse_int.h"
 #include "obs/timeseries.h"
 #include "sim/trace_io.h"
 
@@ -39,9 +40,6 @@ void usage() {
       "                    snapshots (COW restore) instead of re-booting\n"
       "  --cores=N         simulated cores per machine (default 1); N > 1\n"
       "                    adds the cross-core scenario rows\n"
-      "  --decoupled[=N]   temporally decoupled execution (local charge\n"
-      "                    quantum of N cycles, default 4096); the JSON\n"
-      "                    report must stay byte-identical\n"
       "  --sample-cycles[=N]\n"
       "                    sample time-series tracks every N simulated\n"
       "                    cycles (default 65536); pairs with\n"
@@ -52,6 +50,13 @@ void usage() {
       "                    hypernel_trace timeline)\n"
       "  --profile         host self-time profile across all cells,\n"
       "                    rendered to stderr (stdout stays identical)");
+}
+
+/// Reports a malformed flag value: usage error, exit 2.
+int bad_value(const char* arg) {
+  std::fprintf(stderr, "malformed value in '%s'\n", arg);
+  usage();
+  return 2;
 }
 
 }  // namespace
@@ -65,7 +70,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--jobs=", 7) == 0) {
-      opt.jobs = static_cast<unsigned>(std::strtoul(arg + 7, nullptr, 0));
+      if (!hn::parse_u32(arg + 7, &opt.jobs)) return bad_value(arg);
     } else if (std::strncmp(arg, "--out=", 6) == 0) {
       out_path = arg + 6;
     } else if (std::strncmp(arg, "--trace-out=", 12) == 0) {
@@ -75,17 +80,13 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--snapshot-boot") == 0) {
       opt.snapshot_boot = true;
     } else if (std::strncmp(arg, "--cores=", 8) == 0) {
-      opt.cores = static_cast<unsigned>(std::strtoul(arg + 8, nullptr, 0));
-      if (opt.cores == 0 || opt.cores > 8) {
+      if (!hn::parse_u32(arg + 8, &opt.cores) || opt.cores == 0 ||
+          opt.cores > 8) {
         std::fprintf(stderr, "--cores must be in [1, 8]\n");
-        return 2;
+        return bad_value(arg);
       }
-    } else if (std::strncmp(arg, "--decoupled=", 12) == 0) {
-      opt.decoupled_quantum = std::strtoull(arg + 12, nullptr, 0);
-    } else if (std::strcmp(arg, "--decoupled") == 0) {
-      opt.decoupled_quantum = hn::fuzz::kDefaultDecoupledQuantum;
     } else if (std::strncmp(arg, "--sample-cycles=", 16) == 0) {
-      opt.sample_cycles = std::strtoull(arg + 16, nullptr, 0);
+      if (!hn::parse_u64(arg + 16, &opt.sample_cycles)) return bad_value(arg);
     } else if (std::strcmp(arg, "--sample-cycles") == 0) {
       opt.sample_cycles = hn::obs::kDefaultSampleCycles;
     } else if (std::strncmp(arg, "--timeseries-out=", 17) == 0) {
@@ -109,7 +110,7 @@ int main(int argc, char** argv) {
   std::fputs(hn::attacks::render_scorecard(score).c_str(), stdout);
   if (opt.profile) {
     // Host wall clock goes to stderr: stdout (table, digest) must stay
-    // byte-identical across hosts, jobs, and decoupled mode.
+    // byte-identical across hosts and jobs.
     std::fprintf(stderr, "profile (scorecard self-time):\n%s",
                  hn::obs::render_profile(score.profile).c_str());
   }
