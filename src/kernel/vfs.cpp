@@ -95,8 +95,10 @@ VirtAddr Vfs::instantiate_dentry(u64 parent, const std::string& name, u64 ino) {
   write_dentry_word(dva, D::kFlags, must_inode(ino).is_dir ? 0x10 : 0x4);
   write_dentry_word(dva, D::kHashNext, dva ^ 0x1111);
   write_dentry_word(dva, D::kHashPrev, dva ^ 0x2222);
-  dcache_[DKey{parent, name}] = dva;
-  dcache_lru_.push_back(DKey{parent, name});
+  const auto lru = dcache_lru_.insert(dcache_lru_.end(), DKey{parent, name});
+  [[maybe_unused]] const bool inserted =
+      dcache_.emplace(*lru, CachedDentry{dva, lru}).second;
+  assert(inserted && "dentry instantiated twice");
   return dva;
 }
 
@@ -121,9 +123,9 @@ Result<u64> Vfs::step(u64 parent, const std::string& name) {
   machine_.advance(costs_.dcache_lookup);
   const DKey key{parent, name};
   if (auto it = dcache_.find(key); it != dcache_.end()) {
-    dput_touch(it->second);
+    dput_touch(it->second.dva);
     const sim::Access64 ino = machine_.read64(
-        it->second + DentryLayout::kInode * kWordSize);
+        it->second.dva + DentryLayout::kInode * kWordSize);
     assert(ino.ok);
     return ino.value;
   }
@@ -196,18 +198,30 @@ void Vfs::drop_dentry(u64 parent, const std::string& name,
   auto it = dcache_.find(key);
   if (it == dcache_.end()) return;
   using D = DentryLayout;
+  const VirtAddr dva = it->second.dva;
   if (zap_inode_word) {
     // d_delete: detach the inode and mark the dentry negative — sensitive-
     // word writes a file-hiding rootkit would imitate.
-    write_dentry_word(it->second, D::kInode, 0);
-    write_dentry_word(it->second, D::kFlags, 0x0);
+    write_dentry_word(dva, D::kInode, 0);
+    write_dentry_word(dva, D::kFlags, 0x0);
   }
-  write_dentry_word(it->second, D::kHashNext, 0);
-  write_dentry_word(it->second, D::kHashPrev, 0);
-  if (dentry_free_hook_) dentry_free_hook_(it->second);
-  dentry_slab_.free(it->second);
+  write_dentry_word(dva, D::kHashNext, 0);
+  write_dentry_word(dva, D::kHashPrev, 0);
+  if (dentry_free_hook_) dentry_free_hook_(dva);
+  dentry_slab_.free(dva);
+  dcache_lru_.erase(it->second.lru);
   dcache_.erase(it);
-  std::erase(dcache_lru_, key);
+}
+
+void Vfs::remove_entry(std::map<DKey, u64>::iterator child) {
+  Inode& node = must_inode(child->second);
+  drop_dentry(child->first.parent, child->first.name, /*zap_inode_word=*/true);
+  if (--node.nlink == 0) {
+    for (auto& [idx, frame] : node.pages) buddy_.free_page(frame);
+    machine_.account().charge_batch(costs_.page_free, node.pages.size());
+    inodes_.erase(node.ino);
+  }
+  children_.erase(child);
 }
 
 Status Vfs::unlink(std::string_view path) {
@@ -215,17 +229,9 @@ Status Vfs::unlink(std::string_view path) {
   Result<std::pair<u64, std::string>> rp = resolve_parent(path);
   if (!rp.ok()) return rp.status();
   const auto& [parent, name] = rp.value();
-  const DKey key{parent, name};
-  auto child = children_.find(key);
+  auto child = children_.find(DKey{parent, name});
   if (child == children_.end()) return Status::NotFound("vfs: no such entry");
-  Inode& node = must_inode(child->second);
-  drop_dentry(parent, name, /*zap_inode_word=*/true);
-  if (--node.nlink == 0) {
-    for (auto& [idx, frame] : node.pages) buddy_.free_page(frame);
-    machine_.account().charge_batch(costs_.page_free, node.pages.size());
-    inodes_.erase(node.ino);
-  }
-  children_.erase(child);
+  remove_entry(child);
   return Status::Ok();
 }
 
@@ -237,15 +243,24 @@ Status Vfs::rename(std::string_view from, std::string_view to) {
   if (!rt.ok()) return rt.status();
   const auto& [fp, fn] = rf.value();
   const auto& [tp, tn] = rt.value();
-  auto child = children_.find(DKey{fp, fn});
+  const DKey source{fp, fn};
+  const DKey target{tp, tn};
+  auto child = children_.find(source);
   if (child == children_.end()) return Status::NotFound("vfs: no such entry");
   const u64 ino = child->second;
 
+  // Renaming onto an existing name replaces that entry, as unlink would.
+  if (target != source) {
+    if (auto old = children_.find(target); old != children_.end()) {
+      remove_entry(old);
+    }
+  }
+
   // Rewrite the cached dentry in place (d_move): parent and name words are
   // sensitive — exactly what a file-hiding rootkit would forge.
-  if (auto it = dcache_.find(DKey{fp, fn}); it != dcache_.end()) {
+  if (auto it = dcache_.find(source); it != dcache_.end()) {
     using D = DentryLayout;
-    const VirtAddr dva = it->second;
+    const VirtAddr dva = it->second.dva;
     u64 n0 = 0;
     u64 n1 = 0;
     pack_name(tn, n0, n1);
@@ -254,13 +269,13 @@ Status Vfs::rename(std::string_view from, std::string_view to) {
     write_dentry_word(dva, D::kName0, n0);
     write_dentry_word(dva, D::kName1, n1);
     write_dentry_word(dva, D::kHashNext, dva ^ 0x7777);
+    dcache_lru_.erase(it->second.lru);
     dcache_.erase(it);
-    std::erase(dcache_lru_, DKey{fp, fn});
-    dcache_[DKey{tp, tn}] = dva;
-    dcache_lru_.push_back(DKey{tp, tn});
+    const auto lru = dcache_lru_.insert(dcache_lru_.end(), target);
+    dcache_.emplace(target, CachedDentry{dva, lru});
   }
   children_.erase(child);
-  children_[DKey{tp, tn}] = ino;
+  children_[target] = ino;
   return Status::Ok();
 }
 
@@ -394,7 +409,7 @@ void Vfs::prune_dcache(u64 n) {
 
 VirtAddr Vfs::cached_dentry(u64 parent_ino, const std::string& name) const {
   auto it = dcache_.find(DKey{parent_ino, name});
-  return it == dcache_.end() ? 0 : it->second;
+  return it == dcache_.end() ? 0 : it->second.dva;
 }
 
 }  // namespace hn::kernel

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <functional>
+#include <list>
 #include <map>
 #include <string>
 #include <string_view>
@@ -54,6 +55,9 @@ class Vfs {
 
   Vfs(sim::Machine& machine, BuddyAllocator& buddy, SlabCache& dentry_slab,
       const KernelCosts& costs);
+  // dcache_ entries hold iterators into this object's own LRU list.
+  Vfs(const Vfs&) = delete;
+  Vfs& operator=(const Vfs&) = delete;
 
   /// Dentry-lifetime hooks for security applications.  The alloc hook
   /// fires at the d_alloc point — after the identity fields (name, parent,
@@ -131,10 +135,10 @@ class Vfs {
       w.put_u64(ino);
     }
     w.put_u64(dcache_.size());
-    for (const auto& [key, dva] : dcache_) {
+    for (const auto& [key, entry] : dcache_) {
       w.put_u64(key.parent);
       w.put_string(key.name);
-      w.put_u64(dva);
+      w.put_u64(entry.dva);
     }
     w.put_u64(dcache_lru_.size());
     for (const DKey& key : dcache_lru_) {
@@ -177,15 +181,27 @@ class Vfs {
     }
     const u64 ndcache = r.get_count("dcache entry");
     dcache_.clear();
+    dcache_lru_.clear();
     for (u64 i = 0; r.ok() && i < ndcache; ++i) {
       DKey key{r.get_u64(), r.get_string()};
-      dcache_.emplace_hint(dcache_.end(), std::move(key), r.get_u64());
+      // The LRU's end() marks an entry the LRU has not placed yet.
+      dcache_.emplace_hint(dcache_.end(), std::move(key),
+                           CachedDentry{r.get_u64(), dcache_lru_.end()});
     }
+    // The LRU must name every cached dentry exactly once.
     const u64 nlru = r.get_count("dcache LRU entry");
-    dcache_lru_.clear();
-    dcache_lru_.reserve(r.ok() ? nlru : 0);
     for (u64 i = 0; r.ok() && i < nlru; ++i) {
-      dcache_lru_.push_back(DKey{r.get_u64(), r.get_string()});
+      DKey key{r.get_u64(), r.get_string()};
+      auto it = dcache_.find(key);
+      if (it == dcache_.end() || it->second.lru != dcache_lru_.end()) {
+        r.fail("LRU entry names no cached dentry, or one twice");
+        return;
+      }
+      it->second.lru = dcache_lru_.insert(dcache_lru_.end(), std::move(key));
+    }
+    if (r.ok() && dcache_lru_.size() != dcache_.size()) {
+      r.fail("LRU omits a cached dentry");
+      return;
     }
     next_ino_ = r.get_u64();
     lookup_serial_ = r.get_u64();
@@ -200,6 +216,12 @@ class Vfs {
     std::string name;
     auto operator<=>(const DKey&) const = default;
   };
+  /// A cached dentry object and its place in the prune order, so dropping
+  /// or moving it is O(1) in the LRU.
+  struct CachedDentry {
+    VirtAddr dva = 0;
+    std::list<DKey>::iterator lru;
+  };
 
   Inode& must_inode(u64 ino);
   /// Resolve all but the last component; returns parent ino and leaf name.
@@ -211,6 +233,9 @@ class Vfs {
   void write_dentry_word(VirtAddr dva, u64 word, u64 value);
   void dput_touch(VirtAddr dva);
   void drop_dentry(u64 parent, const std::string& name, bool zap_inode_word);
+  /// unlink's core: drop the entry's dentry (d_delete), remove the entry,
+  /// and free the inode with its last link.
+  void remove_entry(std::map<DKey, u64>::iterator child);
   Result<u64> alloc_ino(bool is_dir);
   PhysAddr ensure_page(Inode& node, u64 page_index);
 
@@ -220,8 +245,8 @@ class Vfs {
   const KernelCosts& costs_;
   std::map<u64, Inode> inodes_;
   std::map<DKey, u64> children_;       // directory entries (on-"disk" truth)
-  std::map<DKey, VirtAddr> dcache_;    // cached dentry objects
-  std::vector<DKey> dcache_lru_;       // creation-ordered for pruning
+  std::map<DKey, CachedDentry> dcache_;  // cached dentry objects
+  std::list<DKey> dcache_lru_;  // prune order: creation, renames at the back
   u64 next_ino_ = 2;
   u64 lookup_serial_ = 0;  // drives periodic LRU-touch writes
   SpinLock lock_;          // namespace + dcache lock (dcache_lock analogue)

@@ -1,7 +1,6 @@
 #include "mbm/monitor.h"
 
 #include <cassert>
-#include <cstring>
 
 namespace hn::mbm {
 
@@ -64,10 +63,14 @@ void MemoryBusMonitor::on_transaction(const sim::BusTransaction& txn) {
     case sim::BusOp::kWriteLine: {
       if (!config_.snoop_line_writebacks) return;
       ++snooped_line_writes_;
-      for (u64 off = 0; off < kCacheLineSize; off += kWordSize) {
-        u64 v;
-        std::memcpy(&v, txn.line.data() + off, kWordSize);
-        handle_word_write(txn.paddr + off, v, txn.timestamp,
+      // The cache model holds no data, so DRAM already holds the line's
+      // final contents.  Read the whole line before handling any word: a
+      // detection's IRQ handler may rewrite it, and the snooper must see
+      // the contents the write-back put on the bus.
+      u64 words[kCacheLineSize / kWordSize] = {};
+      machine_.phys().read_block(txn.paddr, words, kCacheLineSize);
+      for (u64 i = 0; i < kCacheLineSize / kWordSize; ++i) {
+        handle_word_write(txn.paddr + i * kWordSize, words[i], txn.timestamp,
                           /*from_line=*/true, txn.trace_seq);
       }
       return;

@@ -1,6 +1,9 @@
 #include "secapps/object_monitor.h"
 
+#include <bit>
 #include <cassert>
+#include <string>
+#include <utility>
 
 #include "common/hvc_abi.h"
 #include "common/log.h"
@@ -65,7 +68,8 @@ Status ObjectIntegrityMonitor::install() {
 void ObjectIntegrityMonitor::hook_alloc(ObjectKind kind, VirtAddr va) {
   // Kernel-context hook (§5.3 step 1): one hypercall per monitored range.
   const PhysAddr base_pa = kernel::virt_to_phys(va);
-  object_kind_[base_pa] = kind;
+  ObjectRecord& rec = objects_[base_pa];
+  rec.kind = kind;
   ++stats_.objects_registered;
   for (const Range& r : ranges_for(kind)) {
     const u64 rc = system_.machine().hvc(
@@ -74,28 +78,24 @@ void ObjectIntegrityMonitor::hook_alloc(ObjectKind kind, VirtAddr va) {
       HN_LOG_WARN("secapp", "region registration failed (va=%llx)",
                   static_cast<unsigned long long>(va));
     }
-    for (u64 w = 0; w < r.words; ++w) {
+    for (u64 w = r.word; w < r.word + r.words; ++w) {
       // Baseline the verification state from the object's current
       // contents (cred objects arrive zeroed; dentries already carry
       // their d_alloc identity at hook time).
-      shadow_[base_pa + (r.word + w) * kWordSize] =
-          system_.machine().el2_read64(base_pa + (r.word + w) * kWordSize);
+      rec.shadow[w] = system_.machine().el2_read64(base_pa + w * kWordSize);
+      rec.shadowed |= static_cast<u16>(1u << w);
     }
   }
 }
 
 void ObjectIntegrityMonitor::hook_free(ObjectKind kind, VirtAddr va) {
-  const PhysAddr base_pa = kernel::virt_to_phys(va);
   ++stats_.objects_unregistered;
   for (const Range& r : ranges_for(kind)) {
     system_.machine().hvc(
         hvc::kMonUnregister,
         {sid_, va + r.word * kWordSize, r.words * kWordSize});
-    for (u64 w = 0; w < r.words; ++w) {
-      shadow_.erase(base_pa + (r.word + w) * kWordSize);
-    }
   }
-  object_kind_.erase(base_pa);
+  objects_.erase(kernel::virt_to_phys(va));
 }
 
 hypersec::AppVerdict ObjectIntegrityMonitor::on_write_event(
@@ -105,26 +105,25 @@ hypersec::AppVerdict ObjectIntegrityMonitor::on_write_event(
   system_.machine().advance(90);
   ++stats_.events_total;
 
-  // Slab objects are size-aligned, so the object base is the event address
-  // rounded down to the object size (128 B for both kinds).
-  const PhysAddr base = event.paddr & ~u64{127};
-  auto it = object_kind_.find(base);
-  if (it == object_kind_.end()) {
+  const PhysAddr base = event.paddr & ~(kObjectBytes - 1);
+  auto it = objects_.find(base);
+  if (it == objects_.end()) {
     return hypersec::AppVerdict::kBenign;  // freed while event in flight
   }
-  const ObjectKind kind = it->second;
-  if (kind == ObjectKind::kCred) {
+  ObjectRecord& rec = it->second;
+  if (rec.kind == ObjectKind::kCred) {
     ++stats_.events_cred;
   } else {
     ++stats_.events_dentry;
   }
 
   const u64 word = (event.paddr - base) / kWordSize;
-  const PhysAddr word_pa = base + word * kWordSize;
-  const u64 old_value = shadow_.count(word_pa) ? shadow_[word_pa] : 0;
+  const auto bit = static_cast<u16>(1u << word);
+  const u64 old_value = (rec.shadowed & bit) != 0 ? rec.shadow[word] : 0;
   const size_t alerts_before = alerts_.size();
-  verify(kind, word, base, old_value, event.value);
-  shadow_[word_pa] = event.value;
+  verify(rec.kind, word, base, old_value, event.value);
+  rec.shadow[word] = event.value;
+  rec.shadowed |= bit;
   return alerts_.size() > alerts_before ? hypersec::AppVerdict::kAlert
                                         : hypersec::AppVerdict::kBenign;
 }
@@ -165,6 +164,73 @@ void ObjectIntegrityMonitor::verify(ObjectKind kind, u64 word, PhysAddr pa,
       new_value != old_value) {
     alert(AlertKind::kDentryInodeHijacked, "dentry inode pointer hijacked");
   }
+}
+
+void ObjectIntegrityMonitor::save_state(sim::SnapWriter& w) const {
+  w.put_bool(installed_);
+  // Shadow words in address order, then objects in address order.  The
+  // objects are disjoint, so walking the records by base and each
+  // record's words by index yields the first order too.
+  u64 nshadow = 0;
+  for (const auto& [base, rec] : objects_) {
+    nshadow += static_cast<u64>(std::popcount(rec.shadowed));
+  }
+  w.put_u64(nshadow);
+  for (const auto& [base, rec] : objects_) {
+    for (u64 word = 0; word < kObjectWords; ++word) {
+      if ((rec.shadowed >> word) & 1u) {
+        w.put_u64(base + word * kWordSize);
+        w.put_u64(rec.shadow[word]);
+      }
+    }
+  }
+  w.put_u64(objects_.size());
+  for (const auto& [base, rec] : objects_) {
+    w.put_u64(base);
+    w.put_u8(static_cast<u8>(rec.kind));
+  }
+  w.put_u64(stats_.events_total);
+  w.put_u64(stats_.events_cred);
+  w.put_u64(stats_.events_dentry);
+  w.put_u64(stats_.objects_registered);
+  w.put_u64(stats_.objects_unregistered);
+  save_alerts(w, alerts_);
+}
+
+void ObjectIntegrityMonitor::restore_state(sim::SnapReader& r) {
+  r.section("object monitor");
+  installed_ = r.get_bool();
+  // The shadow words come before the objects they belong to.
+  const u64 nshadow = r.get_count("shadow word");
+  std::vector<std::pair<PhysAddr, u64>> shadow;
+  for (u64 i = 0; r.ok() && i < nshadow; ++i) {
+    const PhysAddr pa = r.get_u64();
+    shadow.emplace_back(pa, r.get_u64());
+  }
+  const u64 nobjects = r.get_count("object");
+  objects_.clear();
+  for (u64 i = 0; r.ok() && i < nobjects; ++i) {
+    const PhysAddr base = r.get_u64();
+    const auto kind = static_cast<ObjectKind>(r.get_u8());
+    objects_.emplace_hint(objects_.end(), base, ObjectRecord{.kind = kind});
+  }
+  for (const auto& [pa, value] : shadow) {
+    auto it = objects_.find(pa & ~(kObjectBytes - 1));
+    if (it == objects_.end() || pa % kWordSize != 0) {
+      r.fail("shadow word " + std::to_string(pa) +
+             " is not a word of any tracked object");
+      return;
+    }
+    const u64 word = (pa - it->first) / kWordSize;
+    it->second.shadow[word] = value;
+    it->second.shadowed |= static_cast<u16>(1u << word);
+  }
+  stats_.events_total = r.get_u64();
+  stats_.events_cred = r.get_u64();
+  stats_.events_dentry = r.get_u64();
+  stats_.objects_registered = r.get_u64();
+  stats_.objects_unregistered = r.get_u64();
+  restore_alerts(r, alerts_);
 }
 
 }  // namespace hn::secapps

@@ -13,6 +13,7 @@
 // monitor verifies the write against its integrity policy.
 #pragma once
 
+#include <array>
 #include <map>
 #include <string>
 #include <vector>
@@ -67,50 +68,30 @@ class ObjectIntegrityMonitor : public hypersec::SecurityApp {
   // state serializes separately (the fuzz snapshot-boot path pairs each
   // system snapshot with a monitor blob).
 
-  void save_state(sim::SnapWriter& w) const {
-    w.put_bool(installed_);
-    w.put_u64(shadow_.size());
-    for (const auto& [pa, value] : shadow_) {
-      w.put_u64(pa);
-      w.put_u64(value);
-    }
-    w.put_u64(object_kind_.size());
-    for (const auto& [pa, kind] : object_kind_) {
-      w.put_u64(pa);
-      w.put_u8(static_cast<u8>(kind));
-    }
-    w.put_u64(stats_.events_total);
-    w.put_u64(stats_.events_cred);
-    w.put_u64(stats_.events_dentry);
-    w.put_u64(stats_.objects_registered);
-    w.put_u64(stats_.objects_unregistered);
-    save_alerts(w, alerts_);
-  }
-
-  void restore_state(sim::SnapReader& r) {
-    r.section("object monitor");
-    installed_ = r.get_bool();
-    const u64 nshadow = r.get_count("shadow word");
-    shadow_.clear();
-    for (u64 i = 0; r.ok() && i < nshadow; ++i) {
-      const PhysAddr pa = r.get_u64();
-      shadow_[pa] = r.get_u64();
-    }
-    const u64 nobjects = r.get_count("object");
-    object_kind_.clear();
-    for (u64 i = 0; r.ok() && i < nobjects; ++i) {
-      const PhysAddr pa = r.get_u64();
-      object_kind_[pa] = static_cast<kernel::ObjectKind>(r.get_u8());
-    }
-    stats_.events_total = r.get_u64();
-    stats_.events_cred = r.get_u64();
-    stats_.events_dentry = r.get_u64();
-    stats_.objects_registered = r.get_u64();
-    stats_.objects_unregistered = r.get_u64();
-    restore_alerts(r, alerts_);
-  }
+  void save_state(sim::SnapWriter& w) const;
+  /// Fails `r` when a shadow word is not a word of any tracked object.
+  void restore_state(sim::SnapReader& r);
 
  private:
+  /// Slab objects of both watched kinds are 128 B and size-aligned, so an
+  /// event address rounded down to the object size is the object base.
+  static constexpr u64 kObjectBytes = 128;
+  static constexpr u64 kObjectWords = kObjectBytes / kWordSize;
+  static_assert(kernel::object_words(kernel::ObjectKind::kCred) ==
+                    kObjectWords &&
+                kernel::object_words(kernel::ObjectKind::kDentry) ==
+                    kObjectWords);
+
+  /// Verification state of one tracked object: its kind and the last
+  /// known value of each shadowed word (bit w of `shadowed` set when
+  /// shadow[w] holds one).
+  struct ObjectRecord {
+    kernel::ObjectKind kind = kernel::ObjectKind::kCred;
+    u16 shadowed = 0;
+    std::array<u64, kObjectWords> shadow{};
+  };
+  static_assert(kObjectWords <= 16, "shadow mask is 16 bits");
+
   struct Range {
     u64 word = 0;   // first word offset
     u64 words = 0;  // run length
@@ -127,8 +108,7 @@ class ObjectIntegrityMonitor : public hypersec::SecurityApp {
   bool watch_cred_;
   bool watch_dentry_;
   u64 sid_;
-  std::map<PhysAddr, u64> shadow_;          // word PA -> last known value
-  std::map<PhysAddr, kernel::ObjectKind> object_kind_;  // object base PA
+  std::map<PhysAddr, ObjectRecord> objects_;  // object base PA -> record
   MonitorStats stats_;
   std::vector<Alert> alerts_;
   bool installed_ = false;

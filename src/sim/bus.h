@@ -8,9 +8,13 @@
 // visible as one WriteLine.  This is precisely why Hypersec maps monitored
 // regions non-cacheable (§5.3), and the tests exercise both sides of that
 // trade-off.
+//
+// A WriteLine carries only the line address.  The cache model holds no
+// data, so DRAM already holds the final line contents when the
+// transaction reaches the bus; a snooper that needs them reads
+// PhysicalMemory.
 #pragma once
 
-#include <array>
 #include <vector>
 
 #include "common/types.h"
@@ -22,15 +26,14 @@ enum class BusOp : u8 {
   kReadWord,    // non-cacheable word read
   kWriteWord,   // non-cacheable word write: exact address + value visible
   kReadLine,    // cache line fill
-  kWriteLine,   // dirty line write-back: final line contents visible
+  kWriteLine,   // dirty line write-back: final contents are in DRAM
 };
 
 struct BusTransaction {
   BusOp op = BusOp::kReadWord;
   PhysAddr paddr = 0;  // word address for word ops, line-aligned for line ops
   u64 value = 0;       // word ops only
-  std::array<u8, kCacheLineSize> line{};  // kWriteLine only
-  Cycles timestamp = 0;                   // CPU cycle count at issue
+  Cycles timestamp = 0;  // CPU cycle count at issue
   /// Flight-recorder provenance: sequence id of the kBusWrite trace event
   /// the issuer stamped for this transaction (kNoCause when tracing is
   /// off or the op records no event).  Snoopers link their own events to

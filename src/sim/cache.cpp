@@ -6,10 +6,9 @@
 
 namespace hn::sim {
 
-Cache::Cache(const CacheConfig& config, PhysicalMemory& mem, MemoryBus& bus,
-             CycleAccount& account, const TimingModel& timing)
+Cache::Cache(const CacheConfig& config, MemoryBus& bus, CycleAccount& account,
+             const TimingModel& timing)
     : config_(config),
-      mem_(mem),
       bus_(bus),
       account_(account),
       timing_(timing) {
@@ -46,7 +45,6 @@ void Cache::writeback(const Line& line) {
     if (txn.timestamp < *bus_clock_) txn.timestamp = *bus_clock_;
     *bus_clock_ = txn.timestamp;
   }
-  mem_.read_block(line.base, txn.line.data(), kCacheLineSize);
   bus_.issue(txn);
   account_.charge(timing_.dirty_writeback);
   ++account_.counters().dirty_writebacks;

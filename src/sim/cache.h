@@ -3,10 +3,10 @@
 //
 // The cache holds no data — functional state lives in PhysicalMemory — but
 // it decides *when traffic reaches the bus*: a cacheable write marks a line
-// dirty and emits nothing; the final line contents surface as a single
-// kWriteLine transaction at eviction or explicit flush.  This models the
-// MBM visibility problem that forces Hypersec to map monitored pages
-// non-cacheable (§5.3).
+// dirty and emits nothing; the line surfaces as a single kWriteLine
+// transaction at eviction or explicit flush, when DRAM already holds its
+// final contents.  This models the MBM visibility problem that forces
+// Hypersec to map monitored pages non-cacheable (§5.3).
 #pragma once
 
 #include <vector>
@@ -15,7 +15,6 @@
 #include "common/types.h"
 #include "sim/bus.h"
 #include "sim/cycle_account.h"
-#include "sim/phys_mem.h"
 #include "sim/snapshot.h"
 
 namespace hn::sim {
@@ -28,8 +27,8 @@ struct CacheConfig {
 
 class Cache {
  public:
-  Cache(const CacheConfig& config, PhysicalMemory& mem, MemoryBus& bus,
-        CycleAccount& account, const TimingModel& timing);
+  Cache(const CacheConfig& config, MemoryBus& bus, CycleAccount& account,
+        const TimingModel& timing);
 
   /// SMP bus provenance: the owning core's id and the machine's shared
   /// monotonic bus clock.  Dirty write-backs are bus transactions the MBM
@@ -122,7 +121,6 @@ class Cache {
   void writeback(const Line& line);
 
   CacheConfig config_;
-  PhysicalMemory& mem_;
   MemoryBus& bus_;
   CycleAccount& account_;
   const TimingModel& timing_;

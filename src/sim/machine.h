@@ -370,7 +370,7 @@ class Machine {
   struct CoreState {
     CoreState(const MachineConfig& config, PhysicalMemory& phys,
               MemoryBus& bus, obs::Registry& obs, Trace& trace)
-        : cache(config.cache, phys, bus, account, config.timing),
+        : cache(config.cache, bus, account, config.timing),
           mmu(phys, account, config.timing, obs, config.tlb_entries),
           exceptions(sysregs, account, config.timing, trace),
           gic(exceptions) {}

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "hypernel/system.h"
 #include "kernel/kernel.h"
 #include "kernel/layout.h"
 #include "kernel/objects.h"
@@ -210,6 +213,114 @@ TEST_F(KernelTest, PruneDcacheFreesDentries) {
   EXPECT_EQ(kernel_->vfs().dcache_size(), before - 10);
   // Re-lookup re-instantiates from the directory.
   EXPECT_TRUE(kernel_->sys_stat("/prune0").ok());
+}
+
+TEST_F(KernelTest, RenameOntoExistingNameReplacesTarget) {
+  // Renaming onto an existing name replaces that entry the way unlink
+  // does: its dentry is torn down and freed (free hook included), and its
+  // inode goes with its last link.
+  std::vector<VirtAddr> freed;
+  kernel_->set_object_hooks(
+      ObjectKind::kDentry, [](VirtAddr) {},
+      [&freed](VirtAddr dva) { freed.push_back(dva); });
+  Vfs& vfs = kernel_->vfs();
+  const u64 inodes = vfs.inode_count();
+  Result<u64> a = kernel_->sys_creat("/a");
+  Result<u64> b = kernel_->sys_creat("/b");
+  ASSERT_TRUE(a.ok() && b.ok());
+  const VirtAddr b_dentry = vfs.cached_dentry(vfs.root_ino(), "b");
+  ASSERT_NE(b_dentry, 0u);
+
+  ASSERT_TRUE(kernel_->sys_rename("/a", "/b").ok());
+  EXPECT_EQ(freed, std::vector<VirtAddr>{b_dentry});
+  EXPECT_EQ(vfs.inode_count(), inodes + 1);
+  EXPECT_EQ(vfs.inode(b.value()), nullptr);
+  EXPECT_FALSE(kernel_->sys_stat("/a").ok());
+  Result<StatInfo> st = kernel_->sys_stat("/b");
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(st.value().ino, a.value());
+
+  // One dentry is left for the one name, and pruning frees it once.
+  freed.clear();
+  const u64 cached = vfs.dcache_size();
+  vfs.prune_dcache(cached);
+  EXPECT_EQ(freed.size(), cached);
+  EXPECT_EQ(vfs.dcache_size(), 0u);
+}
+
+TEST_F(KernelTest, RenameOntoCachedTargetFromUncachedSource) {
+  // Only the target's dentry is cached: the rename must drop it, or a
+  // later lookup of the name resolves to the replaced inode.
+  Vfs& vfs = kernel_->vfs();
+  Result<u64> a = kernel_->sys_creat("/a");
+  Result<u64> b = kernel_->sys_creat("/b");
+  ASSERT_TRUE(a.ok() && b.ok());
+  vfs.prune_dcache(vfs.dcache_size());
+  ASSERT_TRUE(kernel_->sys_stat("/b").ok());  // caches /b, not /a
+  ASSERT_EQ(vfs.cached_dentry(vfs.root_ino(), "a"), 0u);
+
+  ASSERT_TRUE(kernel_->sys_rename("/a", "/b").ok());
+  Result<StatInfo> st = kernel_->sys_stat("/b");
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(st.value().ino, a.value());
+  EXPECT_EQ(vfs.inode(b.value()), nullptr);
+}
+
+/// The names in `names` that still have a cached dentry in the root
+/// directory, in the order given.
+std::vector<std::string> still_cached(const Vfs& vfs,
+                                      const std::vector<std::string>& names) {
+  std::vector<std::string> out;
+  for (const std::string& n : names) {
+    if (vfs.cached_dentry(vfs.root_ino(), n) != 0) out.push_back(n);
+  }
+  return out;
+}
+
+TEST(DcachePruneOrder, OldestFirstRenamedLastAcrossSnapshot) {
+  // prune_dcache drops the least recently created dentry first.  A rename
+  // re-queues its dentry at the back; an unlink takes it out of the order.
+  // A snapshot taken part-way carries the order: the restored twin goes
+  // on pruning in exactly the same sequence.
+  hypernel::SystemConfig cfg;
+  cfg.mode = hypernel::Mode::kNative;
+  auto made = hypernel::System::create(cfg);
+  ASSERT_TRUE(made.ok()) << made.status().message();
+  std::unique_ptr<hypernel::System> sys = std::move(made).value();
+  Kernel& k = sys->kernel();
+  k.vfs().prune_dcache(k.vfs().dcache_size());  // start from an empty dcache
+  for (const char* path : {"/f0", "/f1", "/f2", "/f3", "/f4"}) {
+    ASSERT_TRUE(k.sys_creat(path).ok());
+  }
+  ASSERT_TRUE(k.sys_rename("/f1", "/g1").ok());
+  ASSERT_TRUE(k.sys_unlink("/f3").ok());
+
+  const std::vector<std::string> names = {"f0", "f1", "f2", "f3", "f4", "g1"};
+  const std::vector<std::string> order = {"f0", "f2", "f4", "g1"};
+  ASSERT_EQ(still_cached(k.vfs(), names), order);
+  ASSERT_EQ(k.vfs().dcache_size(), order.size());
+
+  // Each prune_dcache(1) drops the head of `order`, from `first` on.
+  auto expect_prunes = [&](hypernel::System& s, size_t first) {
+    for (size_t i = first; i < order.size(); ++i) {
+      s.kernel().vfs().prune_dcache(1);
+      EXPECT_EQ(still_cached(s.kernel().vfs(), names),
+                std::vector<std::string>(order.begin() + i + 1, order.end()))
+          << "prune " << i << " should drop " << order[i];
+    }
+    EXPECT_EQ(s.kernel().vfs().dcache_size(), 0u);
+  };
+
+  k.vfs().prune_dcache(1);
+  ASSERT_EQ(still_cached(k.vfs(), names),
+            std::vector<std::string>(order.begin() + 1, order.end()));
+  const sim::Snapshot snap = sys->save_state();
+  auto twin = hypernel::System::create(cfg);
+  ASSERT_TRUE(twin.ok()) << twin.status().message();
+  ASSERT_TRUE(twin.value()->restore_state(snap).ok());
+
+  expect_prunes(*sys, 1);
+  expect_prunes(*twin.value(), 1);
 }
 
 TEST_F(KernelTest, EvictInodePagesReleasesFrames) {

@@ -249,6 +249,15 @@ class MonitorTest : public ::testing::Test {
         wa, machine_.phys().read64(wa) | (u64{1} << bit_position(bit)));
   }
 
+  /// Rebuild the monitor in conservative mode: it also scans dirty-line
+  /// write-backs.
+  void snoop_line_writebacks() {
+    MbmConfig conservative = cfg_;
+    conservative.snoop_line_writebacks = true;
+    mbm_.reset();
+    mbm_ = std::make_unique<MemoryBusMonitor>(machine_, conservative);
+  }
+
   void bus_write(PhysAddr pa, u64 value) {
     sim::BusTransaction t;
     t.op = sim::BusOp::kWriteWord;
@@ -384,27 +393,50 @@ TEST_F(MonitorTest, LineWritebackInvisibleByDefault) {
   // The crux of §5.3: a dirty-line write-back does NOT trigger detection
   // in the default configuration — monitored data must be non-cacheable.
   watch_word(0xB000);
+  machine_.phys().write64(0xB000, 0x5EC);  // the line's final contents
   sim::BusTransaction t;
   t.op = sim::BusOp::kWriteLine;
   t.paddr = 0xB000;
-  machine_.phys().read_block(0xB000, t.line.data(), kCacheLineSize);
   machine_.bus().issue(t);
   EXPECT_EQ(mbm_->stats().detections, 0u);
+  EXPECT_EQ(mbm_->stats().snooped_line_writes, 0u);
 }
 
 TEST_F(MonitorTest, ConservativeModeScansWritebacks) {
-  MbmConfig conservative = cfg_;
-  conservative.snoop_line_writebacks = true;
-  mbm_.reset();
-  mbm_ = std::make_unique<MemoryBusMonitor>(machine_, conservative);
+  // The write-back carries only the line address: the MBM scans the
+  // line's final contents from DRAM, one word at a time.
+  snoop_line_writebacks();
   watch_word(0xB000);
+  machine_.phys().write64(0xB000, 0x5EC);
   sim::BusTransaction t;
   t.op = sim::BusOp::kWriteLine;
   t.paddr = 0xB000;
-  machine_.phys().read_block(0xB000, t.line.data(), kCacheLineSize);
   machine_.bus().issue(t);
   EXPECT_EQ(mbm_->stats().detections, 1u);
   EXPECT_EQ(mbm_->stats().snooped_line_writes, 1u);
+  MonitorEvent ev;
+  ASSERT_TRUE(mbm_->ring().pop(ev));
+  EXPECT_EQ(ev.paddr, 0xB000u);
+  EXPECT_EQ(ev.value, 0x5ECu);
+}
+
+TEST_F(MonitorTest, ConservativeModeDetectsCachedStoreAtFlush) {
+  // End to end: a cacheable store to a watched word stays invisible until
+  // its dirty line is flushed, then surfaces as exactly one detection
+  // carrying the stored value.
+  snoop_line_writebacks();
+  watch_word(0xB008);
+  machine_.el2_write64(0xB008, 0xC0FFEE);
+  ASSERT_TRUE(machine_.cache().line_dirty(0xB008));
+  EXPECT_EQ(mbm_->stats().detections, 0u);
+  machine_.cache().flush_line(0xB008);
+  EXPECT_EQ(mbm_->stats().snooped_line_writes, 1u);
+  EXPECT_EQ(mbm_->stats().detections, 1u);
+  MonitorEvent ev;
+  ASSERT_TRUE(mbm_->ring().pop(ev));
+  EXPECT_EQ(ev.paddr, 0xB008u);
+  EXPECT_EQ(ev.value, 0xC0FFEEu);
+  EXPECT_FALSE(mbm_->ring().pop(ev));
 }
 
 TEST_F(MonitorTest, StatsResetClearsCounters) {

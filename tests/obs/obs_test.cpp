@@ -125,7 +125,8 @@ TEST(Histogram, CycleWeightedRecording) {
   h.record_cycles(6);   // bucket 3, weight 6
   h.record_cycles(7);   // bucket 3, weight 7
   h.record_cycles(100); // bucket 7, weight 100
-  const SnapshotEntry* e = reg.snapshot().find("cycles");
+  const Snapshot snap = reg.snapshot();  // find() points into it
+  const SnapshotEntry* e = snap.find("cycles");
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->hist.total_count, 3u);
   EXPECT_EQ(e->hist.total_weight, 113u);

@@ -407,15 +407,13 @@ TEST(SystemSnapshot, RestoreRejectsConfigMismatch) {
   EXPECT_FALSE(hyper->restore_state(Snapshot{}).ok());  // empty snapshot
 }
 
-TEST(SystemSnapshot, PostRootkitScenarioRoundTrip) {
-  // Drive a full monitored system through a rootkit scenario — process
-  // churn, filesystem writes, then a cred privilege-escalation write that
-  // raises an alert — and round-trip the result.  The restored twin must
-  // agree on everything, and must keep agreeing when both systems run the
-  // same follow-up workload (including catching a second attack).
+/// PostRootkitScenarioRoundTrip at one monitoring granularity.
+void post_rootkit_round_trip(secapps::Granularity granularity) {
+  SCOPED_TRACE(granularity == secapps::Granularity::kWholeObject
+                   ? "whole-object"
+                   : "sensitive-fields");
   auto original = make_system(Mode::kHypernel, /*mbm=*/true);
-  secapps::ObjectIntegrityMonitor mon_a(
-      *original, secapps::Granularity::kSensitiveFields);
+  secapps::ObjectIntegrityMonitor mon_a(*original, granularity);
   ASSERT_TRUE(mon_a.install().ok());
 
   kernel::Kernel& k = original->kernel();
@@ -442,8 +440,7 @@ TEST(SystemSnapshot, PostRootkitScenarioRoundTrip) {
   ASSERT_TRUE(unpack_snapshot(pack_snapshot(snap), back).ok());
 
   auto twin = make_system(Mode::kHypernel, /*mbm=*/true);
-  secapps::ObjectIntegrityMonitor mon_b(
-      *twin, secapps::Granularity::kSensitiveFields);
+  secapps::ObjectIntegrityMonitor mon_b(*twin, granularity);
   ASSERT_TRUE(mon_b.install().ok());
   ASSERT_TRUE(twin->restore_state(back).ok());
   const std::vector<u8> mon_blob = mon_state.take();
@@ -453,6 +450,26 @@ TEST(SystemSnapshot, PostRootkitScenarioRoundTrip) {
 
   EXPECT_EQ(mon_b.alerts().size(), alerts_before);
   EXPECT_EQ(mon_b.stats().events_total, mon_a.stats().events_total);
+  SnapWriter mon_resaved;
+  mon_b.save_state(mon_resaved);
+  EXPECT_EQ(mon_resaved.take(), mon_blob);
+
+  // Corrupt input: move the first shadow word (after the installed flag
+  // and the shadow count) to PA 0x10, where no tracked object lives.
+  std::vector<u8> corrupt = mon_blob;
+  constexpr size_t kFirstShadowPa = 1 + 8;
+  ASSERT_GE(corrupt.size(), kFirstShadowPa + 8);
+  for (size_t i = 0; i < 8; ++i) {
+    corrupt[kFirstShadowPa + i] = static_cast<u8>(u64{0x10} >> (8 * i));
+  }
+  secapps::ObjectIntegrityMonitor mon_c(*twin, granularity);
+  SnapReader corrupt_reader(corrupt);
+  mon_c.restore_state(corrupt_reader);
+  ASSERT_FALSE(corrupt_reader.status().ok());
+  EXPECT_NE(corrupt_reader.status().message().find(
+                "is not a word of any tracked object"),
+            std::string::npos)
+      << corrupt_reader.status().message();
 
   // Identical follow-up workload on both: stays in lockstep.
   for (System* sys : {original.get(), twin.get()}) {
@@ -474,6 +491,18 @@ TEST(SystemSnapshot, PostRootkitScenarioRoundTrip) {
   EXPECT_EQ(fp_a.cycles, fp_b.cycles);
   EXPECT_EQ(fp_a.alerts, fp_b.alerts);
   EXPECT_EQ(fp_a.monitor_events, fp_b.monitor_events);
+}
+
+TEST(SystemSnapshot, PostRootkitScenarioRoundTrip) {
+  // Drive a full monitored system through a rootkit scenario — process
+  // churn, filesystem writes, then a cred privilege-escalation write that
+  // raises an alert — and round-trip the result, at both monitoring
+  // granularities.  The restored twin must agree on everything (its
+  // monitor re-saves the same bytes), must keep agreeing when both
+  // systems run the same follow-up workload (including catching a second
+  // attack), and a monitor blob with a stray shadow word must not load.
+  post_rootkit_round_trip(secapps::Granularity::kSensitiveFields);
+  post_rootkit_round_trip(secapps::Granularity::kWholeObject);
 }
 
 TEST(SystemSnapshot, ForkedTwinsDivergeIndependently) {
