@@ -1,5 +1,6 @@
 #include "hypersec/hypersec.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "common/hvc_abi.h"
@@ -81,7 +82,7 @@ Status Hypersec::init() {
   // Inventory the kernel's translation tables and lock them read-only.
   verifier_.set_kernel_root(kernel_.kpt().kernel_root());
   for (const auto& [pa, level] : kernel_.kpt().pt_pages()) {
-    verifier_.add_pt_page(pa, level);
+    add_pt_page(pa, level);
   }
   // Seal the TTBR1 tree: enumerate every table reachable from the kernel
   // root and mark it immutable to EL1-requested writes.
@@ -172,13 +173,10 @@ std::vector<AuditFinding> Hypersec::audit_report() const {
   // invalidation rules.  All table reads are uncharged phys() peeks, so
   // memoization changes no simulated state whatsoever.
   const bool memoize = machine_.host_fast_path();
-  if (memoize && audit_cache_gen_ != verifier_.generation()) {
-    audit_cache_.clear();
-    audit_cache_gen_ = verifier_.generation();
-  }
 
   auto scan_table = [&](PhysAddr table, unsigned level,
-                        std::vector<AuditScanItem>& items) {
+                        AuditTableEntry& entry) {
+    std::vector<AuditScanItem>& items = entry.items;
     for (u64 idx = 0; idx < kPtEntries; ++idx) {
       const u64 desc = machine_.phys().read64(table + idx * 8);
       if (!sim::desc_valid(desc)) continue;
@@ -209,6 +207,8 @@ std::vector<AuditFinding> Hypersec::audit_report() const {
       }
       // 1. PT pages are read-only through any alias.
       if (attrs.write) {
+        entry.reach_lo = std::min(entry.reach_lo, out);
+        entry.reach_hi = std::max(entry.reach_hi, out + span);
         for (PhysAddr p = out; p < out + span; p += kPageSize) {
           if (verifier_.is_pt_page(p)) {
             items.push_back(
@@ -224,24 +224,28 @@ std::vector<AuditFinding> Hypersec::audit_report() const {
   auto walk_tree = [&](auto&& self, PhysAddr table, unsigned level,
                        const char* which) -> void {
     const std::vector<AuditScanItem>* items = nullptr;
-    std::vector<AuditScanItem> local;
-    const u64 pindex = table >> kPageShift;
-    if (memoize && pindex < machine_.phys().page_count() &&
-        machine_.phys().page_watched(pindex)) {
-      const u64 epoch = machine_.phys().page_epoch(pindex);
+    AuditTableEntry local;
+    if (memoize && verifier_.is_pt_page(table)) {
+      const u64 epoch = machine_.phys().page_epoch(table >> kPageShift);
       auto it = audit_cache_.find(table);
-      if (it == audit_cache_.end() || it->second.epoch != epoch ||
-          it->second.level != level) {
+      if (it == audit_cache_.end() || it->second.epoch != epoch) {
         AuditTableEntry entry;
         entry.epoch = epoch;
         entry.level = level;
-        scan_table(table, level, entry.items);
+        scan_table(table, level, entry);
         it = audit_cache_.insert_or_assign(table, std::move(entry)).first;
       }
-      items = &it->second.items;  // std::map: stable across child inserts
-    } else {
+      // A corrupted descriptor can reach this table at a second level
+      // while its entry is being replayed further up this walk (no epoch
+      // moves during an audit), so a level mismatch scans locally instead
+      // of replacing that entry.
+      if (it->second.level == level) {
+        items = &it->second.items;  // std::map: stable across child inserts
+      }
+    }
+    if (items == nullptr) {
       scan_table(table, level, local);
-      items = &local;
+      items = &local.items;
     }
     for (const AuditScanItem& item : *items) {
       if (item.is_child) {
@@ -256,6 +260,26 @@ std::vector<AuditFinding> Hypersec::audit_report() const {
     if (task->ttbr0 != 0) walk_tree(walk_tree, task->ttbr0, 0, "user tree");
   }
   return violations;
+}
+
+void Hypersec::add_pt_page(PhysAddr pa, unsigned level) {
+  verifier_.add_pt_page(pa, level);
+  drop_audit_entries(page_align_down(pa));
+}
+
+void Hypersec::remove_pt_page(PhysAddr pa) {
+  const PhysAddr page = page_align_down(pa);
+  verifier_.remove_pt_page(page);
+  drop_audit_entries(page);
+  audit_cache_.erase(page);  // unwatched now: never served again
+}
+
+void Hypersec::drop_audit_entries(PhysAddr page) {
+  // Runs whatever the fast-path setting: a later flip back on must find
+  // no entry whose inventory view has gone stale.
+  std::erase_if(audit_cache_, [page](const auto& kv) {
+    return kv.second.reach_lo <= page && page < kv.second.reach_hi;
+  });
 }
 
 std::vector<std::string> Hypersec::audit() const {
@@ -334,10 +358,10 @@ u64 Hypersec::do_pt_alloc(std::span<const u64> args) {
     if (machine_.el2_read64(pa + off) != 0) return hvc::kDenied;
   }
   ++stats_.pt_allocs;
-  verifier_.add_pt_page(pa, level);
+  add_pt_page(pa, level);
   // Lock it read-only in the EL1 linear map.
   if (!set_linear_writable(pa, false)) {
-    verifier_.remove_pt_page(pa);
+    remove_pt_page(pa);
     return hvc::kDenied;
   }
   if (pt_observer_ != nullptr) pt_observer_->on_pt_alloc(pa, level);
@@ -349,7 +373,7 @@ u64 Hypersec::do_pt_free(std::span<const u64> args) {
   const PhysAddr pa = args[0];
   if (!verifier_.is_pt_page(pa)) return hvc::kDenied;
   ++stats_.pt_frees;
-  verifier_.remove_pt_page(pa);
+  remove_pt_page(pa);
   if (pt_observer_ != nullptr) pt_observer_->on_pt_free(pa);
   // Restore the EL1 linear-map write permission.
   return set_linear_writable(pa, true) ? hvc::kOk : hvc::kDenied;

@@ -159,6 +159,8 @@ class Hypersec {
   }
 
   void restore_state(sim::SnapReader& r) {
+    // The inventory is replaced wholesale, so no memo entry survives.
+    audit_cache_.clear();
     r.section("hypersec");
     initialized_ = r.get_bool();
     stats_.pt_write_calls = r.get_u64();
@@ -196,12 +198,17 @@ class Hypersec {
   // dominant bucket in fuzz replay at audit_stride=1.  The fast path
   // caches each table page's scan as an ordered item list (child descents
   // and findings interleaved in entry order, so the DFS finding order is
-  // reproduced bit-exactly).  Entries are keyed on the page's mutation
-  // epoch (PhysicalMemory page watches, maintained by the PtVerifier
-  // inventory) and the whole cache drops when the inventory generation
-  // moves.  Tables that are *not* watched — e.g. reached through a
-  // corrupted descriptor pointing at an unregistered page — are always
-  // rescanned, so attack-crafted trees can never be served stale.
+  // reproduced bit-exactly).  At a given walk level, a table's items
+  // depend on its own bytes and on whether the pages its writable leaves
+  // map are PT pages, nothing else.  So an entry records its level, is
+  // keyed on the page's mutation epoch (PhysicalMemory page watches,
+  // maintained by the PtVerifier inventory) and records the bounding range
+  // of its writable leaf outputs; when a page joins or leaves the
+  // inventory, exactly the entries whose range contains it are dropped
+  // (drop_audit_entries).  A table reached at another level than its
+  // entry's, and any table that is *not* watched — e.g. reached through a
+  // corrupted descriptor pointing at an unregistered page — is scanned
+  // afresh, so attack-crafted trees can never be served stale.
   struct AuditScanItem {
     bool is_child = false;         // true: descend into `child`
     AuditCode code{};              // finding code when !is_child
@@ -211,8 +218,19 @@ class Hypersec {
   struct AuditTableEntry {
     u64 epoch = 0;
     unsigned level = 0;
+    // [reach_lo, reach_hi): bounding range of the writable leaf outputs,
+    // empty (lo > hi) while the table maps nothing writable.
+    PhysAddr reach_lo = ~PhysAddr{0};
+    PhysAddr reach_hi = 0;
     std::vector<AuditScanItem> items;
   };
+
+  /// Every inventory change goes through these two, so the audit memo
+  /// never outlives a membership its items depend on.
+  void add_pt_page(PhysAddr pa, unsigned level);
+  void remove_pt_page(PhysAddr pa);
+  /// Drop the memo entries whose writable leaves can reach `page`.
+  void drop_audit_entries(PhysAddr page);
 
   u64 do_pt_write(std::span<const u64> args);
   u64 do_pt_alloc(std::span<const u64> args);
@@ -234,7 +252,6 @@ class Hypersec {
   bool initialized_ = false;
   // Audit memoization state; mutable because audit_report() is const.
   mutable std::map<PhysAddr, AuditTableEntry> audit_cache_;
-  mutable u64 audit_cache_gen_ = 0;
   // Observability: counters plus interned span names for the two EL2
   // entry points (hvc dispatch and sysreg traps).
   obs::Counter obs_hvc_calls_;

@@ -48,24 +48,26 @@ class PtVerifier {
 
   // --- Inventory -------------------------------------------------------------
   //
-  // Registered table pages are also watched in physical memory so the
-  // audit's per-table scan cache (hypersec.cpp) can key entries on the
-  // page's mutation epoch.  `generation_` covers the inventory itself:
-  // any add/remove invalidates cached scan structure.
+  // Registered table pages are exactly the machine's watched physical
+  // pages: the watch bit answers is_pt_page() in O(1), and the audit's
+  // per-table scan cache (hypersec.cpp) keys entries on the page's
+  // mutation epoch.  A verifier must be its machine's only page watcher.
   void add_pt_page(PhysAddr pa, unsigned level) {
     const PhysAddr page = page_align_down(pa);
     pt_pages_[page] = level;
     machine_.phys().watch_page(page >> kPageShift);
-    ++generation_;
   }
   void remove_pt_page(PhysAddr pa) {
     const PhysAddr page = page_align_down(pa);
     pt_pages_.erase(page);
     machine_.phys().unwatch_page(page >> kPageShift);
-    ++generation_;
   }
+  /// Same answer as pt_pages().contains(page), without the tree lookup;
+  /// false past the end of DRAM.
   [[nodiscard]] bool is_pt_page(PhysAddr pa) const {
-    return pt_pages_.contains(page_align_down(pa));
+    const sim::PhysicalMemory& phys = machine_.phys();
+    const u64 index = pa >> kPageShift;
+    return index < phys.page_count() && phys.page_watched(index);
   }
   [[nodiscard]] int pt_level(PhysAddr pa) const {
     auto it = pt_pages_.find(page_align_down(pa));
@@ -110,9 +112,6 @@ class PtVerifier {
   [[nodiscard]] const std::map<PhysAddr, unsigned>& pt_pages() const {
     return pt_pages_;
   }
-  /// Monotone inventory generation: bumped on every add/remove_pt_page and
-  /// on snapshot restore.  Cache key component for audit memoization.
-  [[nodiscard]] u64 generation() const { return generation_; }
 
   // --- Snapshot support (sim/snapshot.h) ------------------------------------
 
@@ -151,12 +150,16 @@ class PtVerifier {
     // All saved in ascending key order, so hinted inserts are O(1).
     for (u64 i = 0; r.ok() && i < npt; ++i) {
       const PhysAddr pa = r.get_u64();
-      pt_pages_.emplace_hint(pt_pages_.end(), pa, r.get_u32());
-      // watch_page always assigns a fresh epoch, so audit-cache entries
-      // recorded before this restore can never match afterwards.
+      const u32 level = r.get_u32();
+      // The watch bits are the inventory (is_pt_page), so only whole DRAM
+      // pages may enter it.
+      if (!is_page_aligned(pa) || !machine_.phys().contains(pa, kPageSize)) {
+        r.fail("table page outside DRAM");
+        break;
+      }
+      pt_pages_.emplace_hint(pt_pages_.end(), pa, level);
       machine_.phys().watch_page(pa >> kPageShift);
     }
-    ++generation_;
     const u64 ntree = r.get_count("kernel-tree page");
     kernel_tree_.clear();
     for (u64 i = 0; r.ok() && i < ntree; ++i) {
@@ -195,7 +198,6 @@ class PtVerifier {
   std::set<PhysAddr> module_text_;         // sealed RX module pages
   std::set<PhysAddr> user_roots_;
   VerifierStats stats_;
-  u64 generation_ = 1;
 };
 
 }  // namespace hn::hypersec

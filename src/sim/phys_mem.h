@@ -26,6 +26,7 @@
 #include <atomic>
 #include <cassert>
 #include <cstring>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -107,9 +108,9 @@ class PhysicalMemory {
   };
 
   explicit PhysicalMemory(u64 size_bytes)
-      : size_(size_bytes), pages_(size_bytes >> kPageShift, nullptr),
-        watched_(size_bytes >> kPageShift, 0),
-        page_epoch_(size_bytes >> kPageShift, 0) {
+      : size_(size_bytes),
+        pages_(size_bytes >> kPageShift, nullptr),
+        watched_(size_bytes >> kPageShift, 0) {
     assert(is_page_aligned(size_bytes));
   }
   ~PhysicalMemory() {
@@ -270,7 +271,9 @@ class PhysicalMemory {
   // Watched pages get a fresh epoch from a global counter whenever their
   // contents may have changed: any write-path materialisation, a whole-page
   // zero, or a snapshot adopt() swapping the backing page.  Purely host
-  // bookkeeping — no simulated cost, no bus traffic, no counters.
+  // bookkeeping — no simulated cost, no bus traffic, no counters.  A dense
+  // byte per frame filters the write path; epochs exist only for the few
+  // watched frames.
 
   /// Start watching page `index`.  Always assigns a fresh epoch, so a
   /// cache entry recorded before the watch began can never appear valid.
@@ -282,6 +285,7 @@ class PhysicalMemory {
   void unwatch_page(u64 index) {
     assert(index < pages_.size());
     watched_[index] = 0;
+    page_epoch_.erase(index);
   }
   [[nodiscard]] bool page_watched(u64 index) const {
     assert(index < pages_.size());
@@ -289,8 +293,8 @@ class PhysicalMemory {
   }
   /// Epoch of the last potential mutation of watched page `index`.
   [[nodiscard]] u64 page_epoch(u64 index) const {
-    assert(index < pages_.size());
-    return page_epoch_[index];
+    assert(page_watched(index));
+    return page_epoch_.find(index)->second;
   }
 
   [[nodiscard]] u64 page_count() const { return pages_.size(); }
@@ -345,9 +349,12 @@ class PhysicalMemory {
 
   u64 size_;
   std::vector<Page*> pages_;
-  std::vector<u8> watched_;     // 1 = page participates in epoch tracking
-  std::vector<u64> page_epoch_; // last-mutation epoch of watched pages
-  u64 watch_epoch_ = 0;         // global monotone epoch source
+  // 1 = page participates in epoch tracking.
+  std::vector<u8> watched_;
+  // Last-mutation epoch of each watched page.
+  std::unordered_map<u64, u64> page_epoch_;
+  // Global monotone epoch source.
+  u64 watch_epoch_ = 0;
 };
 
 }  // namespace hn::sim

@@ -3,7 +3,10 @@
 // MBM-driver registration/teardown paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "common/hvc_abi.h"
 #include "hypernel/system.h"
@@ -135,6 +138,30 @@ TEST_F(VerifierTest, WritableBlockCoveringPtPageDenied) {
   EXPECT_EQ(verifier_.check_pt_write(kTable2, 0, d), Verdict::kDeny);
 }
 
+TEST_F(VerifierTest, RestoreRejectsTablePageOutsideDram) {
+  sim::SnapWriter w;
+  verifier_.save_state(w);
+  // Layout: kernel root, table-page count, then (page, level) pairs in
+  // ascending page order; the first pair holds kTable3.
+  constexpr size_t kFirstPage = 16;
+  const PhysAddr bad_pages[] = {machine_.phys().size(), kTable3 + kWordSize};
+  for (const PhysAddr bad : bad_pages) {
+    std::vector<u8> blob = w.data();
+    for (size_t i = 0; i < 8; ++i) {
+      blob[kFirstPage + i] = static_cast<u8>(bad >> (8 * i));
+    }
+    sim::Machine other(sim::MachineConfig{});
+    PtVerifier restored(other, kernel::kTextBase, kernel::kTextSize,
+                        kernel::kRodataBase, kernel::kRodataSize);
+    sim::SnapReader r(blob);
+    restored.restore_state(r);
+    EXPECT_FALSE(r.ok()) << std::hex << bad;
+    EXPECT_NE(r.status().message().find("table page outside DRAM"),
+              std::string::npos);
+    EXPECT_EQ(restored.pt_page_count(), 0u);
+  }
+}
+
 // ---------------- Hypersec end-to-end ----------------
 
 TEST(Hypersec, InitRequiresPageGranularKernel) {
@@ -248,6 +275,217 @@ TEST(Hypersec, PtFreeRestoresWritability) {
   EXPECT_FALSE(sys->machine().write64(va, 1).ok);  // RO while registered
   k.kpt().free_user_root(root.value());
   EXPECT_TRUE(sys->machine().write64(va, 1).ok);  // plain memory again
+}
+
+// ---------------- audit memoization ----------------
+
+/// The memoized audit (host fast path) must equal the reference walk: same
+/// codes, same details, same order.  The fast-path call runs first, so it
+/// is served from whatever the memo kept since the previous step.
+void expect_audit_matches_reference(System& sys, const char* step) {
+  SCOPED_TRACE(step);
+  sim::Machine& m = sys.machine();
+  ASSERT_TRUE(m.host_fast_path());
+  const std::vector<AuditFinding> fast = sys.hypersec()->audit_report();
+  m.set_host_fast_path(false);
+  const std::vector<AuditFinding> ref = sys.hypersec()->audit_report();
+  m.set_host_fast_path(true);
+  ASSERT_EQ(fast.size(), ref.size());
+  for (size_t i = 0; i < fast.size(); ++i) {
+    EXPECT_EQ(fast[i].code, ref[i].code) << "finding " << i;
+    EXPECT_EQ(fast[i].detail, ref[i].detail) << "finding " << i;
+  }
+}
+
+/// is_pt_page() answers from the page-watch bit; it must agree with the
+/// inventory on every frame and say no past the end of DRAM.
+void expect_membership_matches_inventory(System& sys, const char* step) {
+  SCOPED_TRACE(step);
+  const PtVerifier& v = sys.hypersec()->verifier();
+  const u64 dram = sys.machine().phys().size();
+  u64 mismatches = 0;
+  for (PhysAddr pa = 0; pa < dram; pa += kPageSize) {
+    const bool registered = v.pt_pages().contains(pa);
+    mismatches += v.is_pt_page(pa) != registered;
+    mismatches += v.is_pt_page(pa + kPageSize - 8) != registered;
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_FALSE(v.is_pt_page(dram));
+  EXPECT_FALSE(v.is_pt_page(dram + 7 * kPageSize + 8));
+  EXPECT_FALSE(v.is_pt_page(~PhysAddr{0}));
+}
+
+bool has_pt_alias(const std::vector<AuditFinding>& report) {
+  return std::any_of(report.begin(), report.end(), [](const AuditFinding& f) {
+    return f.code == AuditCode::kPtWritableAlias;
+  });
+}
+
+TEST(AuditMemo, MatchesReferenceWalkUnderPtChurn) {
+  auto sys = make_system();
+  kernel::Kernel& k = sys->kernel();
+  const u32 init_pid = k.procs().current().pid;
+  expect_audit_matches_reference(*sys, "boot");
+
+  // Legitimate churn that allocates, rewrites and frees PT pages.
+  Result<u32> pid = k.sys_fork();
+  ASSERT_TRUE(pid.ok());
+  expect_audit_matches_reference(*sys, "fork");
+  k.procs().switch_to(*k.procs().find(pid.value()));
+  ASSERT_TRUE(k.sys_execve().ok());
+  expect_audit_matches_reference(*sys, "execve");
+  Result<VirtAddr> va = k.sys_mmap(1024 * kPageSize, true);
+  ASSERT_TRUE(va.ok());
+  for (u64 i = 0; i < 1024; i += 64) {
+    ASSERT_TRUE(k.procs().touch_page(va.value() + i * kPageSize, true).ok());
+  }
+  expect_audit_matches_reference(*sys, "mmap + touch");
+  ASSERT_TRUE(k.sys_munmap(va.value(), 1024 * kPageSize).ok());
+  expect_audit_matches_reference(*sys, "munmap");
+  ASSERT_TRUE(k.sys_exit().ok());
+  k.procs().switch_to(*k.procs().find(init_pid));
+  expect_audit_matches_reference(*sys, "exit");
+  expect_membership_matches_inventory(*sys, "after churn");
+
+  // Raw physical writes plant leaves in a live user L3 table: the
+  // hardware-vector remap no hypercall ever sees.
+  Result<VirtAddr> own = k.sys_mmap(kPageSize, true);
+  ASSERT_TRUE(own.ok());
+  ASSERT_TRUE(k.procs().touch_page(own.value(), true).ok());
+  const kernel::PageTableManager::SwWalk w =
+      k.kpt().walk(k.procs().current().ttbr0, own.value());
+  ASSERT_TRUE(w.ok);
+  ASSERT_EQ(w.level, 3u);
+  const PhysAddr table = page_align_down(w.desc_pa);
+  ASSERT_TRUE(sys->hypersec()->verifier().is_pt_page(table));
+  sim::PhysicalMemory& phys = sys->machine().phys();
+  auto free_slot = [&] {
+    PhysAddr slot = table;
+    while (slot < table + kPageSize && phys.read64(slot) != 0) {
+      slot += kWordSize;
+    }
+    return slot;
+  };
+
+  // First a writable leaf onto a free zeroed frame, which then joins and
+  // leaves the inventory: the table's bytes stay put, its findings do not.
+  Result<PhysAddr> frame = k.buddy().alloc_page();
+  ASSERT_TRUE(frame.ok());
+  phys.zero_range(frame.value(), kPageSize);
+  const PhysAddr frame_slot = free_slot();
+  ASSERT_LT(frame_slot, table + kPageSize);
+  const u64 frame_leaf =
+      sim::make_page_desc(frame.value(), sim::PageAttrs{.write = true});
+  phys.write64(frame_slot, frame_leaf);
+  expect_audit_matches_reference(*sys, "leaf onto a plain frame");
+  ASSERT_EQ(sys->machine().hvc(hvc::kPtAlloc, {frame.value(), 3}), hvc::kOk);
+  expect_audit_matches_reference(*sys, "frame became a PT page");
+  EXPECT_TRUE(has_pt_alias(sys->hypersec()->audit_report()));
+  ASSERT_EQ(sys->machine().hvc(hvc::kPtFree, {frame.value()}), hvc::kOk);
+  expect_audit_matches_reference(*sys, "frame left the inventory");
+  EXPECT_FALSE(has_pt_alias(sys->hypersec()->audit_report()));
+  phys.write64(frame_slot, 0);
+
+  // Then a writable alias of the table inside itself (the PT-remap attack).
+  const PhysAddr slot = free_slot();
+  ASSERT_LT(slot, table + kPageSize);
+  const u64 self_alias =
+      sim::make_page_desc(table, sim::PageAttrs{.write = true});
+  phys.write64(slot, self_alias);
+  expect_audit_matches_reference(*sys, "planted alias");
+  EXPECT_TRUE(has_pt_alias(sys->hypersec()->audit_report()));
+
+  // Snapshot, churn past it (the memo fills with post-snapshot tables),
+  // then restore mid-sequence.
+  const sim::Snapshot snap = sys->save_state();
+  Result<u32> second = k.sys_fork();
+  ASSERT_TRUE(second.ok());
+  k.procs().switch_to(*k.procs().find(second.value()));
+  Result<VirtAddr> more = k.sys_mmap(64 * kPageSize, true);
+  ASSERT_TRUE(more.ok());
+  ASSERT_TRUE(k.procs().touch_page(more.value(), true).ok());
+  expect_audit_matches_reference(*sys, "after snapshot");
+  ASSERT_TRUE(sys->restore_state(snap).ok());
+  expect_audit_matches_reference(*sys, "restored");
+  expect_membership_matches_inventory(*sys, "restored");
+  EXPECT_TRUE(has_pt_alias(sys->hypersec()->audit_report()));
+
+  // Removing the planted leaf clears the finding in both modes.
+  phys.write64(slot, 0);
+  expect_audit_matches_reference(*sys, "alias removed");
+  EXPECT_FALSE(has_pt_alias(sys->hypersec()->audit_report()));
+}
+
+TEST(AuditMemo, SelfReferencingTableMatchesReferenceWalk) {
+  // A raw write makes a live user L1 table point at itself, so one walk
+  // reaches the same table page at levels 1, 2 and 3.  The memo entry
+  // being replayed for one level must not be replaced under it by the
+  // scan for another.
+  auto sys = make_system();
+  kernel::Kernel& k = sys->kernel();
+  Result<VirtAddr> va = k.sys_mmap(kPageSize, true);
+  ASSERT_TRUE(va.ok());
+  ASSERT_TRUE(k.procs().touch_page(va.value(), true).ok());
+  sim::PhysicalMemory& phys = sys->machine().phys();
+  const PhysAddr root = k.procs().current().ttbr0;
+  const u64 l0 = phys.read64(root + sim::va_index(va.value(), 0) * kWordSize);
+  ASSERT_TRUE(sim::desc_is_table(l0, 0));
+  const PhysAddr l1 = sim::desc_out_addr(l0);
+  ASSERT_EQ(sys->hypersec()->verifier().pt_level(l1), 1);
+  expect_audit_matches_reference(*sys, "before");
+
+  // The self-reference goes in the first free slot, followed by a second
+  // reference to the live L2 table, so replay continues past it.
+  const u64 live = phys.read64(l1 + sim::va_index(va.value(), 1) * kWordSize);
+  ASSERT_TRUE(sim::desc_is_table(live, 1));
+  PhysAddr slot = l1;
+  while (slot < l1 + kPageSize - kWordSize && phys.read64(slot) != 0) {
+    slot += kWordSize;
+  }
+  ASSERT_EQ(phys.read64(slot + kWordSize), 0u);
+  phys.write64(slot, sim::make_table_desc(l1));
+  phys.write64(slot + kWordSize, live);
+  expect_audit_matches_reference(*sys, "self-referencing L1");
+  expect_audit_matches_reference(*sys, "served from the memo");
+}
+
+TEST(AuditMemo, AliasCreatedByInventoryChangeAlone) {
+  auto sys = make_system();
+  kernel::Kernel& k = sys->kernel();
+  sim::Machine& m = sys->machine();
+  Hypersec& hs = *sys->hypersec();
+
+  // A user page, mapped writable.
+  Result<VirtAddr> va = k.sys_mmap(kPageSize, true);
+  ASSERT_TRUE(va.ok());
+  ASSERT_TRUE(k.procs().touch_page(va.value(), true).ok());
+  const kernel::PageTableManager::SwWalk w =
+      k.kpt().walk(k.procs().current().ttbr0, va.value());
+  ASSERT_TRUE(w.ok);
+  ASSERT_TRUE(sim::decode_attrs(w.desc).write);
+  const PhysAddr frame = sim::desc_out_addr(w.desc);
+
+  // Clean, and the user L3 table holding that leaf is now memoized.
+  EXPECT_TRUE(hs.audit().empty());
+
+  // Known verifier gap: kPtAlloc checks only that the frame is zeroed, not
+  // that nothing maps it writable, so a frame with a live writable user
+  // alias is accepted as a table page.  Closing it needs a reverse map of
+  // writable mappings.  No table byte changes here: only the inventory.
+  ASSERT_EQ(m.hvc(hvc::kPtAlloc, {frame, 3}), hvc::kOk);
+  const std::vector<std::string> alias(
+      1, "[pt-writable-alias] user tree: writable alias of a PT page");
+  // Fast path first, with the clean entry still in the memo.
+  EXPECT_EQ(hs.audit(), alias);
+  m.set_host_fast_path(false);
+  EXPECT_EQ(hs.audit(), alias);
+
+  // Leave the inventory with the fast path off: flipping it back on must
+  // not serve the finding from the memo.
+  ASSERT_EQ(m.hvc(hvc::kPtFree, {frame}), hvc::kOk);
+  EXPECT_TRUE(hs.audit().empty());
+  m.set_host_fast_path(true);
+  EXPECT_TRUE(hs.audit().empty());
 }
 
 // ---------------- MBM driver ----------------
