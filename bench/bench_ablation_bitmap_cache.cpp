@@ -24,8 +24,7 @@ Outcome run(hn::u64 cell, bool cache_enabled, unsigned entries) {
   cfg.enable_mbm = true;
   cfg.mbm_bitmap_cache_enabled = cache_enabled;
   cfg.mbm_bitmap_cache_entries = entries;
-  cfg.metrics = hn::bench::metrics_enabled();
-  auto sys = hn::hypernel::System::create(cfg).value();
+  auto sys = hn::bench::make_system(cfg);
   hn::secapps::ObjectIntegrityMonitor monitor(
       *sys, hn::secapps::Granularity::kWholeObject);
   if (!monitor.install().ok()) std::abort();
@@ -40,7 +39,7 @@ Outcome run(hn::u64 cell, bool cache_enabled, unsigned entries) {
   out.detections = s.detections;
   const hn::u64 lookups = s.bitmap_cache_hits + s.bitmap_cache_misses;
   out.hit_rate = lookups ? 100.0 * s.bitmap_cache_hits / lookups : 0;
-  hn::bench::record_cell_metrics(cell, *sys);
+  hn::bench::record_cell(cell, *sys);
   return out;
 }
 
@@ -78,5 +77,5 @@ int main(int argc, char** argv) {
       "would otherwise cost\na DRAM round trip per snooped write — why "
       "§6.3 spends gates on it.\n");
   (void)base;
-  return hn::bench::write_bench_metrics();
+  return hn::bench::write_bench_artifacts();
 }

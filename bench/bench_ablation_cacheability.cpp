@@ -31,10 +31,7 @@ Outcome run(bool nc_remap) {
   cfg.mode = hypernel::Mode::kHypernel;
   cfg.enable_mbm = true;
   cfg.hypersec.mbm_noncacheable_remap = nc_remap;
-  cfg.metrics = hn::bench::metrics_enabled();
-  auto sys_r = hypernel::System::create(cfg);
-  if (!sys_r.ok()) std::abort();
-  auto sys = std::move(sys_r).value();
+  auto sys = hn::bench::make_system(cfg);
   secapps::ObjectIntegrityMonitor monitor(
       *sys, secapps::Granularity::kWholeObject);
   if (!monitor.install().ok()) std::abort();
@@ -47,7 +44,7 @@ Outcome run(bool nc_remap) {
   out.detections = sys->mbm()->stats().detections;
   out.word_snoops = sys->mbm()->stats().snooped_word_writes;
   out.line_scans = sys->mbm()->stats().snooped_line_writes;
-  hn::bench::record_cell_metrics(nc_remap ? 0 : 1, *sys);
+  hn::bench::record_cell(nc_remap ? 0 : 1, *sys);
   return out;
 }
 
@@ -79,5 +76,5 @@ int main(int argc, char** argv) {
       (unsigned long long)nc.detections,
       (unsigned long long)cacheable.detections,
       nc.detections ? 100.0 * cacheable.detections / nc.detections : 0.0);
-  return hn::bench::write_bench_metrics();
+  return hn::bench::write_bench_artifacts();
 }

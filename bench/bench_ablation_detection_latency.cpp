@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "bench/bench_common.h"
+#include "common/blob_file.h"
 #include "kernel/objects.h"
 #include "kernel/vfs.h"
 #include "secapps/object_monitor.h"
@@ -33,9 +34,7 @@ Outcome run(hn::u64 cell, double scan_period_us) {
   hypernel::SystemConfig cfg;
   cfg.mode = hypernel::Mode::kHypernel;
   cfg.enable_mbm = true;
-  cfg.metrics = hn::bench::metrics_enabled() || hn::bench::trace_enabled();
-  auto sys = hypernel::System::create(cfg).value();
-  if (hn::bench::trace_enabled()) sys->machine().trace().set_enabled(true);
+  auto sys = hn::bench::make_system(cfg);
   kernel::Kernel& k = sys->kernel();
   const bool event_mode = scan_period_us == 0;
 
@@ -130,7 +129,7 @@ Outcome run(hn::u64 cell, double scan_period_us) {
     }
   }
   out.monitor_cost_us = monitor_cost;
-  hn::bench::record_cell_metrics(cell, *sys);
+  hn::bench::record_cell(cell, *sys);
   return out;
 }
 
@@ -141,7 +140,7 @@ Outcome run(hn::u64 cell, double scan_period_us) {
 int cross_check_trace(const std::string& path) {
   std::vector<u8> blob;
   sim::TraceData data;
-  if (!sim::read_trace_file(path, blob)) {
+  if (!read_blob_file(path, blob)) {
     std::fprintf(stderr, "trace cross-check: cannot read %s\n", path.c_str());
     return 1;
   }
@@ -180,7 +179,7 @@ int cross_check_trace(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const hn::bench::BenchArgs bench_args = hn::bench::parse_args(argc, argv);
+  hn::bench::parse_args(argc, argv);
   std::printf("Ablation: event-triggered (MBM) vs snapshot integrity "
               "monitoring\n");
   std::printf("4 persistent + 4 transient attacks injected into a running "
@@ -207,9 +206,8 @@ int main(int argc, char** argv) {
       "polling cost and\ncatches transient tampering; snapshots trade "
       "latency against scan overhead and miss\nanything that reverts "
       "between scans — the KI-Mon/Vigilare axis the MBM design sits on.\n");
-  int rc = hn::bench::write_bench_metrics();
-  if (rc == 0 && hn::bench::trace_enabled()) {
-    rc = cross_check_trace(bench_args.trace_out);
-  }
+  const std::string& trace_out = hn::bench::artifacts().trace_out;
+  int rc = hn::bench::write_bench_artifacts();
+  if (rc == 0 && !trace_out.empty()) rc = cross_check_trace(trace_out);
   return rc;
 }

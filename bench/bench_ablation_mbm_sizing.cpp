@@ -26,8 +26,7 @@ Outcome run(u64 cell, unsigned fifo_depth, u64 ring_entries, bool defer_irq) {
   cfg.enable_mbm = true;
   cfg.mbm_fifo_depth = fifo_depth;
   cfg.mbm_ring_entries = ring_entries;
-  cfg.metrics = hn::bench::metrics_enabled();
-  auto sys = hypernel::System::create(cfg).value();
+  auto sys = hn::bench::make_system(cfg);
   secapps::ObjectIntegrityMonitor monitor(
       *sys, secapps::Granularity::kWholeObject);
   if (!monitor.install().ok()) std::abort();
@@ -43,7 +42,7 @@ Outcome run(u64 cell, unsigned fifo_depth, u64 ring_entries, bool defer_irq) {
   out.fifo_drops = sys->mbm()->stats().fifo_drops;
   out.ring_drops = sys->mbm()->stats().ring_overflow_drops;
   out.detections = sys->mbm()->stats().detections;
-  hn::bench::record_cell_metrics(cell, *sys);
+  hn::bench::record_cell(cell, *sys);
   return out;
 }
 
@@ -80,5 +79,5 @@ int main(int argc, char** argv) {
       "\nwith synchronous delivery even a shallow FIFO suffices (the CPU "
       "stalls on the IRQ\nbefore the next write); the ring only needs depth "
       "when Hypersec defers draining.\n");
-  return hn::bench::write_bench_metrics();
+  return hn::bench::write_bench_artifacts();
 }

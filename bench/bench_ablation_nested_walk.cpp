@@ -51,10 +51,9 @@ int main(int argc, char** argv) {
         cfg.enable_mbm = false;
         cfg.machine.tlb_entries = tlb;
         cfg.kvm.recycle_invalidate_permille = 0;  // isolate the walk effect
-        cfg.metrics = hn::bench::metrics_enabled();
-        auto sys = hypernel::System::create(cfg).value();
+        auto sys = hn::bench::make_system(cfg);
         ns[m] = chase(*sys, pages, 64);
-        hn::bench::record_cell_metrics(cell++, *sys);
+        hn::bench::record_cell(cell++, *sys);
       }
       std::printf("%4llu pages        %12u %10.1fns %10.1fns %+9.1f%%\n",
                   (unsigned long long)pages, tlb, ns[0], ns[1],
@@ -86,8 +85,7 @@ int main(int argc, char** argv) {
     cfg.kvm.eager_map = v.eager;
     cfg.kvm.thp_backing = v.thp;
     cfg.kvm.recycle_invalidate_permille = 0;
-    cfg.metrics = hn::bench::metrics_enabled();
-    auto sys = hypernel::System::create(cfg).value();
+    auto sys = hn::bench::make_system(cfg);
     const auto t0 = sys->snapshot();  // includes the cold-start fills
     workloads::LmbenchSuite suite(*sys, 32);
     if (!suite.setup().ok()) std::abort();
@@ -96,11 +94,11 @@ int main(int argc, char** argv) {
         "  %-22s steady %7.2f us/op, whole run %8.0f us, s2 faults %llu\n",
         v.name, r.us, sys->us_since(t0),
         (unsigned long long)sys->kvm()->stats().s2_faults_serviced);
-    hn::bench::record_cell_metrics(cell++, *sys);
+    hn::bench::record_cell(cell++, *sys);
   }
   std::printf(
       "\nlaziness only costs at cold start; at steady state both pay the "
       "same nested walk\ntax on every TLB miss — nested paging's "
       "irreducible cost (§1).\n");
-  return hn::bench::write_bench_metrics();
+  return hn::bench::write_bench_artifacts();
 }

@@ -18,8 +18,7 @@ void run_native(u64 cell, bool use_sections) {
   cfg.mode = hypernel::Mode::kNative;
   cfg.enable_mbm = false;
   cfg.kernel.use_sections = use_sections;
-  cfg.metrics = hn::bench::metrics_enabled();
-  auto sys = hypernel::System::create(cfg).value();
+  auto sys = hn::bench::make_system(cfg);
   workloads::LmbenchSuite suite(*sys, 32);
   const auto t0 = sys->snapshot();
   const auto results = suite.run_all();
@@ -32,7 +31,7 @@ void run_native(u64 cell, bool use_sections) {
               (unsigned long long)d.pt_descriptor_fetches,
               (unsigned long long)d.tlb_misses,
               (unsigned long long)sys->kernel().kpt().pt_page_count());
-  hn::bench::record_cell_metrics(cell, *sys);
+  hn::bench::record_cell(cell, *sys);
 }
 
 }  // namespace
@@ -61,5 +60,5 @@ int main(int argc, char** argv) {
       "RWX and page tables\nshare 2 MiB blocks with data — the granularity "
       "gap §6.2 patches away with 4 KiB pages.\n");
   if (attempt.ok()) return 1;
-  return hn::bench::write_bench_metrics();
+  return hn::bench::write_bench_artifacts();
 }

@@ -25,15 +25,14 @@ double avg_slowdown(u64 cell, hypernel::Mode mode, Cycles hvc, Cycles vm_pair,
   cfg.machine.timing.sysreg_trap = hvc * 3 / 4;  // trap tracks the HVC cost
   cfg.machine.timing.vm_exit = vm_pair * 8 / 15;
   cfg.machine.timing.vm_entry = vm_pair * 7 / 15;
-  cfg.metrics = hn::bench::metrics_enabled();
-  auto sys = hypernel::System::create(cfg).value();
+  auto sys = hn::bench::make_system(cfg);
   workloads::LmbenchSuite suite(*sys, 32);
   const auto results = suite.run_all();
   double sum = 0;
   for (size_t i = 0; i < results.size(); ++i) {
     sum += results[i].us / native_us[i] - 1.0;
   }
-  hn::bench::record_cell_metrics(cell, *sys);
+  hn::bench::record_cell(cell, *sys);
   return 100.0 * sum / results.size();
 }
 
@@ -48,7 +47,7 @@ int main(int argc, char** argv) {
     workloads::LmbenchSuite suite(*sys, 32);
     const auto results = suite.run_all();
     for (size_t i = 0; i < 9; ++i) native_us[i] = results[i].us;
-    hn::bench::record_cell_metrics(0, *sys);
+    hn::bench::record_cell(0, *sys);
   }
 
   // Physical constraint: a VM exit+entry performs strictly more work than
@@ -86,5 +85,5 @@ int main(int argc, char** argv) {
       "hypercalls would lose to nested paging — Hypernel's economics rest "
       "on ARM's\ncheap traps, exactly the premise §1 argues from.\n");
   if (!holds_near_calibration) return 1;
-  return hn::bench::write_bench_metrics();
+  return hn::bench::write_bench_artifacts();
 }

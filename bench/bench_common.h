@@ -1,6 +1,6 @@
 // Shared helpers for the benchmark harnesses: system construction per
-// evaluation configuration, paper-reference tables, and the parallel
-// config-matrix driver.
+// evaluation configuration, the per-cell artifact sinks behind the five
+// artifact flags (obs/artifacts.h), and the parallel config-matrix driver.
 //
 // Every bench cell (one mode x benchmark x granularity point) builds its
 // own System — a fresh simulated universe — so cells fan out across
@@ -21,19 +21,15 @@
 #include "common/parse_int.h"
 #include "exec/sharded_runner.h"
 #include "hypernel/system.h"
-#include "obs/export.h"
-#include "obs/timeseries.h"
+#include "obs/artifacts.h"
 #include "sim/trace_io.h"
 
 namespace hn::bench {
 
 /// Command-line arguments every bench driver accepts.
 struct BenchArgs {
-  unsigned jobs = 0;           // 0 = hardware concurrency
-  std::string metrics_out;     // empty = observability off
-  std::string trace_out;       // empty = flight recorder off
-  std::string timeseries_out;  // empty = time-series sampling off
-  Cycles sample_cycles = 0;    // 0 = default when timeseries_out set
+  unsigned jobs = 0;  // 0 = hardware concurrency
+  obs::ArtifactFlags artifacts;
 };
 
 namespace detail {
@@ -43,62 +39,52 @@ inline BenchArgs& args() {
   return a;
 }
 
-/// Per-cell metrics snapshots, keyed by cell index so the final fold
+/// What each cell recorded, keyed by cell index so the final fold
 /// happens in index order regardless of which worker finished when.
-struct MetricsSink {
+struct CellSink {
   std::mutex mu;
-  std::map<u64, obs::Snapshot> cells;
+  std::map<u64, obs::Produced> cells;
 };
 
-inline MetricsSink& metrics_sink() {
-  static MetricsSink s;
+inline CellSink& cell_sink() {
+  static CellSink s;
   return s;
 }
 
-/// Per-cell flight-recorder blobs; the lowest-index cell's trace is what
-/// --trace-out writes, so the exported file is jobs-independent.
-struct TraceSink {
-  std::mutex mu;
-  std::map<u64, std::vector<u8>> cells;
-};
-
-inline TraceSink& trace_sink() {
-  static TraceSink s;
-  return s;
-}
-
-/// Per-cell HNTSERIE streams, same lowest-index-wins contract as the
-/// trace sink, so --timeseries-out is jobs-independent too.
-struct TimeSeriesSink {
-  std::mutex mu;
-  std::map<u64, std::vector<u8>> cells;
-};
-
-inline TimeSeriesSink& timeseries_sink() {
-  static TimeSeriesSink s;
-  return s;
+/// Metrics and profiles add up; the first trace and stream are kept, so
+/// the exported files are the lowest-index cell's at any --jobs.
+inline void fold(obs::Produced& into, obs::Produced cell) {
+  into.metrics.merge(cell.metrics);
+  into.profile.merge(cell.profile);
+  if (into.trace.empty()) into.trace = std::move(cell.trace);
+  if (into.timeseries.empty()) into.timeseries = std::move(cell.timeseries);
 }
 
 }  // namespace detail
 
-[[nodiscard]] inline bool metrics_enabled() {
-  return !detail::args().metrics_out.empty();
+/// The artifact flags the bench was started with.
+[[nodiscard]] inline const obs::ArtifactFlags& artifacts() {
+  return detail::args().artifacts;
 }
 
-[[nodiscard]] inline bool trace_enabled() {
-  return !detail::args().trace_out.empty();
-}
-
-[[nodiscard]] inline bool timeseries_enabled() {
-  return !detail::args().timeseries_out.empty();
-}
-
-/// Effective sampling interval: --sample-cycles if given, else the
-/// library default when --timeseries-out asked for a stream, else 0.
-[[nodiscard]] inline Cycles sample_interval() {
-  const BenchArgs& a = detail::args();
-  if (a.sample_cycles != 0) return a.sample_cycles;
-  return a.timeseries_out.empty() ? 0 : obs::kDefaultSampleCycles;
+/// Build `cfg` with the artifact flags applied: the registry, the
+/// sampler, the flight recorder and the profiler (from the end of boot)
+/// are on as the flags ask.
+inline std::unique_ptr<hypernel::System> make_system(
+    hypernel::SystemConfig cfg) {
+  const obs::ArtifactFlags& flags = artifacts();
+  cfg.metrics = flags.registry();
+  cfg.machine.sample_cycles = flags.sample_cycles;
+  auto sys = hypernel::System::create(cfg);
+  if (!sys.ok()) {
+    std::fprintf(stderr, "system creation failed: %s\n",
+                 sys.status().message().c_str());
+    std::abort();
+  }
+  sim::Machine& m = sys.value()->machine();
+  m.trace().set_enabled(!flags.trace_out.empty());
+  m.profiler().set_enabled(flags.profile);
+  return std::move(sys).value();
 }
 
 /// Build a system in the §7.1 performance setup: Hypersec without the MBM
@@ -107,16 +93,7 @@ inline std::unique_ptr<hypernel::System> make_perf_system(hypernel::Mode mode) {
   hypernel::SystemConfig cfg;
   cfg.mode = mode;
   cfg.enable_mbm = false;
-  cfg.metrics = metrics_enabled() || trace_enabled();
-  cfg.machine.sample_cycles = sample_interval();
-  auto sys = hypernel::System::create(cfg);
-  if (!sys.ok()) {
-    std::fprintf(stderr, "system creation failed: %s\n",
-                 sys.status().message().c_str());
-    std::abort();
-  }
-  if (trace_enabled()) sys.value()->machine().trace().set_enabled(true);
-  return std::move(sys).value();
+  return make_system(cfg);
 }
 
 /// Build a system in the §7.2 monitoring setup: Hypernel with the MBM.
@@ -124,106 +101,38 @@ inline std::unique_ptr<hypernel::System> make_monitor_system() {
   hypernel::SystemConfig cfg;
   cfg.mode = hypernel::Mode::kHypernel;
   cfg.enable_mbm = true;
-  cfg.metrics = metrics_enabled() || trace_enabled();
-  cfg.machine.sample_cycles = sample_interval();
-  auto sys = hypernel::System::create(cfg);
-  if (!sys.ok()) {
-    std::fprintf(stderr, "system creation failed: %s\n",
-                 sys.status().message().c_str());
-    std::abort();
-  }
-  if (trace_enabled()) sys.value()->machine().trace().set_enabled(true);
-  return std::move(sys).value();
+  return make_system(cfg);
 }
 
-/// Stash one cell's metrics snapshot.  Safe from any worker thread;
-/// no-op unless --metrics-out was given.
-inline void record_cell_metrics(u64 index, const obs::Snapshot& snap) {
-  if (!metrics_enabled()) return;
-  detail::MetricsSink& sink = detail::metrics_sink();
+/// Stash what one cell recorded; a cell recorded twice folds.  Safe from
+/// any worker thread.
+inline void record_cell(u64 index, obs::Produced cell) {
+  detail::CellSink& sink = detail::cell_sink();
   std::lock_guard<std::mutex> lock(sink.mu);
-  sink.cells[index].merge(snap);
+  detail::fold(sink.cells[index], std::move(cell));
 }
 
-/// Stash one cell's pre-serialized flight-recorder blob — for drivers
-/// whose cells own their trace capture (fuzz-executor based benches get
-/// the blob from RunResult instead of a live System).
-inline void record_cell_trace(u64 index, std::vector<u8> blob) {
-  if (!trace_enabled() || blob.empty()) return;
-  detail::TraceSink& sink = detail::trace_sink();
+/// Convenience overload: capture what a System recorded before it dies.
+inline void record_cell(u64 index, hypernel::System& sys) {
+  const obs::ArtifactFlags& flags = artifacts();
+  sim::Machine& m = sys.machine();
+  obs::Produced cell{.timeseries = sim::capture_timeseries(m),
+                     .profile = m.profiler().report()};
+  if (!flags.metrics_out.empty()) cell.metrics = sys.metrics_snapshot();
+  if (!flags.trace_out.empty()) cell.trace = sim::capture_trace(m);
+  record_cell(index, std::move(cell));
+}
+
+/// Fold every recorded cell in index order and write the requested
+/// artifacts.  Returns 0, or 2 when one was not recorded or could not be
+/// written — benches `return write_bench_artifacts()` (or combine it with
+/// their own exit code) as their last statement.
+inline int write_bench_artifacts() {
+  detail::CellSink& sink = detail::cell_sink();
   std::lock_guard<std::mutex> lock(sink.mu);
-  sink.cells.emplace(index, std::move(blob));
-}
-
-/// Convenience overload: snapshot a System's registry before it dies.
-/// Also stashes the cell's flight-recorder blob when --trace-out is on.
-inline void record_cell_metrics(u64 index, hypernel::System& sys) {
-  if (trace_enabled()) {
-    detail::TraceSink& sink = detail::trace_sink();
-    std::lock_guard<std::mutex> lock(sink.mu);
-    sink.cells.emplace(index, sim::capture_trace(sys.machine()));
-  }
-  if (timeseries_enabled()) {
-    detail::TimeSeriesSink& sink = detail::timeseries_sink();
-    std::lock_guard<std::mutex> lock(sink.mu);
-    sink.cells.emplace(index, sim::capture_timeseries(sys.machine()));
-  }
-  if (!metrics_enabled()) return;
-  record_cell_metrics(index, sys.metrics_snapshot());
-}
-
-/// Fold every recorded cell (index order) and write --metrics-out.
-/// Returns 0, or 1 on I/O failure — benches `return write_bench_metrics()`
-/// (or combine it with their own exit code) as their last statement.
-inline int write_bench_metrics() {
-  if (trace_enabled()) {
-    detail::TraceSink& traces = detail::trace_sink();
-    std::lock_guard<std::mutex> lock(traces.mu);
-    const std::string& path = detail::args().trace_out;
-    if (traces.cells.empty()) {
-      std::fprintf(stderr, "trace: no cell recorded a trace; %s not written\n",
-                   path.c_str());
-    } else if (!sim::write_trace_file(traces.cells.begin()->second, path)) {
-      std::fprintf(stderr, "trace: failed to write %s\n", path.c_str());
-      return 1;
-    } else {
-      std::fprintf(stderr, "trace: cell %llu trace written to %s\n",
-                   static_cast<unsigned long long>(traces.cells.begin()->first),
-                   path.c_str());
-    }
-  }
-  if (timeseries_enabled()) {
-    detail::TimeSeriesSink& streams = detail::timeseries_sink();
-    std::lock_guard<std::mutex> lock(streams.mu);
-    const std::string& path = detail::args().timeseries_out;
-    if (streams.cells.empty()) {
-      std::fprintf(stderr,
-                   "timeseries: no cell recorded a stream; %s not written\n",
-                   path.c_str());
-    } else if (!obs::write_timeseries_file(streams.cells.begin()->second,
-                                           path)) {
-      std::fprintf(stderr, "timeseries: failed to write %s\n", path.c_str());
-      return 1;
-    } else {
-      std::fprintf(
-          stderr, "timeseries: cell %llu stream written to %s\n",
-          static_cast<unsigned long long>(streams.cells.begin()->first),
-          path.c_str());
-    }
-  }
-  if (!metrics_enabled()) return 0;
-  detail::MetricsSink& sink = detail::metrics_sink();
-  std::lock_guard<std::mutex> lock(sink.mu);
-  obs::Snapshot total;
-  for (const auto& [index, snap] : sink.cells) total.merge(snap);
-  const std::string& path = detail::args().metrics_out;
-  if (!obs::write_metrics_file(total, path)) {
-    std::fprintf(stderr, "metrics: failed to write %s\n", path.c_str());
-    return 1;
-  }
-  std::fprintf(stderr, "metrics: %zu entries (%zu cells) written to %s\n",
-               total.entries.size(), sink.cells.size(), path.c_str());
-  return 0;
+  obs::Produced all;
+  for (auto& [index, cell] : sink.cells) detail::fold(all, std::move(cell));
+  return obs::write_artifacts(artifacts(), std::move(all)) ? 0 : 2;
 }
 
 inline void print_rule(int width = 78) {
@@ -233,43 +142,33 @@ inline void print_rule(int width = 78) {
 
 namespace detail {
 
-/// The common flags' usage line; a usage error exits 2.
+/// The common flags' usage text; a usage error exits 2.
 [[noreturn]] inline void usage_exit(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--jobs=N] [--metrics-out=F] [--trace-out=F]\n"
-               "          [--timeseries-out=F] [--sample-cycles[=N]]\n",
-               argv0);
+  std::fprintf(stderr, "usage: %s [--jobs=N] [artifact flags]\n%s", argv0,
+               obs::kArtifactUsage);
   std::exit(2);
 }
 
 }  // namespace detail
 
 /// For drivers whose framework owns the command line (google-benchmark):
-/// extract the common bench flags from argv, compacting it in place, and
-/// leave every other flag for the framework's own parser.  A malformed
-/// integer value is a usage error, never a silent 0.
+/// extract --jobs=N and the artifact flags from argv, compacting it in
+/// place, and leave every other flag for the framework's own parser.  A
+/// malformed value is a usage error, never a silent 0.
 inline BenchArgs parse_and_strip_args(int* argc, char** argv) {
-  BenchArgs parsed;
-  auto bad_number = [argv](const char* arg) {
-    std::fprintf(stderr, "malformed number in '%s'\n", arg);
+  Result<obs::ArtifactFlags> flags = obs::strip_artifact_flags(argc, argv);
+  if (!flags.ok()) {
+    std::fprintf(stderr, "%s\n", flags.status().message().c_str());
     detail::usage_exit(argv[0]);
-  };
+  }
+  BenchArgs parsed{.artifacts = std::move(flags).value()};
   int out = 1;
   for (int i = 1; i < *argc; ++i) {
     if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      if (!parse_u32(argv[i] + 7, &parsed.jobs)) bad_number(argv[i]);
-    } else if (std::strncmp(argv[i], "--metrics-out=", 14) == 0) {
-      parsed.metrics_out = argv[i] + 14;
-    } else if (std::strncmp(argv[i], "--trace-out=", 12) == 0) {
-      parsed.trace_out = argv[i] + 12;
-    } else if (std::strncmp(argv[i], "--timeseries-out=", 17) == 0) {
-      parsed.timeseries_out = argv[i] + 17;
-    } else if (std::strncmp(argv[i], "--sample-cycles=", 16) == 0) {
-      if (!parse_u64(argv[i] + 16, &parsed.sample_cycles)) {
-        bad_number(argv[i]);
+      if (!parse_u32(argv[i] + 7, &parsed.jobs)) {
+        std::fprintf(stderr, "malformed number in '%s'\n", argv[i]);
+        detail::usage_exit(argv[0]);
       }
-    } else if (std::strcmp(argv[i], "--sample-cycles") == 0) {
-      parsed.sample_cycles = obs::kDefaultSampleCycles;
     } else {
       argv[out++] = argv[i];
     }
@@ -279,13 +178,16 @@ inline BenchArgs parse_and_strip_args(int* argc, char** argv) {
   return parsed;
 }
 
-/// Parse the common bench arguments (--jobs=N, --metrics-out=F, ...) from
-/// argv, storing them where make_*_system / record_cell_metrics /
-/// write_bench_metrics can see them.  Unknown arguments are a usage
+/// Parse the common bench arguments (--jobs=N and the artifact flags)
+/// from argv, storing them where make_system / record_cell /
+/// write_bench_artifacts can see them.  Unknown arguments are a usage
 /// error so typos don't silently run the default.
 inline BenchArgs parse_args(int argc, char** argv) {
   const BenchArgs parsed = parse_and_strip_args(&argc, argv);
-  if (argc > 1) detail::usage_exit(argv[0]);
+  if (argc > 1) {
+    std::fprintf(stderr, "unknown argument '%s'\n", argv[1]);
+    detail::usage_exit(argv[0]);
+  }
   return parsed;
 }
 

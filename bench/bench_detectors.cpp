@@ -9,7 +9,7 @@
 // a single alert makes the run a false positive and the bench exits
 // non-zero rather than reporting a polluted number.
 //
-//   bench_detectors [--jobs=N] [--metrics-out=F] [--trace-out=F]
+//   bench_detectors [--jobs=N] [artifact flags]
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -47,13 +47,17 @@ int main(int argc, char** argv) {
   const std::vector<fuzz::Op> ops = attacks::benign_workload();
 
   fuzz::ExecutorOptions exec;
-  exec.collect_metrics = bench::metrics_enabled();
-  exec.capture_trace = bench::trace_enabled();
+  exec.collect_metrics = !args.artifacts.metrics_out.empty();
+  exec.capture_trace = !args.artifacts.trace_out.empty();
+  exec.profile = args.artifacts.profile;
+  exec.sample_cycles = args.artifacts.sample_cycles;
   const std::vector<Cell> cells =
       bench::run_cells<Cell>(specs.size(), args.jobs, [&](u64 i) {
         fuzz::RunResult rec = fuzz::run_sequence(specs[i], ops, exec);
-        bench::record_cell_metrics(i, rec.metrics);
-        bench::record_cell_trace(i, std::move(rec.trace_blob));
+        bench::record_cell(i, {.metrics = std::move(rec.metrics),
+                               .trace = std::move(rec.trace_blob),
+                               .timeseries = std::move(rec.timeseries_blob),
+                               .profile = rec.profile});
         return Cell{specs[i].name, rec.fingerprint.cycles,
                     rec.fingerprint.monitor_events, rec.fingerprint.alerts};
       });
@@ -81,5 +85,5 @@ int main(int argc, char** argv) {
                  "FALSE POSITIVE: a detector alerted on the benign workload\n");
     return 1;
   }
-  return bench::write_bench_metrics();
+  return bench::write_bench_artifacts();
 }

@@ -21,8 +21,7 @@ std::vector<workloads::LmbenchResult> run(bool monitored) {
   hypernel::SystemConfig cfg;
   cfg.mode = hypernel::Mode::kHypernel;
   cfg.enable_mbm = monitored;
-  cfg.metrics = hn::bench::metrics_enabled();
-  auto sys = hypernel::System::create(cfg).value();
+  auto sys = hn::bench::make_system(cfg);
   std::unique_ptr<secapps::ObjectIntegrityMonitor> monitor;
   if (monitored) {
     monitor = std::make_unique<secapps::ObjectIntegrityMonitor>(
@@ -33,7 +32,7 @@ std::vector<workloads::LmbenchResult> run(bool monitored) {
   auto results = suite.run_all();
   results.push_back(suite.context_switch());
   results.push_back(suite.memory_bandwidth());
-  hn::bench::record_cell_metrics(monitored ? 1 : 0, *sys);
+  hn::bench::record_cell(monitored ? 1 : 0, *sys);
   return results;
 }
 
@@ -61,5 +60,5 @@ int main(int argc, char** argv) {
       "(stat's lookup\ntouches non-cacheable dentry words; fork bumps the "
       "shared cred) and is free elsewhere\n— the word-granularity bill, "
       "itemised.\n");
-  return hn::bench::write_bench_metrics();
+  return hn::bench::write_bench_artifacts();
 }

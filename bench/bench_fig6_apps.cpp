@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
         hn::workloads::AppParams p;
         p.scale = 0.35;  // overhead ratios are scale-invariant; keep runs fast
         const double us = hn::workloads::run_app_by_name(*sys, kApps[a], p).us;
-        hn::bench::record_cell_metrics(cell, *sys);
+        hn::bench::record_cell(cell, *sys);
         return us;
       });
   double us[3][kAppCount];
@@ -58,5 +58,5 @@ int main(int argc, char** argv) {
       "average overhead:  KVM-guest %.1f%% (paper: 13.5%%)   Hypernel %.1f%% "
       "(paper: 3.1%%)\n",
       100.0 * sum_kvm / kAppCount, 100.0 * sum_hyper / kAppCount);
-  return hn::bench::write_bench_metrics();
+  return hn::bench::write_bench_artifacts();
 }

@@ -74,7 +74,9 @@ BENCHMARK(BM_EventRingPushPop);
 /// bitmap-fetch rate (what the bitmap cache saves).
 void BM_SnoopPipeline(benchmark::State& state) {
   sim::Machine machine{sim::MachineConfig{}};
-  if (hn::bench::metrics_enabled()) machine.obs().set_enabled(true);
+  const hn::obs::ArtifactFlags& flags = hn::bench::artifacts();
+  if (!flags.metrics_out.empty()) machine.obs().set_enabled(true);
+  machine.profiler().set_enabled(flags.profile);
   mbm::MbmConfig cfg;
   cfg.watch_base = 0;
   cfg.watch_size = machine.secure_base();
@@ -114,19 +116,22 @@ void BM_SnoopPipeline(benchmark::State& state) {
       static_cast<double>(s.bitmap_cache_hits) /
       static_cast<double>(s.bitmap_cache_hits + s.bitmap_cache_misses);
   state.counters["fifo_drops"] = static_cast<double>(s.fifo_drops);
-  hn::bench::record_cell_metrics(density, machine.obs().snapshot());
+  hn::bench::record_cell(density, {.metrics = machine.obs().snapshot(),
+                                   .profile = machine.profiler().report()});
 }
 BENCHMARK(BM_SnoopPipeline)->Arg(1)->Arg(50)->Arg(500);
 
 }  // namespace
 
-// Custom main: peel off the repo-common --metrics-out/--jobs flags before
-// google-benchmark sees (and rejects) them.
+// Custom main: peel off the repo-common flags (--jobs, the artifact flags)
+// before google-benchmark sees (and rejects) them.  The cells have no
+// System, so --trace-out and --timeseries-out find nothing recorded and
+// exit 2.
 int main(int argc, char** argv) {
   hn::bench::parse_and_strip_args(&argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  return hn::bench::write_bench_metrics();
+  return hn::bench::write_bench_artifacts();
 }

@@ -164,7 +164,9 @@ template <typename Setup, typename Body>
 ModeRun run_mode(bool fast_path, Setup&& setup, Body&& body) {
   auto bm = setup(fast_path);
   Machine& m = bm->m();
-  if (hn::bench::metrics_enabled()) m.obs().set_enabled(true);
+  const hn::obs::ArtifactFlags& flags = hn::bench::artifacts();
+  if (!flags.metrics_out.empty()) m.obs().set_enabled(true);
+  m.profiler().set_enabled(flags.profile);
   Stopwatch sw;
   body(*bm);
   ModeRun r;
@@ -175,11 +177,12 @@ ModeRun run_mode(bool fast_path, Setup&& setup, Body&& body) {
   r.mem_ops = m.counters().mem_reads + m.counters().mem_writes;
   r.noncacheable = m.counters().noncacheable_accesses;
   r.bus_txns = m.bus().transaction_count();
-  if (fast_path && hn::bench::metrics_enabled()) {
+  if (fast_path) {
     // One cell per fast-mode run (the mode whose counters the table
     // reports); the reference run would double every count.
-    static u64 metrics_cell = 0;
-    hn::bench::record_cell_metrics(metrics_cell++, m.obs().snapshot());
+    static u64 cell = 0;
+    hn::bench::record_cell(cell++, {.metrics = m.obs().snapshot(),
+                                    .profile = m.profiler().report()});
   }
   return r;
 }
@@ -337,12 +340,14 @@ LoopResult bench_fuzz_replay(u64 sequences) {
     auto specs = fuzz::build_matrix(/*full=*/false);
     for (auto& spec : specs) spec.host_fast_path = fast_mode;
     const fuzz::GeneratorOptions gen;
+    const obs::ArtifactFlags& flags = hn::bench::artifacts();
     fuzz::ExecutorOptions exec;
-    exec.collect_metrics = fast_mode && hn::bench::metrics_enabled();
+    exec.collect_metrics = fast_mode && !flags.metrics_out.empty();
+    exec.profile = fast_mode && flags.profile;
     Stopwatch sw;
     u64 findings = 0;
     u64 d = hypernel::kFnvOffset;
-    obs::Snapshot metrics;
+    obs::Produced cell;
     std::vector<fuzz::RunResult> runs;
     for (u64 s = 1; s <= sequences; ++s) {
       findings +=
@@ -350,13 +355,14 @@ LoopResult bench_fuzz_replay(u64 sequences) {
       for (const fuzz::RunResult& r : runs) {
         d = hypernel::fnv_fold(d, r.fingerprint.functional_hash());
         d = hypernel::fnv_fold(d, r.fingerprint.cycles);
-        if (exec.collect_metrics) metrics.merge(r.metrics);
+        cell.metrics.merge(r.metrics);
+        cell.profile.merge(r.profile);
       }
       runs.clear();
     }
-    if (exec.collect_metrics) {
-      static u64 metrics_cell = 1u << 16;  // clear of the run_mode cells
-      hn::bench::record_cell_metrics(metrics_cell++, metrics);
+    if (fast_mode) {
+      static u64 cell_index = 1u << 16;  // clear of the run_mode cells
+      hn::bench::record_cell(cell_index++, std::move(cell));
     }
     if (findings != 0) {
       std::fprintf(stderr, "FATAL: fuzz_replay produced %llu findings\n",
@@ -533,8 +539,9 @@ void write_json(const std::string& path, bool quick,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Peel off the repo-common flags (--metrics-out, --jobs) first; the
-  // remaining flags are this bench's own.
+  // Peel off the repo-common flags (--jobs, the artifact flags) first;
+  // the remaining flags are this bench's own.  Its cells have no System,
+  // so --trace-out and --timeseries-out find nothing recorded and exit 2.
   hn::bench::parse_and_strip_args(&argc, argv);
   bool quick = false;
   std::string out = "BENCH_sim_throughput.json";
@@ -549,8 +556,8 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--quick] [--repeat=N] [--out=PATH] "
-                   "[--metrics-out=PATH]\n",
-                   argv[0]);
+                   "[--jobs=N] [artifact flags]\n%s",
+                   argv[0], hn::obs::kArtifactUsage);
       return 2;
     }
   }
@@ -575,5 +582,5 @@ int main(int argc, char** argv) {
   }
   write_json(out, quick, loops);
   std::printf("\nwrote %s\n", out.c_str());
-  return hn::bench::write_bench_metrics();
+  return hn::bench::write_bench_artifacts();
 }

@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
             auto sys = hn::bench::make_perf_system(modes[m]);
             hn::workloads::LmbenchSuite suite(*sys, kIterations);
             auto rows = suite.run_all();
-            hn::bench::record_cell_metrics(m, *sys);
+            hn::bench::record_cell(m, *sys);
             return rows;
           });
   const std::vector<hn::workloads::LmbenchResult>* results = cells.data();
@@ -83,5 +83,5 @@ int main(int argc, char** argv) {
       "15.5%%)  |  Hypernel %.1f%% (paper %.1f%%; reported 8.8%%)\n",
       100.0 * slowdown_sum[0] / rows, 100.0 * paper_slowdown_sum[0] / rows,
       100.0 * slowdown_sum[1] / rows, 100.0 * paper_slowdown_sum[1] / rows);
-  return hn::bench::write_bench_metrics();
+  return hn::bench::write_bench_artifacts();
 }

@@ -39,7 +39,7 @@ hn::u64 run_with_monitor(hn::u64 cell, const char* app,
   }
   hn::workloads::AppParams p;
   hn::workloads::run_app_by_name(*sys, app, p);
-  hn::bench::record_cell_metrics(cell, *sys);
+  hn::bench::record_cell(cell, *sys);
   return sys->mbm()->stats().detections;
 }
 
@@ -87,5 +87,5 @@ int main(int argc, char** argv) {
       "overall: word-granularity requires %.1f%% of page-granularity traps "
       "(paper: ~6.2%%; per-benchmark mean %.1f%%)\n",
       100.0 * total_word / total_page, ratio_sum / 5);
-  return hn::bench::write_bench_metrics();
+  return hn::bench::write_bench_artifacts();
 }

@@ -137,6 +137,7 @@ Scorecard run_scorecard(const ScorecardOptions& options) {
   exec_opt.capture_trace = options.trace_attribution;
   exec_opt.snapshot_boot = options.snapshot_boot;
   exec_opt.profile = options.profile;
+  exec_opt.collect_metrics = options.collect_metrics;
   exec_opt.sample_cycles = options.sample_cycles;
 
   // One flat index space: scenario-major attack cells, then the benign
@@ -160,8 +161,9 @@ Scorecard run_scorecard(const ScorecardOptions& options) {
       shard);
 
   Scorecard score;
-  if (options.profile) {
-    for (const RunResult& run : runs) score.profile.merge(run.profile);
+  for (const RunResult& run : runs) {
+    if (options.profile) score.profile.merge(run.profile);
+    if (options.collect_metrics) score.metrics.merge(run.metrics);
   }
   // Sample trace for --trace-out: the first intended hit — except on an
   // SMP matrix, where a cross-core scenario's trace is the interesting

@@ -34,6 +34,10 @@ struct ScorecardOptions {
   /// Enable the host self-time profiler per cell and merge the reports
   /// into Scorecard::profile.  Reporting only, never part of the digest.
   bool profile = false;
+  /// Enable the metrics registry per cell and fold the snapshots (cell
+  /// order) into Scorecard::metrics.  Reporting only, never part of the
+  /// digest.
+  bool collect_metrics = false;
   /// Simulated core count for every cell.  At >1 the SMP cross-core
   /// scenarios (smp_scenario_library) join the matrix and the JSON echoes
   /// the count; at 1 the scorecard is byte-identical to the pre-SMP one.
@@ -103,6 +107,9 @@ struct Scorecard {
   /// Merged per-cell self-time reports (ScorecardOptions::profile).
   /// Host wall clock — never part of the digest contract.
   obs::ProfileReport profile;
+  /// Per-cell metrics folded in cell order
+  /// (ScorecardOptions::collect_metrics).  Not part of the digest.
+  obs::Snapshot metrics;
 
   [[nodiscard]] bool ok(bool require_attribution) const {
     return all_intended_hit && zero_false_positives &&

@@ -1,8 +1,9 @@
-// Strict unsigned-integer parsing for command-line flags and text inputs.
+// Strict number parsing for command-line flags and text inputs.
 #pragma once
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <string>
@@ -37,6 +38,27 @@ namespace hn {
     return false;
   }
   *out = static_cast<u32>(v);
+  return true;
+}
+
+/// Parse a positive, finite number as strtod reads it, but only when all
+/// of `text` is the number.  Rejects empty text, a sign, leading
+/// whitespace, trailing characters, inf/nan, zero, and values past the
+/// range of a double.  `*out` is untouched on failure.
+[[nodiscard]] inline bool parse_double(std::string_view text, double* out) {
+  if (text.empty() || !(std::isdigit(static_cast<unsigned char>(text[0])) ||
+                        text[0] == '.')) {
+    return false;
+  }
+  const std::string s(text);
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(s.c_str(), &end);
+  if (errno == ERANGE || end != s.c_str() + s.size() || !std::isfinite(v) ||
+      v <= 0) {
+    return false;
+  }
+  *out = v;
   return true;
 }
 

@@ -1,6 +1,7 @@
 #include "obs/export.h"
 
 #include <cinttypes>
+#include <cstdio>
 
 namespace hn::obs {
 namespace {
@@ -82,28 +83,6 @@ std::string to_csv(const Snapshot& snap) {
     out += "\n";
   }
   return out;
-}
-
-void write_json(const Snapshot& snap, std::FILE* out) {
-  const std::string s = to_json(snap);
-  std::fwrite(s.data(), 1, s.size(), out);
-}
-
-void write_csv(const Snapshot& snap, std::FILE* out) {
-  const std::string s = to_csv(snap);
-  std::fwrite(s.data(), 1, s.size(), out);
-}
-
-bool write_metrics_file(const Snapshot& snap, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool csv = path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
-  if (csv) {
-    write_csv(snap, f);
-  } else {
-    write_json(snap, f);
-  }
-  return std::fclose(f) == 0;
 }
 
 }  // namespace hn::obs

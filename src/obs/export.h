@@ -7,7 +7,6 @@
 // spreadsheet-friendly flat table (`--metrics-out=metrics.csv`).
 #pragma once
 
-#include <cstdio>
 #include <string>
 
 #include "obs/metrics.h"
@@ -23,17 +22,5 @@ namespace hn::obs {
 /// per metric; histogram rows use the aggregate columns, scalar rows the
 /// value column.
 [[nodiscard]] std::string to_csv(const Snapshot& snap);
-
-void write_json(const Snapshot& snap, std::FILE* out);
-void write_csv(const Snapshot& snap, std::FILE* out);
-
-/// Write `snap` to `path`, picking the format by extension (".csv" is
-/// CSV, everything else JSON).  Returns false on I/O failure.
-bool write_metrics_file(const Snapshot& snap, const std::string& path);
-
-/// The `--metrics-out=FILE` contract shared by every tool and bench.
-inline constexpr const char* kMetricsOutUsage =
-    "  --metrics-out=F   write a metrics snapshot to F on exit\n"
-    "                    (JSON, or CSV when F ends in .csv)";
 
 }  // namespace hn::obs

@@ -1,6 +1,5 @@
 #include "obs/timeseries.h"
 
-#include <cstdio>
 #include <cstring>
 
 namespace hn::obs {
@@ -33,6 +32,10 @@ void TimeSeries::enroll(std::string name, TrackKind kind, Probe probe) {
   t.name = std::move(name);
   t.kind = kind;
   t.probe = std::move(probe);
+  // A track joining a running stream counts from now, and the rows
+  // already taken record 0 for it, so every row keeps one value per track.
+  if (armed()) t.prev = t.probe();
+  for (TimeSeriesSample& row : samples_) row.values.push_back(0);
   tracks_.push_back(std::move(t));
 }
 
@@ -268,28 +271,6 @@ Status parse_timeseries(const std::vector<u8>& blob, TimeSeriesData& out) {
     return Status::Invalid("timeseries: trailing bytes after sample table");
   }
   return Status::Ok();
-}
-
-bool write_timeseries_file(const std::vector<u8>& blob,
-                           const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool ok =
-      blob.empty() || std::fwrite(blob.data(), 1, blob.size(), f) == blob.size();
-  return std::fclose(f) == 0 && ok;
-}
-
-bool read_timeseries_file(const std::string& path, std::vector<u8>& blob) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  blob.clear();
-  u8 buf[4096];
-  for (size_t n; (n = std::fread(buf, 1, sizeof buf, f)) > 0;) {
-    blob.insert(blob.end(), buf, buf + n);
-  }
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  return ok;
 }
 
 }  // namespace hn::obs

@@ -101,7 +101,9 @@ class TimeSeries {
 
   /// Enroll a track.  Enrollment order is serialization order, so
   /// enroll in deterministic (construction) order only.  Probes must be
-  /// pure reads of simulated state.
+  /// pure reads of simulated state.  A track enrolled while armed joins
+  /// the stream: earlier rows record 0 for it, and a counter's deltas
+  /// start at enrollment.
   void enroll(std::string name, TrackKind kind, Probe probe);
   /// Sugar: registry handles as probes (handles are stable pointer
   /// pairs, safe to copy into the lambda).
@@ -189,11 +191,5 @@ inline constexpr u32 kTimeSeriesFormatVersion = 1;
 [[nodiscard]] std::vector<u8> serialize_timeseries(const TimeSeriesData& data);
 [[nodiscard]] Status parse_timeseries(const std::vector<u8>& blob,
                                       TimeSeriesData& out);
-
-/// File I/O for --timeseries-out artifacts (raw blob, fopen-based).
-[[nodiscard]] bool write_timeseries_file(const std::vector<u8>& blob,
-                                         const std::string& path);
-[[nodiscard]] bool read_timeseries_file(const std::string& path,
-                                        std::vector<u8>& blob);
 
 }  // namespace hn::obs

@@ -1,7 +1,5 @@
 #include "sim/snapshot.h"
 
-#include <cstdio>
-
 namespace hn::sim {
 
 namespace {
@@ -113,29 +111,6 @@ Status unpack_snapshot(const std::vector<u8>& blob, Snapshot& out) {
     return Status::Invalid("snapshot: trailing bytes after page table");
   }
   return Status::Ok();
-}
-
-bool write_snapshot_file(const std::vector<u8>& blob, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool ok =
-      blob.empty() ||
-      std::fwrite(blob.data(), 1, blob.size(), f) == blob.size();
-  return std::fclose(f) == 0 && ok;
-}
-
-bool read_snapshot_file(const std::string& path, std::vector<u8>& blob) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  blob.clear();
-  u8 buf[4096];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
-    blob.insert(blob.end(), buf, buf + n);
-  }
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  return ok;
 }
 
 }  // namespace hn::sim

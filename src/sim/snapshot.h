@@ -195,10 +195,4 @@ struct Snapshot {
 /// checksum mismatch or trailing bytes.
 Status unpack_snapshot(const std::vector<u8>& blob, Snapshot& out);
 
-/// Write `blob` to `path`.  Returns false on I/O failure.
-bool write_snapshot_file(const std::vector<u8>& blob, const std::string& path);
-
-/// Read `path` into `blob`.  Returns false on I/O failure.
-bool read_snapshot_file(const std::string& path, std::vector<u8>& blob);
-
 }  // namespace hn::sim

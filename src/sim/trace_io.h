@@ -72,16 +72,4 @@ struct TraceData {
 /// magic, unknown version, or truncation.
 Status parse_trace(const std::vector<u8>& blob, TraceData& out);
 
-/// Write `blob` to `path`.  Returns false on I/O failure.
-bool write_trace_file(const std::vector<u8>& blob, const std::string& path);
-
-/// Read `path` into `blob`.  Returns false on I/O failure.
-bool read_trace_file(const std::string& path, std::vector<u8>& blob);
-
-/// The `--trace-out=FILE` contract shared by every tool and bench
-/// (symmetrical with obs::kMetricsOutUsage).
-inline constexpr const char* kTraceOutUsage =
-    "  --trace-out=F     write the causal flight-recorder trace to F on\n"
-    "                    exit (binary; render with hypernel_trace)";
-
 }  // namespace hn::sim

@@ -223,5 +223,26 @@ TEST(ParseInt, U32RejectsValuesPastItsRange) {
   EXPECT_FALSE(parse_u32("lots", &v));
 }
 
+TEST(ParseDouble, AcceptsPositiveFiniteNumbers) {
+  double v = 0;
+  EXPECT_TRUE(parse_double("0.2", &v));
+  EXPECT_EQ(v, 0.2);
+  EXPECT_TRUE(parse_double("3", &v));
+  EXPECT_EQ(v, 3.0);
+  EXPECT_TRUE(parse_double(".5", &v));
+  EXPECT_EQ(v, 0.5);
+  EXPECT_TRUE(parse_double("1e-3", &v));
+  EXPECT_EQ(v, 1e-3);
+}
+
+TEST(ParseDouble, RejectsWhatAtofLetsThrough) {
+  double v = 7;
+  for (const char* bad : {"", "abc", "0.2x", "1.5 ", " 1.5", "-1", "+1", "0",
+                          "0.0", "inf", "nan", "1e999", "1e-999"}) {
+    EXPECT_FALSE(parse_double(bad, &v)) << "'" << bad << "'";
+  }
+  EXPECT_EQ(v, 7.0);  // untouched on failure
+}
+
 }  // namespace
 }  // namespace hn

@@ -133,6 +133,34 @@ TEST(TimeSeries, SerializeParseRoundTrip) {
   EXPECT_FALSE(parse_timeseries(bad, parsed).ok());
 }
 
+TEST(TimeSeries, TrackEnrolledWhileArmedJoinsTheStream) {
+  // A layer that installs after sampling started (a security app's MBM
+  // driver, say) enrolls into a stream that already has rows.
+  TimeSeries ts;
+  u64 a = 0;
+  u64 late = 40;
+  ts.enroll("track.a", TrackKind::kCounter, [&] { return a; });
+  ts.arm(10, 0);
+  a = 3;
+  ts.poll(25);  // rows at 10 and 20
+  ts.enroll("track.late", TrackKind::kCounter, [&] { return late; });
+  late = 45;
+  ts.poll(30);
+  const TimeSeriesData data = ts.data(30);
+  ASSERT_EQ(data.samples.size(), 3u);
+  for (const TimeSeriesSample& row : data.samples) {
+    EXPECT_EQ(row.values.size(), 2u);
+  }
+  EXPECT_EQ(data.samples[0].values[1], 0u);
+  EXPECT_EQ(data.samples[1].values[1], 0u);
+  EXPECT_EQ(data.samples[2].values[1], 5u);  // counted from enrollment
+  EXPECT_EQ(data.track_total("track.late"), 5u);
+
+  TimeSeriesData parsed;
+  ASSERT_TRUE(parse_timeseries(serialize_timeseries(data), parsed).ok());
+  EXPECT_EQ(parsed, data);
+}
+
 TEST(TimeSeries, UnenrollPrefixDropsTracksAndColumns) {
   TimeSeries ts;
   u64 x = 0;

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/blob_file.h"
 #include "hypernel/fingerprint.h"
 #include "hypernel/system.h"
 #include "kernel/objects.h"
@@ -263,11 +264,11 @@ TEST(SnapshotFormat, PackUnpackRoundTrip) {
 TEST(SnapshotFormat, FileRoundTrip) {
   const SampleSnapshot s;
   const std::string path = ::testing::TempDir() + "hn_snapshot_test.hnsnap";
-  ASSERT_TRUE(write_snapshot_file(s.blob, path));
+  ASSERT_TRUE(write_blob_file(s.blob, path));
   std::vector<u8> read_back;
-  ASSERT_TRUE(read_snapshot_file(path, read_back));
+  ASSERT_TRUE(read_blob_file(path, read_back));
   EXPECT_EQ(read_back, s.blob);
-  EXPECT_FALSE(read_snapshot_file(path + ".does-not-exist", read_back));
+  EXPECT_FALSE(read_blob_file(path + ".does-not-exist", read_back));
 }
 
 TEST(SnapshotFormat, RejectsBadMagic) {

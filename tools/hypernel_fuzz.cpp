@@ -29,12 +29,11 @@
 
 #include "attacks/scenario.h"
 #include "attacks/scorecard.h"
+#include "common/blob_file.h"
 #include "common/parse_int.h"
 #include "fuzz/fuzzer.h"
 #include "fuzz/seed_io.h"
-#include "obs/export.h"
-#include "obs/timeseries.h"
-#include "sim/trace_io.h"
+#include "obs/artifacts.h"
 
 namespace {
 
@@ -43,11 +42,9 @@ using hn::fuzz::FuzzOptions;
 
 struct Options {
   FuzzOptions fuzz;
+  hn::obs::ArtifactFlags artifacts;
   std::optional<hn::u64> replay_seed;
   std::string replay_file;
-  std::string metrics_out;
-  std::string trace_out;
-  std::string timeseries_out;
   std::string failure_dir;
 };
 
@@ -60,7 +57,7 @@ std::optional<std::string> arg_value(const char* arg, const char* name) {
 }
 
 void usage() {
-  std::puts(
+  std::printf(
       "usage: hypernel_fuzz [options]\n"
       "  --seed=N          campaign master seed (default 1)\n"
       "  --sequences=N     number of sequences to run (default 10)\n"
@@ -75,45 +72,31 @@ void usage() {
       "                    sequences as structured seeds and mix in the\n"
       "                    control-flow / page-table attack kinds\n"
       "  --audit-stride=N  run Hypersec::audit() every N steps (default 1)\n"
-            "  --jobs=N          worker threads for sequence evaluation (default:\n"
+      "  --jobs=N          worker threads for sequence evaluation (default:\n"
       "                    hardware concurrency; 1 = fully sequential).\n"
       "                    Never changes output, only wall-clock\n"
       "  --cores=N         simulated cores per machine (default 1).  A\n"
       "                    differential dimension: cross-core interleaving\n"
       "                    with deterministic bus arbitration; output is\n"
       "                    reproducible at any --jobs for a fixed N\n"
-      "  --metrics-out=F   collect observability metrics across the campaign\n"
-      "                    and write the folded snapshot to F (.csv = CSV,\n"
-      "                    anything else = JSON)\n"
-      "  --trace-out=F     write a causal flight-recorder trace to F: the\n"
-      "                    first failure's reproducer, or sequence 0 under\n"
-      "                    the reference config when the campaign is clean\n"
-      "                    (render with hypernel_trace)\n"
-      "  --sample-cycles[=N]\n"
-      "                    sample time-series tracks every N simulated\n"
-      "                    cycles (default 65536); pairs with\n"
-      "                    --timeseries-out\n"
-      "  --timeseries-out=F\n"
-      "                    write the sampled HNTSERIE stream (sequence 0,\n"
-      "                    reference config) to F (render with\n"
-      "                    hypernel_trace timeline)\n"
       "  --failure-dir=D   write one reproducer file per failing sequence\n"
       "                    (shrunk ops, replay command, machine trace) to D\n"
       "  --fail-fast       cancel the campaign at the first failing sequence\n"
       "  --no-shrink       report original failing sequences unshrunk\n"
       "  --reference       force host-side reference mode (no sim fast\n"
       "                    path); output must stay byte-identical\n"
-      "  --profile         host self-time profile (boot/step/dispatch/\n"
-      "                    syscall/translate/memory/audit/digest/snapshot)\n"
-      "                    rendered to stderr; folded into --metrics-out as\n"
-      "                    profile.* counters (see hypernel_trace profile)\n"
       "  --snapshot-boot   fork every case from a per-configuration boot\n"
       "                    snapshot (COW restore) instead of re-booting;\n"
       "                    output must stay byte-identical\n"
       "  --no-attacks      generate no attack writes\n"
       "  --no-forged       generate no forged-hypercall probes\n"
       "  --inject-bypass   test hook: attack writes dodge the bus snooper\n"
-      "                    (the detection oracle must catch this)");
+      "                    (the detection oracle must catch this)\n"
+      "artifacts (metrics and profile cover every run; the trace is the\n"
+      "first failure's reproducer, or sequence 0 under the reference config\n"
+      "when the campaign is clean; the stream is sequence 0's; a replay\n"
+      "exports the first configuration's trace and stream):\n%s",
+      hn::obs::kArtifactUsage);
 }
 
 /// Reports a malformed integer flag; the caller's usage error.
@@ -158,28 +141,11 @@ bool parse(int argc, char** argv, Options* opt) {
         std::fprintf(stderr, "--cores must be in [1, 8]\n");
         return false;
       }
-    } else if ((v = arg_value(arg, "--metrics-out"))) {
-      opt->metrics_out = *v;
-      opt->fuzz.collect_metrics = true;
-    } else if ((v = arg_value(arg, "--trace-out"))) {
-      opt->trace_out = *v;
-      opt->fuzz.capture_trace = true;
-    } else if ((v = arg_value(arg, "--sample-cycles"))) {
-      if (!hn::parse_u64(*v, &opt->fuzz.sample_cycles)) return bad_number(arg);
-    } else if (std::strcmp(arg, "--sample-cycles") == 0) {
-      opt->fuzz.sample_cycles = hn::obs::kDefaultSampleCycles;
-    } else if ((v = arg_value(arg, "--timeseries-out"))) {
-      opt->timeseries_out = *v;
-      if (opt->fuzz.sample_cycles == 0) {
-        opt->fuzz.sample_cycles = hn::obs::kDefaultSampleCycles;
-      }
     } else if ((v = arg_value(arg, "--failure-dir"))) {
       opt->failure_dir = *v;
       opt->fuzz.capture_trace = true;  // reproducers ship with their trace
     } else if (std::strcmp(arg, "--reference") == 0) {
       opt->fuzz.host_fast_path = false;
-    } else if (std::strcmp(arg, "--profile") == 0) {
-      opt->fuzz.profile = true;
     } else if (std::strcmp(arg, "--snapshot-boot") == 0) {
       opt->fuzz.snapshot_boot = true;
     } else if (std::strcmp(arg, "--fail-fast") == 0) {
@@ -203,83 +169,37 @@ bool parse(int argc, char** argv, Options* opt) {
   return true;
 }
 
+/// Replay one op program under the standard matrix, both oracles armed:
+/// the generated sequence of --replay=S, or the explicit program of
+/// --replay-file=F (the attack-corpus seed format), which adds the three
+/// detector configurations and prints every configuration's alerts.  This
+/// is the repro path for campaign, scorecard and corpus failures.
 int replay(const Options& opt) {
-  auto specs = hn::fuzz::build_matrix(opt.fuzz.full_matrix);
-  for (auto& spec : specs) {
-    spec.host_fast_path = opt.fuzz.host_fast_path;
-    spec.cores = opt.fuzz.cores;
-  }
-  hn::fuzz::GeneratorOptions gen{.ops = opt.fuzz.ops,
-                                 .attacks = opt.fuzz.attacks,
-                                 .forged = opt.fuzz.forged};
-  hn::fuzz::ExecutorOptions exec{.inject_bypass = opt.fuzz.inject_bypass,
-                                 .audit_stride = opt.fuzz.audit_stride};
-  exec.capture_trace = !opt.trace_out.empty();
-  exec.snapshot_boot = opt.fuzz.snapshot_boot;
-  exec.profile = opt.fuzz.profile;
-  exec.sample_cycles = opt.fuzz.sample_cycles;
-  const auto ops = hn::fuzz::generate_sequence(*opt.replay_seed, gen);
-  std::printf("replaying sequence seed %llu (%zu ops, %zu configurations)\n",
-              static_cast<unsigned long long>(*opt.replay_seed), ops.size(),
-              specs.size());
-  for (size_t i = 0; i < ops.size(); ++i) {
-    std::printf("  [%zu] %s\n", i, hn::fuzz::describe(ops[i]).c_str());
-  }
-  std::vector<hn::fuzz::RunResult> runs;
-  hn::fuzz::OracleReport report = hn::fuzz::run_sequence_seed(
-      *opt.replay_seed, gen, specs, exec, &runs);
-  if (opt.fuzz.profile) {
-    hn::obs::ProfileReport merged;
-    for (const hn::fuzz::RunResult& run : runs) merged.merge(run.profile);
-    std::fprintf(stderr, "profile (replay self-time):\n%s",
-                 hn::obs::render_profile(merged).c_str());
-  }
-  if (!opt.trace_out.empty() && !runs.empty()) {
-    if (hn::sim::write_trace_file(runs[0].trace_blob, opt.trace_out)) {
-      std::fprintf(stderr, "trace: %s trace written to %s\n",
-                   specs[0].name.c_str(), opt.trace_out.c_str());
-    } else {
-      std::fprintf(stderr, "trace: failed to write %s\n",
-                   opt.trace_out.c_str());
-    }
-  }
-  if (!opt.timeseries_out.empty() && !runs.empty()) {
-    if (hn::obs::write_timeseries_file(runs[0].timeseries_blob,
-                                       opt.timeseries_out)) {
-      std::fprintf(stderr, "timeseries: %s stream written to %s\n",
-                   specs[0].name.c_str(), opt.timeseries_out.c_str());
-    } else {
-      std::fprintf(stderr, "timeseries: failed to write %s\n",
-                   opt.timeseries_out.c_str());
-    }
-  }
-  if (report.ok()) {
-    std::puts("clean: all oracles passed");
-    return 0;
-  }
-  for (const std::string& finding : report.findings) {
-    std::printf("finding: %s\n", finding.c_str());
-  }
-  return 1;
-}
-
-/// Replay an explicit op program (the attack-corpus seed format) under
-/// the standard matrix plus the three detector configurations, with both
-/// oracles armed.  This is the repro path for scorecard and corpus
-/// failures: the seed file pins the exact program, the run prints every
-/// detector's alerts.
-int replay_file(const Options& opt) {
-  hn::Result<std::vector<hn::fuzz::Op>> loaded =
-      hn::fuzz::load_ops_file(opt.replay_file);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "%s\n", loaded.status().message().c_str());
-    return 2;
-  }
-  const std::vector<hn::fuzz::Op>& ops = loaded.value();
+  const bool from_file = !opt.replay_file.empty();
+  const hn::fuzz::GeneratorOptions gen{.ops = opt.fuzz.ops,
+                                       .attacks = opt.fuzz.attacks,
+                                       .forged = opt.fuzz.forged};
   std::vector<hn::fuzz::FuzzConfigSpec> specs =
       hn::fuzz::build_matrix(opt.fuzz.full_matrix);
-  for (hn::fuzz::FuzzConfigSpec& spec : hn::attacks::detector_configs()) {
-    specs.push_back(spec);
+  std::vector<hn::fuzz::Op> ops;
+  if (from_file) {
+    hn::Result<std::vector<hn::fuzz::Op>> loaded =
+        hn::fuzz::load_ops_file(opt.replay_file);
+    if (!loaded.ok()) {
+      std::fprintf(stderr, "%s\n", loaded.status().message().c_str());
+      return 2;
+    }
+    ops = std::move(loaded).value();
+    for (hn::fuzz::FuzzConfigSpec& spec : hn::attacks::detector_configs()) {
+      specs.push_back(spec);
+    }
+    std::printf("replaying %s (%zu ops, %zu configurations)\n",
+                opt.replay_file.c_str(), ops.size(), specs.size());
+  } else {
+    ops = hn::fuzz::generate_sequence(*opt.replay_seed, gen);
+    std::printf("replaying sequence seed %llu (%zu ops, %zu configurations)\n",
+                static_cast<unsigned long long>(*opt.replay_seed), ops.size(),
+                specs.size());
   }
   for (auto& spec : specs) {
     spec.host_fast_path = opt.fuzz.host_fast_path;
@@ -287,57 +207,46 @@ int replay_file(const Options& opt) {
   }
   hn::fuzz::ExecutorOptions exec{.inject_bypass = opt.fuzz.inject_bypass,
                                  .audit_stride = opt.fuzz.audit_stride};
-  exec.capture_trace = !opt.trace_out.empty();
+  exec.collect_metrics = opt.fuzz.collect_metrics;
+  exec.capture_trace = !opt.artifacts.trace_out.empty();
   exec.snapshot_boot = opt.fuzz.snapshot_boot;
   exec.profile = opt.fuzz.profile;
   exec.sample_cycles = opt.fuzz.sample_cycles;
-
-  std::printf("replaying %s (%zu ops, %zu configurations)\n",
-              opt.replay_file.c_str(), ops.size(), specs.size());
   for (size_t i = 0; i < ops.size(); ++i) {
     std::printf("  [%zu] %s\n", i, hn::fuzz::describe(ops[i]).c_str());
   }
+
   std::vector<hn::fuzz::RunResult> runs;
-  runs.reserve(specs.size());
-  for (const auto& spec : specs) {
-    runs.push_back(hn::fuzz::run_sequence(spec, ops, exec));
-    const hn::fuzz::RunResult& rec = runs.back();
-    std::printf("  %-24s alerts=%llu events=%llu\n", rec.config.c_str(),
-                static_cast<unsigned long long>(rec.fingerprint.alerts),
-                static_cast<unsigned long long>(
-                    rec.fingerprint.monitor_events));
-    for (const hn::fuzz::AlertRecord& a : rec.alert_log) {
-      std::printf("    alert %s by %s at cycle %llu\n",
-                  hn::secapps::alert_kind_name(a.kind), a.detector.c_str(),
-                  static_cast<unsigned long long>(a.at));
+  hn::fuzz::OracleReport report;
+  if (from_file) {
+    for (const auto& spec : specs) {
+      runs.push_back(hn::fuzz::run_sequence(spec, ops, exec));
+      const hn::fuzz::RunResult& rec = runs.back();
+      std::printf("  %-24s alerts=%llu events=%llu\n", rec.config.c_str(),
+                  static_cast<unsigned long long>(rec.fingerprint.alerts),
+                  static_cast<unsigned long long>(
+                      rec.fingerprint.monitor_events));
+      for (const hn::fuzz::AlertRecord& a : rec.alert_log) {
+        std::printf("    alert %s by %s at cycle %llu\n",
+                    hn::secapps::alert_kind_name(a.kind), a.detector.c_str(),
+                    static_cast<unsigned long long>(a.at));
+      }
     }
+    report = hn::fuzz::check_sequence(ops, specs, runs);
+  } else {
+    report = hn::fuzz::run_sequence_seed(*opt.replay_seed, gen, specs, exec,
+                                         &runs);
   }
-  if (opt.fuzz.profile) {
-    hn::obs::ProfileReport merged;
-    for (const hn::fuzz::RunResult& run : runs) merged.merge(run.profile);
-    std::fprintf(stderr, "profile (replay self-time):\n%s",
-                 hn::obs::render_profile(merged).c_str());
+
+  // The first configuration's trace and stream; metrics and profile fold
+  // every configuration in matrix order.
+  hn::obs::Produced produced{.trace = std::move(runs[0].trace_blob),
+                             .timeseries = std::move(runs[0].timeseries_blob)};
+  for (const hn::fuzz::RunResult& run : runs) {
+    produced.metrics.merge(run.metrics);
+    produced.profile.merge(run.profile);
   }
-  if (!opt.trace_out.empty() && !runs.empty()) {
-    if (hn::sim::write_trace_file(runs[0].trace_blob, opt.trace_out)) {
-      std::fprintf(stderr, "trace: %s trace written to %s\n",
-                   specs[0].name.c_str(), opt.trace_out.c_str());
-    } else {
-      std::fprintf(stderr, "trace: failed to write %s\n",
-                   opt.trace_out.c_str());
-    }
-  }
-  if (!opt.timeseries_out.empty() && !runs.empty()) {
-    if (hn::obs::write_timeseries_file(runs[0].timeseries_blob,
-                                       opt.timeseries_out)) {
-      std::fprintf(stderr, "timeseries: %s stream written to %s\n",
-                   specs[0].name.c_str(), opt.timeseries_out.c_str());
-    } else {
-      std::fprintf(stderr, "timeseries: failed to write %s\n",
-                   opt.timeseries_out.c_str());
-    }
-  }
-  hn::fuzz::OracleReport report = hn::fuzz::check_sequence(ops, specs, runs);
+  if (!hn::obs::write_artifacts(opt.artifacts, std::move(produced))) return 2;
   if (report.ok()) {
     std::puts("clean: all oracles passed");
     return 0;
@@ -398,7 +307,7 @@ void write_failure_artifacts(const Options& opt, const CampaignResult& result) {
     if (!f.trace_blob.empty()) {
       const std::string trace_path = opt.failure_dir + "/failure_seq" +
                                      std::to_string(f.index) + ".trace";
-      if (!hn::sim::write_trace_file(f.trace_blob, trace_path)) {
+      if (!hn::write_blob_file(f.trace_blob, trace_path)) {
         std::fprintf(stderr, "failure-dir: cannot write %s\n",
                      trace_path.c_str());
       }
@@ -413,12 +322,23 @@ void write_failure_artifacts(const Options& opt, const CampaignResult& result) {
 int main(int argc, char** argv) {
   Options opt;
   opt.fuzz.jobs = 0;  // CLI default: hardware concurrency (library: 1)
+  hn::Result<hn::obs::ArtifactFlags> artifacts =
+      hn::obs::strip_artifact_flags(&argc, argv);
+  if (!artifacts.ok()) {
+    std::fprintf(stderr, "%s\n", artifacts.status().message().c_str());
+    usage();
+    return 2;
+  }
   if (!parse(argc, argv, &opt)) {
     usage();
     return 2;
   }
-  if (!opt.replay_file.empty()) return replay_file(opt);
-  if (opt.replay_seed) return replay(opt);
+  opt.artifacts = std::move(artifacts).value();
+  opt.fuzz.collect_metrics = !opt.artifacts.metrics_out.empty();
+  opt.fuzz.capture_trace |= !opt.artifacts.trace_out.empty();
+  opt.fuzz.profile = opt.artifacts.profile;
+  opt.fuzz.sample_cycles = opt.artifacts.sample_cycles;
+  if (!opt.replay_file.empty() || opt.replay_seed) return replay(opt);
 
   std::printf("campaign: seed=%llu sequences=%llu ops=%llu matrix=%s%s\n",
               static_cast<unsigned long long>(opt.fuzz.seed),
@@ -444,20 +364,6 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(exec.workers[w].jobs),
                  static_cast<double>(exec.workers[w].busy_ns) / 1e6);
   }
-  if (opt.fuzz.profile) {
-    // Host wall clock — stderr, like the exec stats, so stdout stays
-    // byte-identical across hosts and job counts.
-    std::fprintf(stderr, "profile (campaign self-time):\n%s",
-                 hn::obs::render_profile(result.profile).c_str());
-    if (!opt.metrics_out.empty()) {
-      // Fold the report into the exported snapshot as profile.* counters,
-      // so `hypernel_trace profile` can render it from the JSON.
-      hn::obs::Registry reg;
-      reg.set_enabled(true);
-      hn::obs::publish_profile(result.profile, reg);
-      result.metrics.merge(reg.snapshot());
-    }
-  }
   std::printf("sequences: %llu  failures: %llu  corpus digest: %016llx\n",
               static_cast<unsigned long long>(result.sequences_run),
               static_cast<unsigned long long>(result.failures),
@@ -465,36 +371,14 @@ int main(int argc, char** argv) {
   if (!opt.failure_dir.empty() && !result.failure_details.empty()) {
     write_failure_artifacts(opt, result);
   }
-  if (!opt.metrics_out.empty()) {
-    if (hn::obs::write_metrics_file(result.metrics, opt.metrics_out)) {
-      std::fprintf(stderr, "metrics: %zu entries written to %s\n",
-                   result.metrics.entries.size(), opt.metrics_out.c_str());
-    } else {
-      std::fprintf(stderr, "metrics: failed to write %s\n",
-                   opt.metrics_out.c_str());
-      return 2;
-    }
-  }
-  if (!opt.trace_out.empty()) {
-    if (hn::sim::write_trace_file(result.trace_blob, opt.trace_out)) {
-      std::fprintf(stderr, "trace: campaign trace written to %s\n",
-                   opt.trace_out.c_str());
-    } else {
-      std::fprintf(stderr, "trace: failed to write %s\n",
-                   opt.trace_out.c_str());
-      return 2;
-    }
-  }
-  if (!opt.timeseries_out.empty()) {
-    if (hn::obs::write_timeseries_file(result.timeseries_blob,
-                                       opt.timeseries_out)) {
-      std::fprintf(stderr, "timeseries: campaign stream written to %s\n",
-                   opt.timeseries_out.c_str());
-    } else {
-      std::fprintf(stderr, "timeseries: failed to write %s\n",
-                   opt.timeseries_out.c_str());
-      return 2;
-    }
+  // Host-side artifacts go to files and stderr, like the exec stats, so
+  // stdout stays byte-identical across hosts and job counts.
+  if (!hn::obs::write_artifacts(
+          opt.artifacts, {.metrics = std::move(result.metrics),
+                          .trace = std::move(result.trace_blob),
+                          .timeseries = std::move(result.timeseries_blob),
+                          .profile = result.profile})) {
+    return 2;
   }
   return result.ok() ? 0 : 1;
 }

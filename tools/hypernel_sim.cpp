@@ -7,19 +7,23 @@
 //   hypernel-sim attack   --scenario=<cred|dentry|transient|dma>
 //   hypernel-sim audit    (forged-hypercall storm + invariant audit)
 //   hypernel-sim info     (configuration and timing-model dump)
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <string_view>
 
+#include "common/blob_file.h"
 #include "common/hvc_abi.h"
 #include "common/parse_int.h"
 #include "common/rng.h"
 #include "hypernel/system.h"
-#include "obs/export.h"
 #include "kernel/objects.h"
 #include "kernel/vfs.h"
+#include "obs/artifacts.h"
 #include "secapps/object_monitor.h"
 #include "secapps/rootkit_detector.h"
 #include "sim/dma_device.h"
@@ -43,10 +47,7 @@ struct Options {
   std::string monitor = "none";
   std::string scenario = "cred";
   bool trace = false;
-  std::string metrics_out;
-  std::string trace_out;
-  Cycles sample_cycles = 0;    // 0 = sampling off (unless --timeseries-out)
-  std::string timeseries_out;
+  obs::ArtifactFlags artifacts;
   std::string save_state;  // write a machine snapshot at command exit
   std::string load_state;  // restore a machine snapshot right after boot
 };
@@ -57,10 +58,15 @@ const char* arg_value(const char* arg, const char* key) {
   return nullptr;
 }
 
-/// Reports a malformed integer flag; the caller's usage error.
-bool bad_number(const char* arg) {
-  std::fprintf(stderr, "malformed number in '%s'\n", arg);
+/// Reports a malformed or unknown flag value; the caller's usage error.
+bool bad_value(const char* arg) {
+  std::fprintf(stderr, "bad value in '%s'\n", arg);
   return false;
+}
+
+bool is_one_of(std::string_view v,
+               std::initializer_list<std::string_view> names) {
+  return std::find(names.begin(), names.end(), v) != names.end();
 }
 
 bool parse(int argc, char** argv, Options& opt) {
@@ -75,30 +81,25 @@ bool parse(int argc, char** argv, Options& opt) {
       } else if (std::strcmp(v, "hypernel") == 0) {
         opt.mode = hypernel::Mode::kHypernel;
       } else {
-        return false;
+        return bad_value(argv[i]);
       }
     } else if (const char* v2 = arg_value(argv[i], "--iters")) {
-      if (!parse_u32(v2, &opt.iters)) return bad_number(argv[i]);
+      if (!parse_u32(v2, &opt.iters)) return bad_value(argv[i]);
     } else if (const char* v3 = arg_value(argv[i], "--name")) {
+      if (!is_one_of(v3, {"whetstone", "dhrystone", "untar", "iozone",
+                          "apache"})) {
+        return bad_value(argv[i]);
+      }
       opt.name = v3;
     } else if (const char* v4 = arg_value(argv[i], "--scale")) {
-      opt.scale = std::atof(v4);
+      if (!parse_double(v4, &opt.scale)) return bad_value(argv[i]);
     } else if (const char* v5 = arg_value(argv[i], "--seed")) {
-      if (!parse_u64(v5, &opt.seed)) return bad_number(argv[i]);
+      if (!parse_u64(v5, &opt.seed)) return bad_value(argv[i]);
     } else if (const char* v6 = arg_value(argv[i], "--monitor")) {
+      if (!is_one_of(v6, {"none", "word", "object"})) return bad_value(argv[i]);
       opt.monitor = v6;
     } else if (const char* v7 = arg_value(argv[i], "--scenario")) {
       opt.scenario = v7;
-    } else if (const char* v8 = arg_value(argv[i], "--metrics-out")) {
-      opt.metrics_out = v8;
-    } else if (const char* v9 = arg_value(argv[i], "--trace-out")) {
-      opt.trace_out = v9;
-    } else if (const char* vs = arg_value(argv[i], "--sample-cycles")) {
-      if (!parse_u64(vs, &opt.sample_cycles)) return bad_number(argv[i]);
-    } else if (const char* vt = arg_value(argv[i], "--timeseries-out")) {
-      opt.timeseries_out = vt;
-    } else if (std::strcmp(argv[i], "--sample-cycles") == 0) {
-      opt.sample_cycles = obs::kDefaultSampleCycles;
     } else if (const char* v10 = arg_value(argv[i], "--save-state")) {
       opt.save_state = v10;
     } else if (const char* v11 = arg_value(argv[i], "--load-state")) {
@@ -117,26 +118,20 @@ std::unique_ptr<hypernel::System> build(const Options& opt, bool want_mbm) {
   hypernel::SystemConfig cfg;
   cfg.mode = opt.mode;
   cfg.enable_mbm = want_mbm && opt.mode != hypernel::Mode::kKvmGuest;
-  // The flight recorder interleaves obs spans on the exported timeline,
-  // and spans only record when the registry is enabled.
-  cfg.metrics = !opt.metrics_out.empty() || !opt.trace_out.empty();
-  // --timeseries-out without an explicit interval samples at the default.
-  cfg.machine.sample_cycles =
-      opt.sample_cycles != 0
-          ? opt.sample_cycles
-          : (opt.timeseries_out.empty() ? 0 : obs::kDefaultSampleCycles);
+  cfg.metrics = opt.artifacts.registry();
+  cfg.machine.sample_cycles = opt.artifacts.sample_cycles;
   auto r = hypernel::System::create(cfg);
   if (!r.ok()) {
     std::fprintf(stderr, "system creation failed: %s\n",
                  r.status().message().c_str());
     std::exit(1);
   }
-  if (!opt.trace_out.empty()) {
-    r.value()->machine().trace().set_enabled(true);
-  }
+  sim::Machine& m = r.value()->machine();
+  m.trace().set_enabled(!opt.artifacts.trace_out.empty());
+  m.profiler().set_enabled(opt.artifacts.profile);
   if (!opt.load_state.empty()) {
     std::vector<u8> blob;
-    if (!sim::read_snapshot_file(opt.load_state, blob)) {
+    if (!read_blob_file(opt.load_state, blob)) {
       std::fprintf(stderr, "load-state: cannot read %s\n",
                    opt.load_state.c_str());
       std::exit(1);
@@ -162,7 +157,7 @@ bool dump_state(const Options& opt, hypernel::System& sys) {
   if (opt.save_state.empty()) return true;
   const sim::Snapshot snap = sys.save_state();
   const std::vector<u8> blob = sim::pack_snapshot(snap);
-  if (!sim::write_snapshot_file(blob, opt.save_state)) {
+  if (!write_blob_file(blob, opt.save_state)) {
     std::fprintf(stderr, "save-state: failed to write %s\n",
                  opt.save_state.c_str());
     return false;
@@ -172,60 +167,18 @@ bool dump_state(const Options& opt, hypernel::System& sys) {
   return true;
 }
 
-/// Write the system's metrics snapshot when --metrics-out was given.
-/// Returns false (and complains) on I/O failure.
-bool dump_metrics(const Options& opt, hypernel::System& sys) {
-  if (opt.metrics_out.empty()) return true;
-  const obs::Snapshot snap = sys.metrics_snapshot();
-  if (!obs::write_metrics_file(snap, opt.metrics_out)) {
-    std::fprintf(stderr, "metrics: failed to write %s\n",
-                 opt.metrics_out.c_str());
-    return false;
-  }
-  std::fprintf(stderr, "metrics: %zu entries written to %s\n",
-               snap.entries.size(), opt.metrics_out.c_str());
-  return true;
-}
-
-/// Write the flight-recorder trace when --trace-out was given.
-bool dump_trace(const Options& opt, hypernel::System& sys) {
-  if (opt.trace_out.empty()) return true;
-  const std::vector<u8> blob = sim::capture_trace(sys.machine());
-  if (!sim::write_trace_file(blob, opt.trace_out)) {
-    std::fprintf(stderr, "trace: failed to write %s\n",
-                 opt.trace_out.c_str());
-    return false;
-  }
-  std::fprintf(stderr, "trace: %llu event(s) written to %s\n",
-               (unsigned long long)sys.machine().trace().size(),
-               opt.trace_out.c_str());
-  return true;
-}
-
-/// Write the sampled time-series stream when --timeseries-out was given.
-bool dump_timeseries(const Options& opt, hypernel::System& sys) {
-  if (opt.timeseries_out.empty()) return true;
-  const std::vector<u8> blob = sim::capture_timeseries(sys.machine());
-  if (!obs::write_timeseries_file(blob, opt.timeseries_out)) {
-    std::fprintf(stderr, "timeseries: failed to write %s\n",
-                 opt.timeseries_out.c_str());
-    return false;
-  }
-  std::fprintf(stderr, "timeseries: %zu sample(s) x %zu track(s) written to %s\n",
-               sys.machine().timeseries().sample_count(),
-               sys.machine().timeseries().track_count(),
-               opt.timeseries_out.c_str());
-  return true;
-}
-
-/// All exit artifacts (--metrics-out / --trace-out / --timeseries-out /
-/// --save-state), in one place.
+/// All exit artifacts (the five artifact flags and --save-state), in one
+/// place.
 bool dump_outputs(const Options& opt, hypernel::System& sys) {
-  const bool metrics_ok = dump_metrics(opt, sys);
-  const bool trace_ok = dump_trace(opt, sys);
-  const bool timeseries_ok = dump_timeseries(opt, sys);
+  sim::Machine& m = sys.machine();
+  obs::Produced produced{.metrics = sys.metrics_snapshot(),
+                         .timeseries = sim::capture_timeseries(m),
+                         .profile = m.profiler().report()};
+  if (!opt.artifacts.trace_out.empty()) produced.trace = sim::capture_trace(m);
+  const bool artifacts_ok =
+      obs::write_artifacts(opt.artifacts, std::move(produced));
   const bool state_ok = dump_state(opt, sys);
-  return metrics_ok && trace_ok && timeseries_ok && state_ok;
+  return artifacts_ok && state_ok;
 }
 
 int cmd_lmbench(const Options& opt) {
@@ -394,21 +347,24 @@ void usage() {
       "  attack  --scenario=<cred|dentry|transient|dma> [--trace]\n"
       "  audit   [--seed=N]\n"
       "  info    [--mode=...]\n"
-      "  any command also accepts --metrics-out=F (JSON, or CSV when F\n"
-      "  ends in .csv): observability metrics of the run,\n"
-      "  --sample-cycles[=N] / --timeseries-out=F: sample every enrolled\n"
-      "  time-series track every N simulated cycles (default 65536) and\n"
-      "  write the HNTSERIE stream to F (render with hypernel_trace\n"
-      "  timeline; also embedded in --trace-out traces), and\n"
-      "  --save-state=F / --load-state=F: write the machine snapshot at\n"
-      "  exit / restore one right after boot (the configuration must match\n"
-      "  the one the snapshot was taken from)\n");
+      "  any command also accepts --save-state=F / --load-state=F: write\n"
+      "  the machine snapshot at exit / restore one right after boot (the\n"
+      "  configuration must match the one the snapshot was taken from)\n"
+      "artifacts of the run (the profile starts after boot):\n%s",
+      obs::kArtifactUsage);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opt;
+  Result<obs::ArtifactFlags> artifacts = obs::strip_artifact_flags(&argc, argv);
+  if (!artifacts.ok()) {
+    std::fprintf(stderr, "%s\n", artifacts.status().message().c_str());
+    usage();
+    return 2;
+  }
+  opt.artifacts = std::move(artifacts).value();
   if (!parse(argc, argv, opt)) {
     usage();
     return 2;

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/blob_file.h"
 #include "obs/profile.h"
 #include "sim/trace_io.h"
 #include "sim/trace_report.h"
@@ -31,7 +32,7 @@ const char* arg_value(const char* arg, const char* key) {
 
 bool load(const std::string& path, sim::TraceData& data) {
   std::vector<u8> blob;
-  if (!sim::read_trace_file(path, blob)) {
+  if (!read_blob_file(path, blob)) {
     std::fprintf(stderr, "cannot read %s\n", path.c_str());
     return false;
   }
@@ -59,14 +60,10 @@ int cmd_export(const std::string& path, const std::string& out_path) {
     std::fputs(json.c_str(), stdout);
     return 0;
   }
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr ||
-      std::fwrite(json.data(), 1, json.size(), f) != json.size()) {
+  if (!write_blob_file(std::vector<u8>(json.begin(), json.end()), out_path)) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    if (f != nullptr) std::fclose(f);
     return 1;
   }
-  std::fclose(f);
   std::fprintf(stderr, "chrome trace written to %s\n", out_path.c_str());
   return 0;
 }
@@ -75,7 +72,7 @@ int cmd_timeline(const std::string& path) {
   // Accepts either a full HNTRACE v3 trace (time-series section embedded)
   // or a bare HNTSERIE stream (--timeseries-out artifact).
   std::vector<u8> blob;
-  if (!sim::read_trace_file(path, blob)) {
+  if (!read_blob_file(path, blob)) {
     std::fprintf(stderr, "cannot read %s\n", path.c_str());
     return 1;
   }
@@ -130,17 +127,12 @@ bool json_counter(const std::string& text, const std::string& path,
 }
 
 int cmd_profile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
+  std::vector<u8> blob;
+  if (!read_blob_file(path, blob)) {
     std::fprintf(stderr, "cannot read %s\n", path.c_str());
     return 1;
   }
-  std::string text;
-  char buf[4096];
-  for (size_t n; (n = std::fread(buf, 1, sizeof buf, f)) > 0;) {
-    text.append(buf, n);
-  }
-  std::fclose(f);
+  const std::string text(blob.begin(), blob.end());
 
   obs::ProfileReport report;
   bool any = false;
@@ -154,8 +146,8 @@ int cmd_profile(const std::string& path) {
   }
   if (!any) {
     std::fprintf(stderr,
-                 "%s has no profile.* counters (produce one with\n"
-                 "  hypernel_fuzz --profile --metrics-out=%s ...)\n",
+                 "%s has no profile.* counters (produce one by running any\n"
+                 "  tool or bench with --profile --metrics-out=%s)\n",
                  path.c_str(), path.c_str());
     return 1;
   }
@@ -175,8 +167,8 @@ void usage() {
       "  dump FILE [--filter=K]   list events (K: kind name, e.g. buswrite)\n"
       "  diff A B                 compare two traces (exit 1 on difference)\n"
       "  profile FILE             render the self-time table from a metrics\n"
-      "                           JSON (hypernel_fuzz --profile "
-      "--metrics-out=FILE)\n");
+      "                           JSON (any tool or bench run with\n"
+      "                           --profile --metrics-out=FILE)\n");
 }
 
 }  // namespace
