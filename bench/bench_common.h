@@ -68,8 +68,8 @@ inline void fold(obs::Produced& into, obs::Produced cell) {
 }
 
 /// Build `cfg` with the artifact flags applied: the registry, the
-/// sampler, the flight recorder and the profiler (from the end of boot)
-/// are on as the flags ask.
+/// sampler, the flight recorder and the scope stack's host clock (from
+/// the end of boot) are on as the flags ask.
 inline std::unique_ptr<hypernel::System> make_system(
     hypernel::SystemConfig cfg) {
   const obs::ArtifactFlags& flags = artifacts();
@@ -83,7 +83,7 @@ inline std::unique_ptr<hypernel::System> make_system(
   }
   sim::Machine& m = sys.value()->machine();
   m.trace().set_enabled(!flags.trace_out.empty());
-  m.profiler().set_enabled(flags.profile);
+  m.scopes().set_host_clock(flags.profile);
   return std::move(sys).value();
 }
 
@@ -117,7 +117,7 @@ inline void record_cell(u64 index, hypernel::System& sys) {
   const obs::ArtifactFlags& flags = artifacts();
   sim::Machine& m = sys.machine();
   obs::Produced cell{.timeseries = sim::capture_timeseries(m),
-                     .profile = m.profiler().report()};
+                     .profile = m.scopes().report()};
   if (!flags.metrics_out.empty()) cell.metrics = sys.metrics_snapshot();
   if (!flags.trace_out.empty()) cell.trace = sim::capture_trace(m);
   record_cell(index, std::move(cell));

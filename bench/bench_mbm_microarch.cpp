@@ -75,8 +75,8 @@ BENCHMARK(BM_EventRingPushPop);
 void BM_SnoopPipeline(benchmark::State& state) {
   sim::Machine machine{sim::MachineConfig{}};
   const hn::obs::ArtifactFlags& flags = hn::bench::artifacts();
-  if (!flags.metrics_out.empty()) machine.obs().set_enabled(true);
-  machine.profiler().set_enabled(flags.profile);
+  if (!flags.metrics_out.empty()) machine.set_metrics(true);
+  machine.scopes().set_host_clock(flags.profile);
   mbm::MbmConfig cfg;
   cfg.watch_base = 0;
   cfg.watch_size = machine.secure_base();
@@ -116,8 +116,8 @@ void BM_SnoopPipeline(benchmark::State& state) {
       static_cast<double>(s.bitmap_cache_hits) /
       static_cast<double>(s.bitmap_cache_hits + s.bitmap_cache_misses);
   state.counters["fifo_drops"] = static_cast<double>(s.fifo_drops);
-  hn::bench::record_cell(density, {.metrics = machine.obs().snapshot(),
-                                   .profile = machine.profiler().report()});
+  hn::bench::record_cell(density, {.metrics = machine.metrics_snapshot(),
+                                   .profile = machine.scopes().report()});
 }
 BENCHMARK(BM_SnoopPipeline)->Arg(1)->Arg(50)->Arg(500);
 

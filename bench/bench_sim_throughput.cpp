@@ -165,8 +165,8 @@ ModeRun run_mode(bool fast_path, Setup&& setup, Body&& body) {
   auto bm = setup(fast_path);
   Machine& m = bm->m();
   const hn::obs::ArtifactFlags& flags = hn::bench::artifacts();
-  if (!flags.metrics_out.empty()) m.obs().set_enabled(true);
-  m.profiler().set_enabled(flags.profile);
+  if (!flags.metrics_out.empty()) m.set_metrics(true);
+  m.scopes().set_host_clock(flags.profile);
   Stopwatch sw;
   body(*bm);
   ModeRun r;
@@ -181,8 +181,8 @@ ModeRun run_mode(bool fast_path, Setup&& setup, Body&& body) {
     // One cell per fast-mode run (the mode whose counters the table
     // reports); the reference run would double every count.
     static u64 cell = 0;
-    hn::bench::record_cell(cell++, {.metrics = m.obs().snapshot(),
-                                    .profile = m.profiler().report()});
+    hn::bench::record_cell(cell++, {.metrics = m.metrics_snapshot(),
+                                    .profile = m.scopes().report()});
   }
   return r;
 }

@@ -31,8 +31,8 @@ struct ScorecardOptions {
   /// Capture the causal flight recorder per cell and require every
   /// detection to be attributable to a bus write through the cause chain.
   bool trace_attribution = true;
-  /// Enable the host self-time profiler per cell and merge the reports
-  /// into Scorecard::profile.  Reporting only, never part of the digest.
+  /// Turn on the host clock per cell and merge the layer reports into
+  /// Scorecard::profile.  Reporting only, never part of the digest.
   bool profile = false;
   /// Enable the metrics registry per cell and fold the snapshots (cell
   /// order) into Scorecard::metrics.  Reporting only, never part of the
@@ -104,9 +104,9 @@ struct Scorecard {
   /// (ScorecardOptions::sample_cycles).  Like sample_trace, an artifact —
   /// not part of the digest contract.
   std::vector<u8> sample_timeseries;
-  /// Merged per-cell self-time reports (ScorecardOptions::profile).
+  /// Merged per-cell layer reports (ScorecardOptions::profile).
   /// Host wall clock — never part of the digest contract.
-  obs::ProfileReport profile;
+  obs::LayerReport profile;
   /// Per-cell metrics folded in cell order
   /// (ScorecardOptions::collect_metrics).  Not part of the digest.
   obs::Snapshot metrics;

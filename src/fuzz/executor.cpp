@@ -222,8 +222,7 @@ class Exec {
       }
       StepRecord rec;
       {
-        obs::SelfProfiler::Scope prof(m().profiler(),
-                                      obs::ProfileBucket::kStep);
+        obs::Scope scope(m().scopes(), obs::Layer::kFuzzStep);
         rec.result = execute(ops[i]);
       }
       if (traced) {
@@ -262,11 +261,7 @@ class Exec {
       }
     }
 
-    {
-      obs::SelfProfiler::Scope prof(m().profiler(),
-                                    obs::ProfileBucket::kDigest);
-      out.fingerprint = hypernel::take_fingerprint(*sys_);
-    }
+    out.fingerprint = hypernel::take_fingerprint(*sys_);
     out.fingerprint.op_digest = digest;
     if (monitor_ || invariant_ || cfi_) {
       out.fingerprint.alerts = total_alerts();
@@ -289,12 +284,7 @@ class Exec {
     if (opt_.sample_cycles != 0) {
       out.timeseries_blob = sim::capture_timeseries(m());
     }
-    if (opt_.profile) {
-      out.profile = m().profiler().report();
-      constexpr auto kBoot = static_cast<unsigned>(obs::ProfileBucket::kBoot);
-      out.profile.self_ns[kBoot] += boot_ns_;
-      if (boot_ns_ != 0) out.profile.scopes[kBoot] += 1;
-    }
+    if (opt_.profile) out.profile = m().scopes().report();
     return out;
   }
 
@@ -314,14 +304,15 @@ class Exec {
       BootSession& session = boot_session(spec_);
       if (!session.status.ok()) return fail(session.status.message());
       const Booted& b = session.booted;
+      obs::ScopeStack& scopes = b.sys->machine().scopes();
       if (opt_.profile) {
-        // The session machine persists across runs on this worker; arm and
-        // zero its profiler so each RunResult carries only its own time.
-        b.sys->machine().profiler().set_enabled(true);
-        b.sys->machine().profiler().reset();
+        // The session machine persists across runs on this worker; start
+        // its host clock and zero its rows so each RunResult carries only
+        // its own time.
+        scopes.set_host_clock(true);
+        scopes.reset_report();
       }
-      obs::SelfProfiler::Scope prof(b.sys->machine().profiler(),
-                                    obs::ProfileBucket::kSnapshot);
+      obs::Scope scope(scopes, obs::Layer::kFuzzSnapshot);
       // Every case restores — including the first, right after the boot
       // that produced the snapshot — so all cases share one start state.
       if (Status s = b.sys->restore_state(session.boot); !s.ok()) {
@@ -343,7 +334,7 @@ class Exec {
       }
       use(b);
     } else {
-      const u64 boot_start = obs::profile_now_ns();
+      const u64 boot_start = obs::host_now_ns();
       if (Status s = boot(spec_, opt_.collect_metrics || opt_.capture_trace,
                           opt_.capture_trace, owned_);
           !s.ok()) {
@@ -351,11 +342,9 @@ class Exec {
       }
       use(owned_);
       if (opt_.profile) {
-        // System::create predates the machine's profiler; charge the whole
-        // build + boot stretch to kBoot by hand.
-        m().profiler().set_enabled(true);
-        m().profiler().reset();
-        boot_ns_ = obs::profile_now_ns() - boot_start;
+        // System::create builds the machine this stack lives in, so the
+        // host clock starts at boot_start with the boot as one scope.
+        m().scopes().start_host_clock_at(boot_start, obs::Layer::kFuzzBoot);
       }
     }
     // Arm the sampler at the op-phase fork point, the same on both paths.
@@ -401,7 +390,6 @@ class Exec {
   }
 
   void audit() {
-    obs::SelfProfiler::Scope prof(m().profiler(), obs::ProfileBucket::kAudit);
     for (const hypersec::AuditFinding& f : sys_->hypersec()->audit_report()) {
       std::string msg = std::string("audit [") + audit_code_name(f.code) +
                         "] " + f.detail;
@@ -1132,7 +1120,6 @@ class Exec {
   secapps::CfiMonitor* cfi_ = nullptr;
   sim::Iommu iommu_;  // bypass mode: DMA passes in every configuration
   VirtAddr scratch_va_ = 0;
-  u64 boot_ns_ = 0;  // fresh boot() wall time (profile's kBoot share)
   size_t step_ = 0;
   OpKind cur_kind_ = OpKind::kCreat;
   std::vector<std::string> violations_;

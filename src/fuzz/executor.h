@@ -23,7 +23,7 @@
 #include "hypernel/fingerprint.h"
 #include "hypernel/system.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
+#include "obs/scope.h"
 #include "secapps/object_monitor.h"
 
 namespace hn::fuzz {
@@ -123,9 +123,10 @@ struct RunResult {
   /// Bit-identical across --jobs, fast-path/reference and snapshot-boot —
   /// the matrix determinism test pins these axes.
   std::vector<u8> timeseries_blob;
-  /// Host self-time attribution of the run (ExecutorOptions::profile).
-  /// Host wall clock — nondeterministic, never folded into digests.
-  obs::ProfileReport profile;
+  /// Per-layer self time of the run on both clocks
+  /// (ExecutorOptions::profile), the host clock from the start of boot.
+  /// Host wall clock is nondeterministic: never folded into digests.
+  obs::LayerReport profile;
 };
 
 struct ExecutorOptions {
@@ -145,7 +146,7 @@ struct ExecutorOptions {
   bool collect_metrics = false;
   /// Record the causal flight recorder for the whole run and return the
   /// serialized blob in RunResult::trace_blob.  Implies the registry
-  /// (spans are interleaved on the exported timeline).
+  /// (layer scopes are interleaved on the exported timeline).
   bool capture_trace = false;
   /// Fork every case from a per-configuration boot snapshot (COW restore)
   /// instead of building and booting a fresh system.  Results are
@@ -154,8 +155,8 @@ struct ExecutorOptions {
   /// runs that need per-run host-side instrumentation (trace_step,
   /// collect_metrics, capture_trace).
   bool snapshot_boot = false;
-  /// Enable the self-time profiler for the run and return its report in
-  /// RunResult::profile.  Host-only: results are unchanged.
+  /// Turn on the machine's host clock for the run and return its layer
+  /// report in RunResult::profile.  Host-only: results are unchanged.
   bool profile = false;
   /// Non-zero = sample every enrolled time-series track every N simulated
   /// cycles and return the serialized stream in

@@ -29,10 +29,14 @@ bool identical_runs(const RunResult& a, const RunResult& b) {
          a.violations == b.violations;
 }
 
+/// Run `ops` across `specs`, check the oracles, and re-run the reference
+/// configuration.  `profile`, when given, folds every run's layer report,
+/// the re-run's included.
 OracleReport check_ops(std::span<const Op> ops,
                        std::span<const FuzzConfigSpec> specs,
                        const ExecutorOptions& exec,
-                       std::vector<RunResult>* runs_out) {
+                       std::vector<RunResult>* runs_out,
+                       obs::LayerReport* profile = nullptr) {
   std::vector<RunResult> runs;
   runs.reserve(specs.size());
   for (const FuzzConfigSpec& spec : specs) {
@@ -46,6 +50,10 @@ OracleReport check_ops(std::span<const Op> ops,
     report.findings.push_back("[" + specs[0].name +
                               "] re-run was not bit-identical (simulator "
                               "nondeterminism)");
+  }
+  if (profile != nullptr) {
+    for (const RunResult& run : runs) profile->merge(run.profile);
+    profile->merge(rerun.profile);
   }
   if (runs_out != nullptr) *runs_out = std::move(runs);
   return report;
@@ -122,25 +130,35 @@ struct SequenceOutcome {
   /// Per-sequence metrics fold (matrix order), merged campaign-wide on
   /// the merging thread.
   obs::Snapshot metrics;
-  /// Per-sequence self-time fold (matrix order), host wall clock.
-  obs::ProfileReport profile;
+  /// Per-layer fold of every run of the sequence, the re-run included,
+  /// with the rest of the sequence's wall in `other`.
+  obs::LayerReport profile;
 };
 
 SequenceOutcome evaluate_sequence(u64 index, const FuzzOptions& options,
                                   const GeneratorOptions& gen,
                                   std::span<const FuzzConfigSpec> specs,
                                   const ExecutorOptions& exec) {
+  const u64 start = obs::host_now_ns();
   SequenceOutcome out;
   out.seq_seed = sequence_seed(options.seed, index);
   out.ops = generate_sequence(out.seq_seed, gen);
   std::vector<RunResult> runs;
-  out.report = check_ops(out.ops, specs, exec, &runs);
+  out.report = check_ops(out.ops, specs, exec, &runs,
+                         exec.profile ? &out.profile : nullptr);
   out.run_digests.reserve(runs.size());
   for (const RunResult& run : runs) {
     out.run_digests.emplace_back(run.fingerprint.functional_hash(),
                                  run.fingerprint.cycles);
     if (exec.collect_metrics) out.metrics.merge(run.metrics);
-    if (exec.profile) out.profile.merge(run.profile);
+  }
+  if (exec.profile) {
+    // What no run's window covered (generation, the oracles, system
+    // teardown) is the sequence's `other`: the rows sum to its wall.
+    const u64 wall = obs::host_now_ns() - start;
+    const u64 covered = out.profile.total_ns();
+    out.profile[obs::Layer::kOther].self_ns += wall > covered ? wall - covered
+                                                              : 0;
   }
   out.evaluated = true;
   return out;

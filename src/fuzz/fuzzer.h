@@ -65,9 +65,9 @@ struct FuzzOptions {
   /// Simulated core count for every configuration in the matrix (1 =
   /// pre-SMP behaviour, bit-identical digests).
   unsigned cores = 1;
-  /// Enable the host self-time profiler on every run and merge the
-  /// reports (index order) into CampaignResult::profile.  Host wall
-  /// clock — never part of digests or verdicts.
+  /// Turn on the host clock on every run and merge the layer reports
+  /// (index order) into CampaignResult::profile.  Host wall clock — never
+  /// part of digests or verdicts.
   bool profile = false;
   /// Collect per-run observability metrics and fold them (index order)
   /// into CampaignResult::metrics.  Purely additive: never changes
@@ -143,9 +143,11 @@ struct CampaignResult {
   /// sample_cycles): sequence 0 under the reference configuration, rerun
   /// on the merging thread so the blob is byte-identical at any `jobs`.
   std::vector<u8> timeseries_blob;
-  /// Campaign-wide self-time fold (FuzzOptions::profile): every run's
-  /// profiler report merged.  Host wall clock, reporting only.
-  obs::ProfileReport profile;
+  /// Campaign-wide layer fold (FuzzOptions::profile): every run of every
+  /// sequence, determinism re-runs included, plus each sequence's
+  /// uncovered wall in `other`, so at jobs == 1 the host column sums to
+  /// the campaign's exec wall.  Host wall clock, reporting only.
+  obs::LayerReport profile;
 
   [[nodiscard]] bool ok() const { return failures == 0; }
 };

@@ -14,7 +14,7 @@ Result<std::unique_ptr<System>> System::create(const SystemConfig& config) {
 
 Status System::build() {
   machine_ = std::make_unique<sim::Machine>(config_.machine);
-  if (config_.metrics) machine_->obs().set_enabled(true);
+  if (config_.metrics) machine_->set_metrics(true);
 
   // The MBM is standard under Hypernel; a Native system may also carry it
   // (without Hypersec) to reproduce the bare external-monitor baseline and

@@ -89,7 +89,7 @@ class System {
   /// Observability snapshot of the machine's metrics registry (empty
   /// values unless SystemConfig::metrics was set).
   [[nodiscard]] obs::Snapshot metrics_snapshot() const {
-    return machine_->obs().snapshot();
+    return machine_->metrics_snapshot();
   }
 
   // --- Machine snapshot / COW fork (DESIGN.md §12) ---------------------------

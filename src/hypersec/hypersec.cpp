@@ -26,8 +26,6 @@ Hypersec::Hypersec(sim::Machine& machine, kernel::Kernel& kernel,
   obs_pt_write_denials_ = obs.counter("hypersec.pt_write_denials");
   obs_traps_ = obs.counter("hypersec.traps");
   obs_trap_denials_ = obs.counter("hypersec.trap_denials");
-  span_hvc_ = machine_.spans().intern("hypersec.hvc");
-  span_trap_ = machine_.spans().intern("hypersec.trap");
 }
 
 Hypersec::~Hypersec() {
@@ -151,6 +149,7 @@ Status Hypersec::enable_dma_protection(sim::Iommu& iommu,
 }
 
 std::vector<AuditFinding> Hypersec::audit_report() const {
+  obs::Scope scope(machine_.scopes(), obs::Layer::kHypersecAudit);
   std::vector<AuditFinding> violations;
   auto note = [&](AuditCode code, std::string detail) {
     violations.push_back(AuditFinding{code, std::move(detail)});
@@ -291,7 +290,6 @@ std::vector<std::string> Hypersec::audit() const {
 }
 
 u64 Hypersec::handle_hvc(u64 func, std::span<const u64> args) {
-  obs::SpanScope span(machine_.spans(), span_hvc_);
   obs_hvc_calls_.add();
   obs_verify_cycles_.add(config_.verify_cost);
   machine_.advance(config_.verify_cost);
@@ -464,7 +462,7 @@ u64 Hypersec::do_mbm_irq() {
 }
 
 TrapVerdict Hypersec::handle_sysreg_trap(SysReg reg, u64 value) {
-  obs::SpanScope span(machine_.spans(), span_trap_);
+  obs::Scope scope(machine_.scopes(), obs::Layer::kHypersecTrap);
   obs_traps_.add();
   obs_verify_cycles_.add(config_.verify_cost);
   machine_.advance(config_.verify_cost);

@@ -252,16 +252,13 @@ class Hypersec {
   bool initialized_ = false;
   // Audit memoization state; mutable because audit_report() is const.
   mutable std::map<PhysAddr, AuditTableEntry> audit_cache_;
-  // Observability: counters plus interned span names for the two EL2
-  // entry points (hvc dispatch and sysreg traps).
+  // Observability counters.
   obs::Counter obs_hvc_calls_;
   obs::Counter obs_verify_cycles_;
   obs::Counter obs_pt_writes_;
   obs::Counter obs_pt_write_denials_;
   obs::Counter obs_traps_;
   obs::Counter obs_trap_denials_;
-  u32 span_hvc_ = 0;
-  u32 span_trap_ = 0;
 };
 
 }  // namespace hn::hypersec

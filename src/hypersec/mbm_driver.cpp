@@ -143,7 +143,11 @@ u64 MbmDriver::drain(const std::function<AppVerdict(const mbm::MonitorEvent&,
       const RegionInfo& region = it->second;
       if (ev.paddr >= region.pa_base &&
           ev.paddr < region.pa_base + region.size) {
-        const AppVerdict verdict = dispatch(ev, region);
+        AppVerdict verdict;
+        {
+          obs::Scope scope(machine_.scopes(), obs::Layer::kSecapps);
+          verdict = dispatch(ev, region);
+        }
         ++delivered;
         ++events_delivered_;
         // One bus-order read per verdict, shared between the trace

@@ -39,7 +39,7 @@ class Kernel::SvcScope {
  public:
   explicit SvcScope(Kernel& kernel)
       : machine_(kernel.machine_),
-        prof_(machine_.profiler(), obs::ProfileBucket::kSyscall) {
+        scope_(machine_.scopes(), obs::Layer::kKernelSyscall) {
     machine_.advance(machine_.timing().svc_entry);
     ++machine_.counters().svc_calls;
     kernel.obs_syscalls_.add();
@@ -51,7 +51,7 @@ class Kernel::SvcScope {
 
  private:
   sim::Machine& machine_;
-  obs::SelfProfiler::Scope prof_;
+  obs::Scope scope_;
 };
 
 Kernel::Kernel(sim::Machine& machine, const KernelConfig& config)

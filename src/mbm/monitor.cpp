@@ -54,30 +54,28 @@ MemoryBusMonitor::~MemoryBusMonitor() {
 }
 
 void MemoryBusMonitor::on_transaction(const sim::BusTransaction& txn) {
-  if (!enabled_) return;
-  switch (txn.op) {
-    case sim::BusOp::kWriteWord:
-      handle_word_write(txn.paddr, txn.value, txn.timestamp,
-                        /*from_line=*/false, txn.trace_seq);
-      return;
-    case sim::BusOp::kWriteLine: {
-      if (!config_.snoop_line_writebacks) return;
-      ++snooped_line_writes_;
-      // The cache model holds no data, so DRAM already holds the line's
-      // final contents.  Read the whole line before handling any word: a
-      // detection's IRQ handler may rewrite it, and the snooper must see
-      // the contents the write-back put on the bus.
-      u64 words[kCacheLineSize / kWordSize] = {};
-      machine_.phys().read_block(txn.paddr, words, kCacheLineSize);
-      for (u64 i = 0; i < kCacheLineSize / kWordSize; ++i) {
-        handle_word_write(txn.paddr + i * kWordSize, words[i], txn.timestamp,
-                          /*from_line=*/true, txn.trace_seq);
-      }
-      return;
-    }
-    case sim::BusOp::kReadWord:
-    case sim::BusOp::kReadLine:
-      return;  // the snooper captures writes only (§6.3)
+  // The snooper captures writes only (§6.3), line write-backs only in
+  // the conservative mode.
+  const bool snooped =
+      txn.op == sim::BusOp::kWriteWord ||
+      (txn.op == sim::BusOp::kWriteLine && config_.snoop_line_writebacks);
+  if (!enabled_ || !snooped) return;
+  obs::Scope scope(machine_.scopes(), obs::Layer::kMbm);
+  if (txn.op == sim::BusOp::kWriteWord) {
+    handle_word_write(txn.paddr, txn.value, txn.timestamp,
+                      /*from_line=*/false, txn.trace_seq);
+    return;
+  }
+  ++snooped_line_writes_;
+  // The cache model holds no data, so DRAM already holds the line's final
+  // contents.  Read the whole line before handling any word: a detection's
+  // IRQ handler may rewrite it, and the snooper must see the contents the
+  // write-back put on the bus.
+  u64 words[kCacheLineSize / kWordSize] = {};
+  machine_.phys().read_block(txn.paddr, words, kCacheLineSize);
+  for (u64 i = 0; i < kCacheLineSize / kWordSize; ++i) {
+    handle_word_write(txn.paddr + i * kWordSize, words[i], txn.timestamp,
+                      /*from_line=*/true, txn.trace_seq);
   }
 }
 

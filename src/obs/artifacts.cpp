@@ -87,18 +87,19 @@ Result<ArtifactFlags> strip_artifact_flags(int* argc, char** argv) {
 bool write_artifacts(const ArtifactFlags& flags, Produced produced) {
   bool ok = true;
   if (flags.profile) {
-    if (produced.profile.empty()) {
+    if (produced.profile.total_ns() == 0) {
       std::fprintf(stderr, "profile: not rendered: the run recorded none\n");
       ok = false;
     } else {
-      std::fprintf(stderr, "profile (host self-time):\n%s",
-                   render_profile(produced.profile).c_str());
-      // Folded as profile.* counters so `hypernel_trace profile` can
-      // render the report from the exported snapshot.
-      Registry reg;
-      reg.set_enabled(true);
-      publish_profile(produced.profile, reg);
-      produced.metrics.merge(reg.snapshot());
+      LayerReport shown = produced.profile;
+      if (!flags.metrics_out.empty()) {
+        // Render what the file holds, so `hypernel_trace profile` prints
+        // the same table.
+        fold_self_ns(produced.profile, produced.metrics);
+        shown = layer_report(produced.metrics);
+      }
+      std::fprintf(stderr, "profile (self time per layer):\n%s",
+                   render_layers(shown).c_str());
     }
   }
   if (!flags.metrics_out.empty()) {

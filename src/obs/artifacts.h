@@ -6,7 +6,7 @@
 //   --trace-out=F        causal flight-recorder trace (HNTRACE)
 //   --timeseries-out=F   sampled time-series stream (HNTSERIE)
 //   --sample-cycles[=N]  sampling interval in simulated cycles
-//   --profile            host self-time profile, rendered to stderr
+//   --profile            per-layer self time on both clocks, to stderr
 //
 // The contract, the same in every binary: a requested artifact is
 // written, or the writer names it and the binary exits 2.  Flag order
@@ -19,7 +19,7 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
+#include "obs/scope.h"
 
 namespace hn::obs {
 
@@ -32,7 +32,7 @@ struct ArtifactFlags {
   bool profile = false;
 
   /// The metrics registry must be on: --metrics-out exports it, and the
-  /// flight recorder's timeline interleaves its spans.
+  /// flight recorder's timeline interleaves the layer scopes.
   [[nodiscard]] bool registry() const {
     return !metrics_out.empty() || !trace_out.empty();
   }
@@ -53,11 +53,14 @@ struct Produced {
   Snapshot metrics = {};
   std::vector<u8> trace = {};
   std::vector<u8> timeseries = {};
-  ProfileReport profile = {};
+  LayerReport profile = {};
 };
 
-/// Render --profile to stderr (and, with --metrics-out, fold it into the
-/// snapshot as profile.* counters), then write every requested file.
+/// Render --profile to stderr as the per-layer table, then write every
+/// requested file.  With --metrics-out the host clock folds into the
+/// snapshot as layer.<name>.self_ns, beside the registry's
+/// layer.<name>.{self_cycles,scopes}, and the table renders from that
+/// snapshot, so `hypernel_trace profile` prints the same table.
 /// Returns false, naming the artifact, when one was requested but not
 /// produced or could not be written.
 [[nodiscard]] bool write_artifacts(const ArtifactFlags& flags,
@@ -76,9 +79,10 @@ inline constexpr const char* kArtifactUsage =
     "                    sample time-series tracks every N simulated\n"
     "                    cycles (default 65536 with a bare flag or with\n"
     "                    --timeseries-out)\n"
-    "  --profile         render the host self-time profile to stderr;\n"
-    "                    with --metrics-out also exported as profile.*\n"
-    "                    counters (render with hypernel_trace profile)\n"
+    "  --profile         render per-layer self time (simulated cycles and\n"
+    "                    host ms) to stderr; with --metrics-out the host\n"
+    "                    column is also exported as layer.*.self_ns\n"
+    "                    (render with hypernel_trace profile)\n"
     "  A requested artifact is written, or the binary names it and exits 2.\n";
 
 }  // namespace hn::obs

@@ -286,7 +286,7 @@ class Registry {
   /// handle operations only mutate while enabled.
   void set_enabled(bool on) { enabled_ = on; }
   [[nodiscard]] bool enabled() const { return enabled_; }
-  /// Stable address of the enable flag, for handles and SpanScope.
+  /// Stable address of the enable flag, for handles.
   [[nodiscard]] const bool* enabled_flag() const { return &enabled_; }
 
   [[nodiscard]] u64 size() const { return metrics_.size(); }

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "common/le_bytes.h"
+
 namespace hn::obs {
 
 // --- TimeSeriesData ----------------------------------------------------------
@@ -119,68 +121,10 @@ TimeSeriesData TimeSeries::data(Cycles now) const {
 
 // --- Binary format -----------------------------------------------------------
 
-namespace {
-
-void put_u8(std::vector<u8>& out, u8 v) { out.push_back(v); }
-
-void put_u32(std::vector<u8>& out, u32 v) {
-  for (unsigned i = 0; i < 4; ++i) out.push_back(static_cast<u8>(v >> (8 * i)));
-}
-
-void put_u64(std::vector<u8>& out, u64 v) {
-  for (unsigned i = 0; i < 8; ++i) out.push_back(static_cast<u8>(v >> (8 * i)));
-}
-
-void put_f64(std::vector<u8>& out, double v) {
-  u64 bits;
-  std::memcpy(&bits, &v, sizeof bits);
-  put_u64(out, bits);
-}
-
-/// Bounds-checked little-endian reader (mirrors trace_io.cpp's).
-class Reader {
- public:
-  explicit Reader(const std::vector<u8>& blob) : blob_(blob) {}
-
-  bool u8_(u8& v) {
-    if (pos_ + 1 > blob_.size()) return false;
-    v = blob_[pos_++];
-    return true;
-  }
-  bool u32_(u32& v) {
-    if (pos_ + 4 > blob_.size()) return false;
-    v = 0;
-    for (unsigned i = 0; i < 4; ++i) v |= u32{blob_[pos_ + i]} << (8 * i);
-    pos_ += 4;
-    return true;
-  }
-  bool u64_(u64& v) {
-    if (pos_ + 8 > blob_.size()) return false;
-    v = 0;
-    for (unsigned i = 0; i < 8; ++i) v |= u64{blob_[pos_ + i]} << (8 * i);
-    pos_ += 8;
-    return true;
-  }
-  bool f64_(double& v) {
-    u64 bits;
-    if (!u64_(bits)) return false;
-    std::memcpy(&v, &bits, sizeof v);
-    return true;
-  }
-  bool bytes(void* dst, size_t n) {
-    if (pos_ + n > blob_.size()) return false;
-    std::memcpy(dst, blob_.data() + pos_, n);
-    pos_ += n;
-    return true;
-  }
-  [[nodiscard]] size_t remaining() const { return blob_.size() - pos_; }
-
- private:
-  const std::vector<u8>& blob_;
-  size_t pos_ = 0;
-};
-
-}  // namespace
+using le::put_f64;
+using le::put_u32;
+using le::put_u64;
+using le::put_u8;
 
 std::vector<u8> serialize_timeseries(const TimeSeriesData& data) {
   std::vector<u8> out;
@@ -206,7 +150,7 @@ std::vector<u8> serialize_timeseries(const TimeSeriesData& data) {
 
 Status parse_timeseries(const std::vector<u8>& blob, TimeSeriesData& out) {
   out = TimeSeriesData{};
-  Reader r(blob);
+  le::Reader r(blob);
   char magic[8];
   if (!r.bytes(magic, 8) || std::memcmp(magic, kTimeSeriesMagic, 8) != 0) {
     return Status::Invalid("timeseries: bad magic (not an HNTSERIE blob)");

@@ -81,8 +81,8 @@ class CycleAccount {
   /// uniform per-word/per-line charges without a per-event call.
   void charge_batch(Cycles per, u64 n) { charge(per * n); }
   [[nodiscard]] Cycles cycles() const { return cycles_; }
-  /// Stable address of the cycle counter — the simulated-time clock the
-  /// observability span tracer binds to (obs/span.h).
+  /// Stable address of the cycle counter — the simulated clock the
+  /// machine's scope stack binds to (obs/scope.h).
   [[nodiscard]] const Cycles* cycles_ref() const { return &cycles_; }
 
   Counters& counters() { return counters_; }

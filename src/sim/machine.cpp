@@ -10,7 +10,7 @@ namespace hn::sim {
 Machine::Machine(const MachineConfig& config)
     : config_(config),
       phys_(config.dram_size),
-      spans_(obs_),
+      scopes_(obs_),
       fast_path_(config.host_fast_path) {
   assert(config.secure_size < config.dram_size);
   const unsigned ncores = std::max(1u, config.cores);
@@ -33,7 +33,7 @@ Machine::Machine(const MachineConfig& config)
   }
   ipi_pending_.assign(ncores, 0);
   ipi_post_time_.assign(ncores, 0);
-  spans_.bind_clock(cur_->account.cycles_ref());
+  scopes_.bind_clock(cur_->account.cycles_ref());
   obs_walk_ctx_rebuilds_ = obs_.counter("sim.machine.walk_ctx_rebuilds");
   obs_walk_ctx_cached_ = obs_.counter("sim.machine.walk_ctx_cached");
   obs_bulk_chunks_ = obs_.counter("sim.machine.bulk_chunks");
@@ -80,9 +80,10 @@ void Machine::set_active_core(unsigned core) {
   assert(core < cores_.size());
   active_core_ = core;
   cur_ = cores_[core].get();
-  // The span tracer reads simulated time through a bound clock pointer;
-  // repoint it at the newly active core's cycle counter.
-  spans_.bind_clock(cur_->account.cycles_ref());
+  // Settle the open stretch on the old core's clock before the stack
+  // reads the new one: a scope open across the switch keeps exact self
+  // time on both.
+  scopes_.bind_clock(cur_->account.cycles_ref());
   trace_.set_active_core(static_cast<u8>(core));
   if (ipi_pending_[core] != 0) {
     ipi_pending_[core] = 0;
@@ -312,7 +313,7 @@ Access64 Machine::access64(VirtAddr va, bool is_write, u64 value, bool user) {
       translated = true;
     }
     if (!translated) {
-      obs::SelfProfiler::Scope prof(profiler_, obs::ProfileBucket::kTranslate);
+      obs::Scope scope(scopes_, obs::Layer::kSimMmu);
       const WalkContext ctx = walk_context();
       out = cur_->mmu.translate(va, at, ctx);
       if (fast_path_ && out.ok) {
@@ -388,31 +389,9 @@ Access64 Machine::write64(VirtAddr va, u64 value, bool user) {
   return access64(va, /*is_write=*/true, value, user);
 }
 
-bool Machine::read_block_v(VirtAddr va, void* out, u64 len, bool user) {
-  assert(is_word_aligned(va) && len % kWordSize == 0);
-  auto* p = static_cast<u8*>(out);
-  for (u64 off = 0; off < len; off += kWordSize) {
-    const Access64 r = read64(va + off, user);
-    if (!r.ok) return false;
-    std::memcpy(p + off, &r.value, kWordSize);
-  }
-  return true;
-}
-
-bool Machine::write_block_v(VirtAddr va, const void* data, u64 len, bool user) {
-  assert(is_word_aligned(va) && len % kWordSize == 0);
-  const auto* p = static_cast<const u8*>(data);
-  for (u64 off = 0; off < len; off += kWordSize) {
-    u64 v;
-    std::memcpy(&v, p + off, kWordSize);
-    if (!write64(va + off, v, user).ok) return false;
-  }
-  return true;
-}
-
 bool Machine::write_block_bulk(VirtAddr va, const void* data, u64 len,
                                bool user) {
-  obs::SelfProfiler::Scope prof(profiler_, obs::ProfileBucket::kMemory);
+  obs::Scope scope(scopes_, obs::Layer::kSimMem);
   assert(is_word_aligned(va) && len % kWordSize == 0);
   const auto* p = static_cast<const u8*>(data);
   u64 off = 0;
@@ -513,7 +492,7 @@ bool Machine::write_block_bulk(VirtAddr va, const void* data, u64 len,
 }
 
 bool Machine::read_block_bulk(VirtAddr va, void* out_buf, u64 len, bool user) {
-  obs::SelfProfiler::Scope prof(profiler_, obs::ProfileBucket::kMemory);
+  obs::Scope scope(scopes_, obs::Layer::kSimMem);
   assert(is_word_aligned(va) && len % kWordSize == 0);
   auto* p = static_cast<u8*>(out_buf);
   u64 off = 0;
@@ -675,7 +654,7 @@ void Machine::dma_read_block(PhysAddr pa, void* out, u64 len) {
 }
 
 u64 Machine::hvc(u64 func, std::initializer_list<u64> args) {
-  obs::SelfProfiler::Scope prof(profiler_, obs::ProfileBucket::kDispatch);
+  obs::Scope scope(scopes_, obs::Layer::kHypersecHvc);
   // The hypercall ABI passes at most a few words in registers
   // (hvc_abi.h); marshal them on the stack instead of allocating a
   // std::vector per call — hypercalls are a hot path under Hypernel.
@@ -797,6 +776,14 @@ void Machine::save_state(SnapWriter& w) const {
 }
 
 void Machine::restore_state(SnapReader& r) {
+  // The restore rewinds the cycle ledgers: settle the scope stack on the
+  // old clock now, and rebind it to the active core's clock on every way
+  // out.
+  scopes_.bind_clock(nullptr);
+  struct Rebind {
+    Machine& m;
+    ~Rebind() { m.scopes_.bind_clock(m.cur_->account.cycles_ref()); }
+  } rebind{*this};
   r.section("machine");
   const u32 ncores = r.get_u32();
   if (r.ok() && ncores != cores_.size()) {
@@ -863,7 +850,6 @@ void Machine::restore_state(SnapReader& r) {
   // same future core switch the original run would have.
   active_core_ = active;
   cur_ = cores_[active].get();
-  spans_.bind_clock(cur_->account.cycles_ref());
   trace_.set_active_core(static_cast<u8>(active));
   for (auto& core : cores_) {
     // Drop the cached walk context through the existing invalidation
@@ -882,7 +868,7 @@ void Machine::restore_state(SnapReader& r) {
   // sampling runs re-arm after the restore, and delta-encoded counter
   // tracks make the re-primed stream identical to a fresh-boot one.
   obs_.reset_values();
-  spans_.clear();
+  scopes_.clear_ring();
   timeseries_.clear_samples();
 }
 

@@ -27,8 +27,7 @@
 #include "common/timing.h"
 #include "common/types.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
-#include "obs/span.h"
+#include "obs/scope.h"
 #include "obs/timeseries.h"
 #include "sim/bus.h"
 #include "sim/cache.h"
@@ -105,15 +104,24 @@ class Machine {
   ExceptionModel& exceptions() { return cur_->exceptions; }
   Trace& trace() { return trace_; }
   InterruptController& gic() { return cur_->gic; }
-  /// Observability (DESIGN.md §10): per-machine metrics registry and span
-  /// tracer.  Runtime-disabled by default; tools flip it on for
-  /// --metrics-out.  Registration is valid even when disabled.
+  /// Observability (DESIGN.md §10): per-machine metrics registry and
+  /// layer scope stack.  Both are off by default; registration is valid
+  /// even when disabled.
   obs::Registry& obs() { return obs_; }
   [[nodiscard]] const obs::Registry& obs() const { return obs_; }
-  obs::SpanTracer& spans() { return spans_; }
-  /// Host self-time profiler (DESIGN.md §14): off by default (one branch
-  /// per scope); --profile runs enable it and read the report.
-  obs::SelfProfiler& profiler() { return profiler_; }
+  obs::ScopeStack& scopes() { return scopes_; }
+  /// Metrics on or off (--metrics-out, --trace-out): the registry and the
+  /// scope stack's simulated clock switch together.
+  void set_metrics(bool on) {
+    obs_.set_enabled(on);
+    scopes_.set_sim_clock(on);
+  }
+  /// The registry's snapshot, with the scope stack's open stretch
+  /// charged first so the layer.* rows sum to the cycles elapsed.
+  [[nodiscard]] obs::Snapshot metrics_snapshot() {
+    scopes_.settle();
+    return obs_.snapshot();
+  }
   /// Deterministic time-series sampler (DESIGN.md §16).  Built-in tracks
   /// enroll at construction; arm_timeseries() starts sampling.
   obs::TimeSeries& timeseries() { return timeseries_; }
@@ -140,7 +148,8 @@ class Machine {
   [[nodiscard]] const CycleAccount& core_account(unsigned core) const {
     return cores_[core]->account;
   }
-  /// Switch the executing core: rebinds the span clock and the trace's
+  /// Switch the executing core: settles the scope stack on the old core's
+  /// clock and rebinds it to the new one, moves the trace's
   /// ambient provenance stamp, and delivers any IPI latched for the
   /// target on *its* GIC, so delivery charges and trace events attribute
   /// to the receiving core.  Never called on single-core machines.
@@ -204,11 +213,6 @@ class Machine {
   // --- EL0/EL1 virtual-address accesses -------------------------------------
   Access64 read64(VirtAddr va, bool user = false);
   Access64 write64(VirtAddr va, u64 value, bool user = false);
-
-  /// Word-granular block transfer; `va` must be word aligned and `len` a
-  /// multiple of the word size (kernel buffers are padded accordingly).
-  bool read_block_v(VirtAddr va, void* out, u64 len, bool user = false);
-  bool write_block_v(VirtAddr va, const void* data, u64 len, bool user = false);
 
   /// Bulk transfer optimised for large cacheable buffers (page-cache data,
   /// COW copies): one translation per page, one cache access per line,
@@ -341,7 +345,8 @@ class Machine {
   /// Restore architectural state from `r` into this live machine.  Wiring
   /// (handlers, snoopers) and the host fast-path setting persist; the
   /// cached walk context is dropped through the vm-generation mechanism
-  /// and host-side observability (metrics, spans) resets.  Pending IPIs
+  /// and host-side observability (metrics, the scope ring) resets; open
+  /// scopes stay open across the restore.  Pending IPIs
   /// restore latched (not delivered): they fire when the scheduler next
   /// activates their target, exactly as they would have pre-snapshot.
   void restore_state(SnapReader& r);
@@ -410,8 +415,7 @@ class Machine {
   // Declared before the components that register metrics in their
   // constructors (Mmu); initialization order is declaration order.
   obs::Registry obs_;
-  obs::SpanTracer spans_;
-  obs::SelfProfiler profiler_;
+  obs::ScopeStack scopes_;
   // Declared before cores_: the per-core built-in tracks enroll probes
   // into it during core construction.
   obs::TimeSeries timeseries_;

@@ -1,86 +1,30 @@
 #include "sim/trace_io.h"
 
 #include <cstring>
+#include <string_view>
 
+#include "common/le_bytes.h"
 #include "sim/machine.h"
 
 namespace hn::sim {
 
-namespace {
-
-// Little-endian append helpers.  The format is defined as little-endian
-// regardless of host byte order; memcpy of integral values is correct on
-// every platform this simulator targets (and asserted nowhere else).
-void put_u8(std::vector<u8>& out, u8 v) { out.push_back(v); }
-
-void put_u32(std::vector<u8>& out, u32 v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<u8>(v >> (8 * i)));
-}
-
-void put_u64(std::vector<u8>& out, u64 v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<u8>(v >> (8 * i)));
-}
-
-void put_f64(std::vector<u8>& out, double v) {
-  u64 bits;
-  std::memcpy(&bits, &v, 8);
-  put_u64(out, bits);
-}
-
-/// Bounds-checked little-endian reader over a blob.
-class Reader {
- public:
-  explicit Reader(const std::vector<u8>& blob) : blob_(blob) {}
-
-  bool u8_(u8& v) {
-    if (pos_ + 1 > blob_.size()) return false;
-    v = blob_[pos_++];
-    return true;
-  }
-  bool u32_(u32& v) {
-    if (pos_ + 4 > blob_.size()) return false;
-    v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<u32>(blob_[pos_++]) << (8 * i);
-    return true;
-  }
-  bool u64_(u64& v) {
-    if (pos_ + 8 > blob_.size()) return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<u64>(blob_[pos_++]) << (8 * i);
-    return true;
-  }
-  bool f64_(double& v) {
-    u64 bits;
-    if (!u64_(bits)) return false;
-    std::memcpy(&v, &bits, 8);
-    return true;
-  }
-  bool bytes(void* dst, u64 n) {
-    if (pos_ + n > blob_.size()) return false;
-    std::memcpy(dst, blob_.data() + pos_, n);
-    pos_ += n;
-    return true;
-  }
-  [[nodiscard]] u64 remaining() const { return blob_.size() - pos_; }
-
- private:
-  const std::vector<u8>& blob_;
-  u64 pos_ = 0;
-};
-
-}  // namespace
+using le::put_f64;
+using le::put_u32;
+using le::put_u64;
+using le::put_u8;
 
 std::vector<u8> serialize_trace(const Trace& trace,
-                                const obs::SpanTracer* spans, double cpu_ghz,
+                                const obs::ScopeStack* scopes, double cpu_ghz,
                                 const obs::TimeSeriesData* timeseries) {
   const std::vector<TraceEvent> events = trace.chronological();
-  const std::vector<obs::SpanEvent> span_events =
-      spans != nullptr ? spans->chronological()
-                       : std::vector<obs::SpanEvent>{};
-  const u32 name_count = spans != nullptr ? spans->name_count() : 0;
+  const std::vector<obs::ScopeEvent> scope_events =
+      scopes != nullptr ? scopes->chronological()
+                        : std::vector<obs::ScopeEvent>{};
+  // The name table is the layer table: a ring stores layer ids.
+  const u32 name_count = scopes != nullptr ? obs::kLayerCount : 0;
 
   std::vector<u8> out;
-  out.reserve(64 + events.size() * 42 + span_events.size() * 32);
+  out.reserve(64 + events.size() * 42 + scope_events.size() * 32);
   for (const char c : kTraceMagic) out.push_back(static_cast<u8>(c));
   put_u32(out, kTraceFormatVersion);
   put_u32(out, 0);  // reserved
@@ -88,10 +32,10 @@ std::vector<u8> serialize_trace(const Trace& trace,
   put_u64(out, trace.sequence());
   put_u64(out, trace.first_seq());
   put_u64(out, trace.dropped());
-  put_u64(out, spans != nullptr ? spans->dropped() : 0);
+  put_u64(out, scopes != nullptr ? scopes->dropped() : 0);
   put_u64(out, events.size());
   put_u64(out, name_count);
-  put_u64(out, span_events.size());
+  put_u64(out, scope_events.size());
 
   for (const TraceEvent& e : events) {
     put_u64(out, e.seq);
@@ -103,11 +47,11 @@ std::vector<u8> serialize_trace(const Trace& trace,
     put_u8(out, e.core);
   }
   for (u32 id = 0; id < name_count; ++id) {
-    const std::string& name = spans->name(id);
+    const std::string_view name = obs::layer_name(static_cast<obs::Layer>(id));
     put_u32(out, static_cast<u32>(name.size()));
     out.insert(out.end(), name.begin(), name.end());
   }
-  for (const obs::SpanEvent& s : span_events) {
+  for (const obs::ScopeEvent& s : scope_events) {
     put_u32(out, s.name_id);
     put_u32(out, s.depth);
     put_u64(out, s.begin);
@@ -130,10 +74,10 @@ std::vector<u8> capture_trace(Machine& machine) {
   if (machine.timeseries().armed()) {
     obs::TimeSeriesData ts = machine.timeseries().data(machine.bus_order_now());
     ts.cpu_ghz = machine.timing().cpu_ghz;
-    return serialize_trace(machine.trace(), &machine.spans(),
+    return serialize_trace(machine.trace(), &machine.scopes(),
                            machine.timing().cpu_ghz, &ts);
   }
-  return serialize_trace(machine.trace(), &machine.spans(),
+  return serialize_trace(machine.trace(), &machine.scopes(),
                          machine.timing().cpu_ghz);
 }
 
@@ -145,7 +89,7 @@ std::vector<u8> capture_timeseries(Machine& machine) {
 }
 
 Status parse_trace(const std::vector<u8>& blob, TraceData& out) {
-  Reader r(blob);
+  le::Reader r(blob);
   char magic[8];
   if (!r.bytes(magic, 8) || std::memcmp(magic, kTraceMagic, 8) != 0) {
     return Status::Invalid("trace: bad magic (not a HNTRACE file)");
@@ -208,7 +152,7 @@ Status parse_trace(const std::vector<u8>& blob, TraceData& out) {
   out.spans.clear();
   out.spans.reserve(span_count);
   for (u64 i = 0; i < span_count; ++i) {
-    obs::SpanEvent s;
+    obs::ScopeEvent s;
     if (!r.u32_(s.name_id) || !r.u32_(s.depth) || !r.u64_(s.begin) ||
         !r.u64_(s.end) || !r.u64_(s.self)) {
       return Status::Invalid("trace: truncated span table");

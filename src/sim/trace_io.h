@@ -3,7 +3,8 @@
 //
 // A trace file is a self-contained snapshot of one run's causal record:
 // the trace ring (events with sequence ids and cause links), the span
-// ring (named, nested cycle attributions), and enough header metadata
+// table (the machine's completed layer scopes, obs/scope.h, with the
+// layer names as its name table), and enough header metadata
 // (format version, clock rate, drop accounting) for offline tools to
 // reconstruct timelines without the simulator.  Serialization is
 // deterministic — equal machine states produce byte-identical blobs, so
@@ -16,7 +17,7 @@
 
 #include "common/status.h"
 #include "common/types.h"
-#include "obs/span.h"
+#include "obs/scope.h"
 #include "obs/timeseries.h"
 #include "sim/trace.h"
 
@@ -41,22 +42,22 @@ struct TraceData {
   u64 seq_end = 0;            // one past the last stamped sequence id
   u64 first_seq = 0;          // oldest event the ring retained
   u64 trace_dropped = 0;      // events evicted from the trace ring
-  u64 span_dropped = 0;       // spans evicted from the span ring
+  u64 span_dropped = 0;       // scopes evicted from the scope ring
   std::vector<TraceEvent> events;        // chronological
-  std::vector<std::string> span_names;   // indexed by SpanEvent::name_id
-  std::vector<obs::SpanEvent> spans;     // completion order
+  std::vector<std::string> span_names;   // indexed by ScopeEvent::name_id
+  std::vector<obs::ScopeEvent> spans;    // completion order
   /// v3 time-series section; empty tracks = the run sampled nothing.
   obs::TimeSeriesData timeseries;
 };
 
-/// Serialize the trace ring plus (optionally) the span ring into the
-/// binary format.  `spans` may be null when the caller has no tracer;
+/// Serialize the trace ring plus (optionally) a scope ring into the
+/// binary format.  `scopes` may be null for an empty span table;
 /// `timeseries` may be null (or empty) for a zero-length v3 section.
 [[nodiscard]] std::vector<u8> serialize_trace(
-    const Trace& trace, const obs::SpanTracer* spans, double cpu_ghz,
+    const Trace& trace, const obs::ScopeStack* scopes, double cpu_ghz,
     const obs::TimeSeriesData* timeseries = nullptr);
 
-/// Convenience: snapshot `machine`'s trace + spans with its clock rate.
+/// Convenience: snapshot `machine`'s trace + scopes with its clock rate.
 /// When the machine's time-series sampler is armed, the sampled stream
 /// embeds as the v3 section (flushed to the machine's current bus-order
 /// instant), so Perfetto counter tracks ride along with the span export.

@@ -327,7 +327,7 @@ std::string export_chrome_json(const TraceData& data) {
     }
   }
 
-  for (const obs::SpanEvent& s : data.spans) {
+  for (const obs::ScopeEvent& s : data.spans) {
     const std::string name =
         s.name_id < data.span_names.size()
             ? json_escape(data.span_names[s.name_id])

@@ -87,14 +87,27 @@ TEST(CampaignDigest, ProfileCaptureNeverPerturbsResults) {
   const CampaignResult a = run_campaign(opt);
   const CampaignResult b = run_campaign(plain);
   EXPECT_EQ(a.corpus_digest, b.corpus_digest);
-  constexpr auto kStep = static_cast<unsigned>(obs::ProfileBucket::kStep);
-  EXPECT_GT(a.profile.scopes[kStep], 0u);
-  EXPECT_GT(a.profile.self_ns[kStep], 0u);
-  u64 total = 0;
-  for (unsigned i = 0; i < obs::ProfileReport::kBuckets; ++i) {
-    total += b.profile.self_ns[i];
-  }
-  EXPECT_EQ(total, 0u);  // off by default: no attribution recorded
+  EXPECT_GT(a.profile[obs::Layer::kFuzzStep].scopes, 0u);
+  EXPECT_GT(a.profile[obs::Layer::kFuzzStep].self_ns, 0u);
+  EXPECT_GT(a.profile[obs::Layer::kFuzzStep].self_cycles, 0u);
+  EXPECT_GT(a.profile[obs::Layer::kFuzzBoot].self_ns, 0u);
+  EXPECT_EQ(b.profile.total_ns(), 0u);  // off by default: nothing recorded
+}
+
+TEST(CampaignDigest, ProfileCoversTheCampaignWall) {
+  // At --jobs=1 the campaign runs one sequence after another, so the host
+  // column must account for the whole `exec: wall=`: every run's layers,
+  // the determinism re-runs, and each sequence's uncovered rest.
+  FuzzOptions opt;
+  opt.seed = 1;
+  opt.sequences = 10;
+  opt.jobs = 1;
+  opt.profile = true;
+  const CampaignResult r = run_campaign(opt);
+  const double profile_ms = static_cast<double>(r.profile.total_ns()) / 1e6;
+  EXPECT_NEAR(profile_ms, r.exec.wall_ms, 0.01 * r.exec.wall_ms)
+      << "profile total " << profile_ms << " ms, exec wall "
+      << r.exec.wall_ms << " ms";
 }
 
 TEST(CampaignDigest, CapturedTraceIsJobsIndependent) {

@@ -91,19 +91,19 @@ TEST(WriteArtifacts, ProfileFoldsIntoTheMetricsSnapshot) {
   flags.metrics_out = temp_path("hn_artifacts_profile.json");
   flags.profile = true;
   Produced run;
-  const auto syscall = static_cast<unsigned>(ProfileBucket::kSyscall);
-  run.profile.self_ns[syscall] = 5000;
-  run.profile.scopes[syscall] = 2;
+  run.profile[Layer::kKernelSyscall] = {.self_cycles = 700, .self_ns = 5000,
+                                        .scopes = 2};
   ASSERT_TRUE(write_artifacts(flags, std::move(run)));
+  // Only the host column folds in: the simulated columns are the
+  // registry's, which this run did not export.
   const std::string json = read_text(flags.metrics_out);
-  EXPECT_NE(json.find("{\"path\": \"profile.self_ns.syscall\", \"kind\": "
+  EXPECT_NE(json.find("{\"path\": \"layer.kernel.syscall.self_ns\", \"kind\": "
                       "\"counter\", \"value\": 5000}"),
             std::string::npos)
       << json;
-  EXPECT_NE(json.find("{\"path\": \"profile.scopes.syscall\", \"kind\": "
-                      "\"counter\", \"value\": 2}"),
-            std::string::npos)
+  EXPECT_EQ(json.find("layer.kernel.syscall.self_cycles"), std::string::npos)
       << json;
+  EXPECT_EQ(json.find("profile."), std::string::npos) << json;
 }
 
 TEST(WriteArtifacts, WritesEveryRequestedFile) {

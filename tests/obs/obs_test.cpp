@@ -1,6 +1,6 @@
 // Unit tests for the observability layer (src/obs): registry handles,
 // hierarchy rollups, histogram bucketing, snapshot/merge determinism,
-// span tracing with cycle attribution, and the exporters.
+// the layer scope stack's self-time attribution, and the exporters.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,7 +9,7 @@
 
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
+#include "obs/scope.h"
 
 namespace hn::obs {
 namespace {
@@ -191,78 +191,218 @@ TEST(Snapshot, MergeIsAssociative) {
   EXPECT_EQ(ab, a_bc);
 }
 
-TEST(Span, NestingAttributesSelfTime) {
+u64 row_sum(const Snapshot& snap, const char* column) {
+  u64 sum = 0;
+  for (unsigned l = 0; l < kLayerCount; ++l) {
+    sum += snap.value(std::string("layer.") +
+                      layer_name(static_cast<Layer>(l)) + "." + column);
+  }
+  return sum;
+}
+
+TEST(ScopeStack, NestingAttributesSelfTime) {
   Registry reg;
   reg.set_enabled(true);
-  SpanTracer tracer(reg);
+  ScopeStack stack(reg);
   Cycles clock = 0;
-  tracer.bind_clock(&clock);
-  const u32 outer = tracer.intern("outer");
-  const u32 inner = tracer.intern("inner");
+  stack.bind_clock(&clock);
+  stack.set_sim_clock(true);
 
   {
-    SpanScope a(tracer, outer);  // [0 ..
+    Scope a(stack, Layer::kHypersecHvc);  // [0 ..
     clock = 10;
     {
-      SpanScope b(tracer, inner);  // [10 ..
+      Scope b(stack, Layer::kSecapps);  // [10 ..
       clock = 30;
-    }                              // .. 30]: inner total 20
+    }                                   // .. 30]: secapps self 20
     clock = 35;
-  }  // .. 35]: outer total 35, self 35 - 20 = 15
+  }  // .. 35]: hvc self 10 + 5 = 15
 
   const Snapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.value("span.outer.count"), 1u);
-  EXPECT_EQ(snap.value("span.outer.cycles"), 35u);
-  EXPECT_EQ(snap.value("span.outer.self_cycles"), 15u);
-  EXPECT_EQ(snap.value("span.inner.count"), 1u);
-  EXPECT_EQ(snap.value("span.inner.cycles"), 20u);
-  EXPECT_EQ(snap.value("span.inner.self_cycles"), 20u);
+  EXPECT_EQ(snap.value("layer.hypersec.hvc.scopes"), 1u);
+  EXPECT_EQ(snap.value("layer.hypersec.hvc.self_cycles"), 15u);
+  EXPECT_EQ(snap.value("layer.secapps.scopes"), 1u);
+  EXPECT_EQ(snap.value("layer.secapps.self_cycles"), 20u);
+  EXPECT_EQ(row_sum(snap, "self_cycles"), 35u);
 
-  const auto events = tracer.chronological();
+  const auto events = stack.chronological();
   ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].name_id, inner);  // inner completes first
+  EXPECT_EQ(events[0].name_id, static_cast<u32>(Layer::kSecapps));
   EXPECT_EQ(events[0].depth, 1u);
-  EXPECT_EQ(events[1].name_id, outer);
+  EXPECT_EQ(events[0].begin, 10u);
+  EXPECT_EQ(events[0].end, 30u);
+  EXPECT_EQ(events[0].self, 20u);
+  EXPECT_EQ(events[1].name_id, static_cast<u32>(Layer::kHypersecHvc));
   EXPECT_EQ(events[1].depth, 0u);
-  EXPECT_EQ(tracer.open_depth(), 0u);
+  EXPECT_EQ(events[1].begin, 0u);
+  EXPECT_EQ(events[1].end, 35u);
+  EXPECT_EQ(events[1].self, 15u);
+  EXPECT_EQ(stack.depth(), 0u);
 }
 
-TEST(Span, DisabledTracerRecordsNothing) {
-  Registry reg;  // never enabled
-  SpanTracer tracer(reg);
-  Cycles clock = 0;
-  tracer.bind_clock(&clock);
-  const u32 id = tracer.intern("noop");
-  {
-    SpanScope s(tracer, id);
-    clock = 50;
-  }
-  EXPECT_EQ(tracer.size(), 0u);
-  reg.set_enabled(true);
-  EXPECT_EQ(reg.snapshot().value("span.noop.count"), 0u);
-}
-
-TEST(Span, RingDropsOldestBeyondCapacity) {
+TEST(ScopeStack, DisabledStackRecordsNothing) {
   Registry reg;
   reg.set_enabled(true);
-  SpanTracer tracer(reg, /*ring_capacity=*/4);
+  ScopeStack stack(reg);  // no clock switched on
   Cycles clock = 0;
-  tracer.bind_clock(&clock);
-  const u32 id = tracer.intern("tick");
+  stack.bind_clock(&clock);
+  {
+    Scope s(stack, Layer::kKernelSyscall);
+    clock = 50;
+  }
+  EXPECT_EQ(stack.depth(), 0u);
+  EXPECT_TRUE(stack.chronological().empty());
+  EXPECT_EQ(stack.report().total_cycles(), 0u);
+  EXPECT_EQ(reg.snapshot().value("layer.kernel.syscall.scopes"), 0u);
+  EXPECT_EQ(row_sum(reg.snapshot(), "self_cycles"), 0u);
+}
+
+TEST(ScopeStack, RingDropsOldestBeyondCapacity) {
+  Registry reg;
+  reg.set_enabled(true);
+  ScopeStack stack(reg, /*ring_capacity=*/4);
+  Cycles clock = 0;
+  stack.bind_clock(&clock);
+  stack.set_sim_clock(true);
   for (unsigned i = 0; i < 10; ++i) {
-    SpanScope s(tracer, id);
+    Scope s(stack, Layer::kFuzzStep);
     clock += 1;
   }
-  EXPECT_EQ(tracer.size(), 4u);
-  EXPECT_EQ(tracer.dropped(), 6u);
-  // The counters still saw every span.
-  EXPECT_EQ(reg.snapshot().value("span.tick.count"), 10u);
-  const auto events = tracer.chronological();
+  EXPECT_EQ(stack.dropped(), 6u);
+  // The counters still saw every scope.
+  EXPECT_EQ(reg.snapshot().value("layer.fuzz.step.scopes"), 10u);
+  const auto events = stack.chronological();
   ASSERT_EQ(events.size(), 4u);
   // Oldest-first and strictly increasing begin times after the wrap.
   for (size_t i = 1; i < events.size(); ++i) {
     EXPECT_GT(events[i].begin, events[i - 1].begin);
   }
+}
+
+TEST(ScopeStack, RowsSumToTheElapsedTimeOnBothClocks) {
+  Registry reg;
+  reg.set_enabled(true);
+  ScopeStack stack(reg);
+  Cycles clock = 1000;  // a clock that did not start at 0
+  stack.bind_clock(&clock);
+  stack.set_sim_clock(true);
+  stack.set_host_clock(true);
+  const u64 host_start = stack.host_mark_ns();
+  clock += 7;  // outside any scope: other
+  {
+    Scope step(stack, Layer::kFuzzStep);
+    clock += 11;
+    for (int i = 0; i < 3; ++i) {
+      Scope mem(stack, Layer::kSimMem);
+      clock += 5;
+      Scope mmu(stack, Layer::kSimMmu);
+      clock += 2;
+    }
+    clock += 13;
+  }
+  clock += 3;
+  const LayerReport report = stack.report();
+  EXPECT_EQ(report.total_cycles(), clock - 1000);
+  EXPECT_EQ(report[Layer::kOther].self_cycles, 10u);
+  EXPECT_EQ(report[Layer::kFuzzStep].self_cycles, 24u);
+  EXPECT_EQ(report[Layer::kSimMem].self_cycles, 15u);
+  EXPECT_EQ(report[Layer::kSimMmu].self_cycles, 6u);
+  EXPECT_EQ(report[Layer::kSimMmu].scopes, 3u);
+  // The host rows telescope to the report's host window exactly.
+  EXPECT_EQ(report.total_ns(), stack.host_mark_ns() - host_start);
+  // report() settled the registry, so its rows agree with the report.
+  const Snapshot snap = reg.snapshot();
+  EXPECT_EQ(row_sum(snap, "self_cycles"), clock - 1000);
+  EXPECT_EQ(row_sum(snap, "scopes"), 7u);
+}
+
+TEST(ScopeStack, EnablingMidRunCountsFromTheSwitch) {
+  Registry reg;
+  reg.set_enabled(true);
+  ScopeStack stack(reg);
+  Cycles clock = 0;
+  stack.bind_clock(&clock);
+  {
+    Scope before(stack, Layer::kFuzzStep);  // disarmed: never pushed
+    clock = 100;
+    stack.set_sim_clock(true);  // the stretch starts here, at 100
+    clock = 120;
+    {
+      Scope hvc(stack, Layer::kHypersecHvc);
+      clock = 150;
+    }
+    clock = 160;
+  }  // `before` pops nothing
+  EXPECT_EQ(stack.depth(), 0u);
+  LayerReport report = stack.report();
+  EXPECT_EQ(report.total_cycles(), 60u);
+  EXPECT_EQ(report[Layer::kHypersecHvc].self_cycles, 30u);
+  EXPECT_EQ(report[Layer::kOther].self_cycles, 30u);
+  EXPECT_EQ(report[Layer::kFuzzStep].scopes, 0u);
+
+  // Switching off mid-scope still pops the scope; the stretch while off
+  // is charged nowhere.
+  {
+    Scope open(stack, Layer::kSimMem);
+    clock = 170;
+    stack.set_sim_clock(false);
+    clock = 500;
+  }
+  EXPECT_EQ(stack.depth(), 0u);
+  report = stack.report();
+  EXPECT_EQ(report.total_cycles(), 70u);
+  EXPECT_EQ(report[Layer::kSimMem].self_cycles, 10u);
+}
+
+TEST(ScopeStack, HostClockStartedEarlyChargesTheGapToOneLayer) {
+  Registry reg;
+  ScopeStack stack(reg);
+  Cycles clock = 0;
+  stack.bind_clock(&clock);
+  const u64 since = host_now_ns();
+  stack.start_host_clock_at(since, Layer::kFuzzBoot);
+  const u64 boot_ns = stack.host_mark_ns() - since;
+  {
+    Scope step(stack, Layer::kFuzzStep);
+    clock = 40;
+  }
+  const LayerReport report = stack.report();
+  EXPECT_EQ(report[Layer::kFuzzBoot].self_ns, boot_ns);
+  EXPECT_EQ(report[Layer::kFuzzBoot].scopes, 1u);
+  EXPECT_EQ(report.total_ns(), stack.host_mark_ns() - since);
+  // The simulated clock runs under the host clock alone.
+  EXPECT_EQ(report[Layer::kFuzzStep].self_cycles, 40u);
+}
+
+TEST(LayerReport, RendersBothClocksAndReadsBackFromASnapshot) {
+  LayerReport report;
+  report[Layer::kKernelSyscall] = {.self_cycles = 300, .self_ns = 2000000,
+                                   .scopes = 4};
+  report[Layer::kOther] = {.self_cycles = 100, .self_ns = 2000000};
+  const std::string table = render_layers(report);
+  EXPECT_NE(table.find("self_cycles"), std::string::npos) << table;
+  EXPECT_NE(table.find("self_ms"), std::string::npos) << table;
+  EXPECT_NE(table.find("kernel.syscall"), std::string::npos) << table;
+  EXPECT_NE(table.find("75.0%"), std::string::npos) << table;
+  EXPECT_NE(table.find("50.0%"), std::string::npos) << table;
+  EXPECT_EQ(table.find("sim.mmu"), std::string::npos) << table;
+
+  // A snapshot carrying all three columns reads back to the same report.
+  Registry reg;
+  reg.set_enabled(true);
+  for (const Layer l : {Layer::kKernelSyscall, Layer::kOther}) {
+    const std::string base = std::string("layer.") + layer_name(l);
+    reg.counter(base + ".self_cycles").add(report[l].self_cycles);
+    reg.counter(base + ".scopes").add(report[l].scopes);
+  }
+  Snapshot snap = reg.snapshot();
+  fold_self_ns(report, snap);
+  EXPECT_EQ(render_layers(layer_report(snap)), table);
+
+  // Without the host column the table prints "-" for it.
+  LayerReport cycles_only = report;
+  for (LayerRow& r : cycles_only.rows) r.self_ns = 0;
+  EXPECT_NE(render_layers(cycles_only).find(" - "), std::string::npos);
 }
 
 TEST(Export, GoldenJson) {

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/span.h"
+#include "obs/scope.h"
 #include "sim/trace.h"
 #include "sim/trace_io.h"
 #include "sim/trace_report.h"
@@ -15,30 +15,30 @@
 namespace hn::sim {
 namespace {
 
-/// A small trace + span tracer with known contents.
+/// A small trace + scope stack with known contents.
 struct Fixture {
   Trace trace{8};
   obs::Registry registry;
-  obs::SpanTracer tracer{registry};
+  obs::ScopeStack scopes{registry};
   Cycles clock = 0;
 
   Fixture() {
     trace.set_enabled(true);
-    tracer.bind_clock(&clock);
+    scopes.bind_clock(&clock);
+    scopes.set_sim_clock(true);
     const u64 root = trace.record(100, TraceKind::kBusWrite, 0x2000, 0xABC);
     trace.record_caused(150, TraceKind::kMbmFifo, root, 5, 100);
     trace.record(200, TraceKind::kCustom, 1, 2);
-    const u32 id = tracer.intern("verify");
     clock = 120;
-    tracer.enter(id);
+    scopes.enter(obs::Layer::kHypersecHvc);
     clock = 180;
-    tracer.exit(id);
+    scopes.exit();
   }
 };
 
 TEST(TraceIo, SerializeParseRoundTrip) {
   Fixture f;
-  const std::vector<u8> blob = serialize_trace(f.trace, &f.tracer, 2.0);
+  const std::vector<u8> blob = serialize_trace(f.trace, &f.scopes, 2.0);
   TraceData data;
   ASSERT_TRUE(parse_trace(blob, data).ok());
 
@@ -62,10 +62,11 @@ TEST(TraceIo, SerializeParseRoundTrip) {
   EXPECT_EQ(data.events[1].b, 100u);
   EXPECT_EQ(data.events[2].seq, 2u);
 
-  ASSERT_EQ(data.span_names.size(), 1u);
-  EXPECT_EQ(data.span_names[0], "verify");
+  // The name table is the layer table; scopes name their layer by id.
+  ASSERT_EQ(data.span_names.size(), obs::kLayerCount);
+  EXPECT_EQ(data.span_names[3], "hypersec.hvc");
   ASSERT_EQ(data.spans.size(), 1u);
-  EXPECT_EQ(data.spans[0].name_id, 0u);
+  EXPECT_EQ(data.spans[0].name_id, 3u);
   EXPECT_EQ(data.spans[0].depth, 0u);
   EXPECT_EQ(data.spans[0].begin, 120u);
   EXPECT_EQ(data.spans[0].end, 180u);
@@ -74,8 +75,8 @@ TEST(TraceIo, SerializeParseRoundTrip) {
 
 TEST(TraceIo, SerializationIsDeterministic) {
   Fixture a, b;
-  EXPECT_EQ(serialize_trace(a.trace, &a.tracer, 2.0),
-            serialize_trace(b.trace, &b.tracer, 2.0));
+  EXPECT_EQ(serialize_trace(a.trace, &a.scopes, 2.0),
+            serialize_trace(b.trace, &b.scopes, 2.0));
 }
 
 TEST(TraceIo, RoundTripPreservesRingWrapAccounting) {
@@ -95,7 +96,7 @@ TEST(TraceIo, RoundTripPreservesRingWrapAccounting) {
 
 TEST(TraceIo, ParseRejectsCorruptBlobs) {
   Fixture f;
-  const std::vector<u8> good = serialize_trace(f.trace, &f.tracer, 2.0);
+  const std::vector<u8> good = serialize_trace(f.trace, &f.scopes, 2.0);
   TraceData data;
   ASSERT_TRUE(parse_trace(good, data).ok());
 
@@ -143,7 +144,7 @@ TEST(TraceIo, ParsesVersion1BlobsAsCoreZero) {
   // section) must keep loading: rewrite a v3 blob into its exact v1
   // form and parse it.
   Fixture f;
-  const std::vector<u8> v3 = serialize_trace(f.trace, &f.tracer, 2.0);
+  const std::vector<u8> v3 = serialize_trace(f.trace, &f.scopes, 2.0);
   TraceData expected;
   ASSERT_TRUE(parse_trace(v3, expected).ok());
 

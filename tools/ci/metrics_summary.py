@@ -3,17 +3,54 @@
 
 Usage: metrics_summary.py METRICS.json [TITLE]
 
-Renders the observability snapshot as markdown: subsystem rollups of the
-counters, the largest individual counters, and every histogram's
+Renders the observability snapshot as markdown: the per-layer self-time
+table from the layer.* counters (simulated self cycles with their share,
+and host self-ms when the run also had --profile), subsystem rollups of
+the counters, the largest individual counters, and every histogram's
 count/weight/range.  Output goes to $GITHUB_STEP_SUMMARY (stdout when
-unset).  Exits non-zero only when the snapshot cannot be read — an empty
-metrics file on a run that asked for metrics is itself a bug worth
-failing on.
+unset).  Exits non-zero when the snapshot cannot be read, is empty, or
+carries no layer.* rows: every machine with metrics on registers them,
+so a metrics file without them is itself a bug worth failing on.
 """
 
 import json
 import os
 import sys
+
+
+def layer_rows(metrics):
+    """{layer: {column: value}} from the layer.<name>.<column> counters."""
+    rows = {}
+    for m in metrics:
+        path = m["path"]
+        if m["kind"] != "counter" or not path.startswith("layer."):
+            continue
+        name, _, column = path[len("layer."):].rpartition(".")
+        rows.setdefault(name, {})[column] = m["value"]
+    return rows
+
+
+def layer_table(rows):
+    """Markdown rows: self cycles, then self ms when the run had --profile
+    ("-" otherwise), each with its share of the column's total."""
+    totals = {c: sum(r.get(c, 0) for r in rows.values())
+              for c in ("self_cycles", "self_ns")}
+
+    def cells(r, column, scale, fmt):
+        if not totals[column]:
+            return "- | -"
+        v = r.get(column, 0)
+        return f"{v / scale:{fmt}} | {100.0 * v / totals[column]:.1f}%"
+
+    lines = ["| layer | self cycles | share | self ms | share | scopes |",
+             "|---|---|---|---|---|---|"]
+    for name in sorted(rows):
+        r = rows[name]
+        if any(r.values()):
+            lines.append(f"| `{name}` | {cells(r, 'self_cycles', 1, ',.0f')} | "
+                         f"{cells(r, 'self_ns', 1e6, '.3f')} | "
+                         f"{r.get('scopes', 0):,} |")
+    return lines
 
 
 def main(argv):
@@ -27,6 +64,11 @@ def main(argv):
         print(f"::error::{argv[1]} contains no metrics", file=sys.stderr)
         return 1
 
+    layers = layer_rows(metrics)
+    if not layers:
+        print(f"::error::{argv[1]} has no layer.* rows", file=sys.stderr)
+        return 1
+
     counters = [m for m in metrics if m["kind"] == "counter"]
     gauges = [m for m in metrics if m["kind"] == "gauge"]
     hists = [m for m in metrics if m["kind"] == "histogram"]
@@ -37,7 +79,8 @@ def main(argv):
         rollups[root] = rollups.get(root, 0) + m["value"]
 
     lines = [f"## {title}", ""]
-    lines += ["| subsystem | counter total |", "|---|---|"]
+    lines += layer_table(layers)
+    lines += ["", "| subsystem | counter total |", "|---|---|"]
     for root in sorted(rollups):
         lines.append(f"| {root} | {rollups[root]:,} |")
 

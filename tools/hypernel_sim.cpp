@@ -128,7 +128,7 @@ std::unique_ptr<hypernel::System> build(const Options& opt, bool want_mbm) {
   }
   sim::Machine& m = r.value()->machine();
   m.trace().set_enabled(!opt.artifacts.trace_out.empty());
-  m.profiler().set_enabled(opt.artifacts.profile);
+  m.scopes().set_host_clock(opt.artifacts.profile);
   if (!opt.load_state.empty()) {
     std::vector<u8> blob;
     if (!read_blob_file(opt.load_state, blob)) {
@@ -173,7 +173,7 @@ bool dump_outputs(const Options& opt, hypernel::System& sys) {
   sim::Machine& m = sys.machine();
   obs::Produced produced{.metrics = sys.metrics_snapshot(),
                          .timeseries = sim::capture_timeseries(m),
-                         .profile = m.profiler().report()};
+                         .profile = m.scopes().report()};
   if (!opt.artifacts.trace_out.empty()) produced.trace = sim::capture_trace(m);
   const bool artifacts_ok =
       obs::write_artifacts(opt.artifacts, std::move(produced));

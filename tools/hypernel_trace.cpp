@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "common/blob_file.h"
-#include "obs/profile.h"
+#include "obs/scope.h"
 #include "sim/trace_io.h"
 #include "sim/trace_report.h"
 
@@ -134,24 +134,24 @@ int cmd_profile(const std::string& path) {
   }
   const std::string text(blob.begin(), blob.end());
 
-  obs::ProfileReport report;
+  obs::LayerReport report;
   bool any = false;
-  for (unsigned b = 0; b < obs::ProfileReport::kBuckets; ++b) {
-    const char* name =
-        obs::profile_bucket_name(static_cast<obs::ProfileBucket>(b));
-    any |= json_counter(text, std::string("profile.self_ns.") + name,
-                        &report.self_ns[b]);
-    any |= json_counter(text, std::string("profile.scopes.") + name,
-                        &report.scopes[b]);
+  for (unsigned l = 0; l < obs::kLayerCount; ++l) {
+    const std::string base =
+        std::string("layer.") + obs::layer_name(static_cast<obs::Layer>(l));
+    obs::LayerRow& row = report.rows[l];
+    any |= json_counter(text, base + ".self_cycles", &row.self_cycles);
+    any |= json_counter(text, base + ".self_ns", &row.self_ns);
+    any |= json_counter(text, base + ".scopes", &row.scopes);
   }
   if (!any) {
     std::fprintf(stderr,
-                 "%s has no profile.* counters (produce one by running any\n"
+                 "%s has no layer.* counters (produce one by running any\n"
                  "  tool or bench with --profile --metrics-out=%s)\n",
                  path.c_str(), path.c_str());
     return 1;
   }
-  std::fputs(obs::render_profile(report).c_str(), stdout);
+  std::fputs(obs::render_layers(report).c_str(), stdout);
   return 0;
 }
 
@@ -166,8 +166,8 @@ void usage() {
       "                           Chrome trace-event JSON (Perfetto)\n"
       "  dump FILE [--filter=K]   list events (K: kind name, e.g. buswrite)\n"
       "  diff A B                 compare two traces (exit 1 on difference)\n"
-      "  profile FILE             render the self-time table from a metrics\n"
-      "                           JSON (any tool or bench run with\n"
+      "  profile FILE             render the per-layer self-time table from\n"
+      "                           a metrics JSON (any tool or bench run with\n"
       "                           --profile --metrics-out=FILE)\n");
 }
 
