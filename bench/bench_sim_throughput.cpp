@@ -2,16 +2,17 @@
 //
 // Measures how many *simulated* memory accesses per second of *host*
 // wall-clock the inner loop of the memory system sustains, with the host
-// fast path on (cached walk context, O(1) TLB index, bulk charge-replay)
-// and off (reference mode).  Five loops cover the regimes every table,
-// ablation and fuzz campaign funnels through:
+// fast path on (the TLB's bucket index, the Hypersec audit memo) and off
+// (reference mode: TLB lookups scan the array, every audit rescans).
+// Seven loops cover the regimes every table, ablation and fuzz campaign
+// funnels through:
 //
 //   tlb_hit      — pointer-chase over a working set inside TLB reach
 //   walk_heavy   — working set past TLB reach: every access walks
 //   s2_nested    — walk-heavy with stage 2 enabled (nested descriptor
 //                  fetches, the architectural blow-up of §3)
 //   bulk_copy    — read/write_block_bulk over a non-cacheable buffer
-//                  (the charge-replay path; bus-visible traffic)
+//                  (per-word bus-visible traffic, one TLB lookup a word)
 //   fuzz_replay  — whole differential fuzz sequences across the quick
 //                  configuration matrix (end-to-end replay cost)
 //   campaign     — run_campaign end-to-end (the hypernel_fuzz pipeline):
@@ -305,8 +306,9 @@ LoopResult bench_s2_nested(u64 iters) {
 }
 
 LoopResult bench_bulk_copy(u64 iters) {
-  // 64 KiB non-cacheable buffer: the bulk paths take the charge-replay
-  // branch and every word reaches the bus (MBM-visible traffic).
+  // 64 KiB non-cacheable buffer: the bulk paths fall back to per-word
+  // accesses, each a TLB hit whose word reaches the bus (MBM-visible
+  // traffic), so the two modes differ only in the TLB lookup.
   constexpr u64 kBufBytes = 64 * 1024;
   constexpr unsigned kPages = kBufBytes / kPageSize;
   auto setup = [](bool fp) {

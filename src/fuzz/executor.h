@@ -49,9 +49,10 @@ struct FuzzConfigSpec {
   Cycles l1_miss_fill = 0;
   /// 2 MiB section linear map (Native/KVM only: Hypersec requires 4 KiB).
   bool use_sections = false;
-  /// Off = host-side reference mode (no cached walk context, no bulk
-  /// charge-replay).  Results are bit-identical either way; the fast-path
-  /// differential test runs the corpus with this forced off.
+  /// Off = host-side reference mode (TLB lookups scan the array, the
+  /// Hypersec audit rescans every time).  Results are bit-identical
+  /// either way; the fast-path differential test runs the corpus with
+  /// this forced off.
   bool host_fast_path = true;
   /// Simulated core count (sim::MachineConfig::cores).  A differential
   /// dimension like the mode matrix: 1 reproduces every pre-SMP digest

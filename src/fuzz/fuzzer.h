@@ -59,8 +59,9 @@ struct FuzzOptions {
   /// cancellation of the remaining shards).
   bool fail_fast = false;
   /// Off = run every configuration in host-side reference mode
-  /// (sim::MachineConfig::host_fast_path).  Never changes results — the
-  /// campaign digest must be identical either way.
+  /// (sim::MachineConfig::host_fast_path: no TLB bucket index, no audit
+  /// memo).  Never changes results — the campaign digest must be
+  /// identical either way.
   bool host_fast_path = true;
   /// Simulated core count for every configuration in the matrix (1 =
   /// pre-SMP behaviour, bit-identical digests).

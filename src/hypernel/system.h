@@ -104,7 +104,7 @@ class System {
   [[nodiscard]] sim::Snapshot save_state();
   /// Restore a snapshot into this live, identically-configured system
   /// (validated by config digest).  Wiring persists; architectural state
-  /// is replaced and host-side caches invalidate through vm_generation.
+  /// is replaced.
   /// Records a kSnapshot(restore) event caused by the snapshot's save.
   Status restore_state(const sim::Snapshot& snap);
 

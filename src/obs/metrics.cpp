@@ -20,34 +20,22 @@ detail::Metric* Registry::slot(std::string_view path, MetricKind kind) {
 
 Counter Registry::counter(std::string_view path) {
   Counter c;
-#if HN_OBS
   c.slot_ = slot(path, MetricKind::kCounter);
   c.on_ = &enabled_;
-#else
-  (void)path;
-#endif
   return c;
 }
 
 Gauge Registry::gauge(std::string_view path) {
   Gauge g;
-#if HN_OBS
   g.slot_ = slot(path, MetricKind::kGauge);
   g.on_ = &enabled_;
-#else
-  (void)path;
-#endif
   return g;
 }
 
 Histogram Registry::histogram(std::string_view path) {
   Histogram h;
-#if HN_OBS
   h.slot_ = slot(path, MetricKind::kHistogram);
   h.on_ = &enabled_;
-#else
-  (void)path;
-#endif
   return h;
 }
 

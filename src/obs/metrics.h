@@ -10,10 +10,9 @@
 //
 // Two contracts shape the design:
 //
-//  * Zero overhead when disabled.  With -DHN_OBS=OFF the handle
-//    operations compile to nothing — the instrumented hot loops are the
-//    exact seed code.  With HN_OBS on but the registry runtime-disabled
-//    (the default), an operation is one predictable load + branch.
+//  * Near-zero overhead when disabled.  With the registry
+//    runtime-disabled (the default), an operation is one predictable
+//    load + branch.
 //
 //  * Deterministic snapshot/merge.  A Snapshot is a path-sorted value
 //    type; merging folds counters by addition, gauges by max and
@@ -35,10 +34,6 @@
 #include <vector>
 
 #include "common/types.h"
-
-#ifndef HN_OBS
-#define HN_OBS 1
-#endif
 
 namespace hn::obs {
 
@@ -133,34 +128,21 @@ struct Metric {
 // --- Handles -----------------------------------------------------------------
 //
 // A handle is a registration-time binding of (metric slot, registry
-// enable flag).  Default-constructed handles are inert.  With HN_OBS off
-// the operations are empty inline functions and the members are unused.
+// enable flag).  Default-constructed handles are inert.
 
 class Counter {
  public:
   void add(u64 n = 1) {
-#if HN_OBS
     if (slot_ != nullptr && *on_) slot_->value += n;
-#else
-    (void)n;
-#endif
   }
   /// True when an add() would actually record — lets hot paths skip
   /// computing expensive arguments while observability is off.
   [[nodiscard]] bool active() const {
-#if HN_OBS
     return slot_ != nullptr && *on_;
-#else
-    return false;
-#endif
   }
   /// Current count (0 for inert handles) — the time-series probe read.
   [[nodiscard]] u64 value() const {
-#if HN_OBS
     return slot_ != nullptr ? slot_->value : 0;
-#else
-    return 0;
-#endif
   }
 
  private:
@@ -174,26 +156,14 @@ class Counter {
 class Gauge {
  public:
   void set(u64 v) {
-#if HN_OBS
     if (slot_ != nullptr && *on_) slot_->value = v;
-#else
-    (void)v;
-#endif
   }
   void set_max(u64 v) {
-#if HN_OBS
     if (slot_ != nullptr && *on_ && v > slot_->value) slot_->value = v;
-#else
-    (void)v;
-#endif
   }
   /// Current level (0 for inert handles) — the time-series probe read.
   [[nodiscard]] u64 value() const {
-#if HN_OBS
     return slot_ != nullptr ? slot_->value : 0;
-#else
-    return 0;
-#endif
   }
 
  private:
@@ -205,31 +175,18 @@ class Gauge {
 class Histogram {
  public:
   void record(u64 value, u64 w = 1) {
-#if HN_OBS
     if (slot_ != nullptr && *on_) slot_->hist->record(value, w);
-#else
-    (void)value;
-    (void)w;
-#endif
   }
   /// Cycle-weighted convenience: a sample whose weight is its own value.
   void record_cycles(Cycles c) { record(c, c); }
   /// True when a record() would actually land (see Counter::active()).
   [[nodiscard]] bool active() const {
-#if HN_OBS
     return slot_ != nullptr && *on_;
-#else
-    return false;
-#endif
   }
   /// The live bucket data (nullptr for inert handles) — lets the
   /// time-series layer probe total_weight/total_count without a snapshot.
   [[nodiscard]] const HistogramData* data() const {
-#if HN_OBS
     return slot_ != nullptr ? slot_->hist.get() : nullptr;
-#else
-    return nullptr;
-#endif
   }
 
  private:

@@ -38,7 +38,7 @@
 namespace hn::obs {
 
 enum class Layer : u8 {
-  kSimMmu,         // MMU translates that miss the inline translation cache
+  kSimMmu,         // every data-access translation (Mmu::translate)
   kSimMem,         // bulk data-transfer loops
   kMbm,            // the memory bus monitor snooping one bus write
   kHypersecHvc,    // a hypercall: trap round trip, verification, handler

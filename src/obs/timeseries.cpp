@@ -42,7 +42,6 @@ void TimeSeries::enroll(std::string name, TrackKind kind, Probe probe) {
 }
 
 void TimeSeries::arm(Cycles interval, Cycles now) {
-#if HN_OBS
   samples_.clear();
   interval_ = interval;
   if (interval == 0) return;
@@ -50,10 +49,6 @@ void TimeSeries::arm(Cycles interval, Cycles now) {
   // First boundary strictly after `now`: absolute multiples of the
   // interval, so identical arm cycles give identical stamps.
   next_at_ = (now / interval + 1) * interval;
-#else
-  (void)interval;
-  (void)now;
-#endif
 }
 
 void TimeSeries::clear_samples() {

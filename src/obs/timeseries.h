@@ -118,8 +118,7 @@ class TimeSeries {
   /// samples, primes every counter track's baseline from its probe, and
   /// schedules the first sample at the next absolute boundary after
   /// `now` (boundaries are multiples of `interval` since cycle 0).
-  /// interval 0 disarms.  With HN_OBS compiled out this is a no-op:
-  /// sampling stays disabled.
+  /// interval 0 disarms.
   void arm(Cycles interval, Cycles now);
   void disarm() { interval_ = 0; }
   /// One load + branch — the hot-path gate.

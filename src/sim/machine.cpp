@@ -34,12 +34,8 @@ Machine::Machine(const MachineConfig& config)
   ipi_pending_.assign(ncores, 0);
   ipi_post_time_.assign(ncores, 0);
   scopes_.bind_clock(cur_->account.cycles_ref());
-  obs_walk_ctx_rebuilds_ = obs_.counter("sim.machine.walk_ctx_rebuilds");
-  obs_walk_ctx_cached_ = obs_.counter("sim.machine.walk_ctx_cached");
   obs_bulk_chunks_ = obs_.counter("sim.machine.bulk_chunks");
-  obs_bulk_replay_words_ = obs_.counter("sim.machine.bulk_replay_words");
   obs_bulk_exact_words_ = obs_.counter("sim.machine.bulk_exact_words");
-  obs_bulk_guard_trips_ = obs_.counter("sim.machine.bulk_guard_trips");
   obs_s2_fault_exits_ = obs_.counter("sim.machine.s2_fault_exits");
   enroll_builtin_tracks();
   if (config.sample_cycles != 0) arm_timeseries(config.sample_cycles);
@@ -120,9 +116,7 @@ void Machine::tlb_shootdown_va(VirtAddr va) {
   cur_->mmu.tlb().flush_va(va);
   if (cores_.size() > 1) {
     // Remote invalidation is immediate (the DVM message); the IPI models
-    // the shootdown-completion interrupt the remote core takes.  Bumping
-    // the remote TLB generation also kills its inline translation cache
-    // through the generation guard.
+    // the shootdown-completion interrupt the remote core takes.
     for (unsigned c = 0; c < cores_.size(); ++c) {
       if (c == active_core_) continue;
       cores_[c]->mmu.tlb().flush_va(va);
@@ -158,7 +152,7 @@ void Machine::install_sysreg_trap_handler(ExceptionModel::SysregTrapHandler h) {
   for (auto& c : cores_) c->exceptions.set_sysreg_trap_handler(h);
 }
 
-WalkContext Machine::build_walk_context() const {
+WalkContext Machine::walk_context() const {
   // TTBR0_EL1 carries the ASID in bits [63:48] (TCR.A1 == 0 convention),
   // so an address-space switch is a single system-register write — and
   // thus a single TVM trap under Hypernel (§5.2.2).
@@ -170,22 +164,6 @@ WalkContext Machine::build_walk_context() const {
   ctx.stage2_enabled = cur_->sysregs.hcr_bit(kHcrVm);
   ctx.vttbr = cur_->sysregs.get(SysReg::VTTBR_EL2);
   return ctx;
-}
-
-WalkContext Machine::walk_context() const {
-  if (!fast_path_) {
-    obs_walk_ctx_rebuilds_.add();
-    return build_walk_context();
-  }
-  const u64 gen = cur_->sysregs.vm_generation();
-  if (cur_->walk_ctx_gen != gen) {
-    cur_->walk_ctx = build_walk_context();
-    cur_->walk_ctx_gen = gen;
-    obs_walk_ctx_rebuilds_.add();
-  } else {
-    obs_walk_ctx_cached_.add();
-  }
-  return cur_->walk_ctx;
 }
 
 Cycles Machine::bus_timestamp() {
@@ -223,9 +201,9 @@ Cycles Machine::bus_timestamp() {
   }
   // Identity on a single core: the one clock is the bus clock.
   bus_last_timestamp_ = now;
-  // Time-series poll site.  Never poll inside perform() — the exact and
-  // fast-path modes batch physical accesses differently, while every mode
-  // funnels word bus traffic through here.
+  // Time-series poll site.  Never poll inside perform() — the cacheable
+  // bulk paths batch physical accesses without it, while every word of
+  // bus traffic funnels through here.
   if (timeseries_.armed()) [[unlikely]] timeseries_.poll(now);
   return now;
 }
@@ -282,50 +260,10 @@ Access64 Machine::access64(VirtAddr va, bool is_write, u64 value, bool user) {
   // A stage-2 fault handler may fix the tables and ask for a retry; bound
   // the loop so a broken handler cannot livelock the simulation.
   for (int attempt = 0; attempt < 8; ++attempt) {
-    // Inline translation cache: replay the exact TLB-hit path of
-    // Mmu::translate (which charges no cycles) without the walk-context
-    // rebuild check or the indexed TLB probe.  Valid only while the TLB
-    // and the translation regime are untouched — the generation guards
-    // guarantee the reference-mode lookup would hit the very same entry.
     TranslateOutcome out;
-    bool translated = false;
-    const VirtAddr vpage = page_align_down(va);
-    ItcEntry& slot = cur_->itc[(vpage >> kPageShift) & (kItcEntries - 1)];
-    if (fast_path_ && slot.vpage == vpage &&
-        slot.vm_gen == cur_->sysregs.vm_generation() &&
-        slot.tlb_gen == cur_->mmu.tlb().generation()) {
-      cur_->mmu.note_itc_hit();
-      if (!Mmu::permission_ok(slot.attrs, at)) {
-        out = TranslateOutcome::fail(
-            Fault{FaultType::kPermission, 3, va, 0, is_write});
-      } else if (is_write && !slot.s2_write_ok) {
-        ++cur_->account.counters().s2_permission_faults;
-        const IpaAddr ipa = slot.ppage + (va & kPageMask);
-        out = TranslateOutcome::fail(
-            Fault{FaultType::kS2Permission, 3, va, ipa, true});
-      } else {
-        Translation t;
-        t.pa = slot.ppage + (va & kPageMask);
-        t.attrs = slot.attrs;
-        t.s2_write_ok = slot.s2_write_ok;
-        out = TranslateOutcome::success(t);
-      }
-      translated = true;
-    }
-    if (!translated) {
+    {
       obs::Scope scope(scopes_, obs::Layer::kSimMmu);
-      const WalkContext ctx = walk_context();
-      out = cur_->mmu.translate(va, at, ctx);
-      if (fast_path_ && out.ok) {
-        // Fill after the translate so the recorded generations cover any
-        // TLB insert the walk just performed.
-        slot.vpage = vpage;
-        slot.ppage = page_align_down(out.t.pa);
-        slot.attrs = out.t.attrs;
-        slot.s2_write_ok = out.t.s2_write_ok;
-        slot.tlb_gen = cur_->mmu.tlb().generation();
-        slot.vm_gen = cur_->sysregs.vm_generation();
-      }
+      out = cur_->mmu.translate(va, at, walk_context());
     }
     if (out.ok) {
       Access64 r;
@@ -437,50 +375,11 @@ bool Machine::write_block_bulk(VirtAddr va, const void* data, u64 len,
       cur_->account.counters().mem_writes += words;
       phys_.write_block(pa, p + off, chunk);
     } else {
-      // Non-cacheable / device page.  The reference path issues write64
-      // per word: each one re-reads the walk context, hits the TLB entry
-      // the bulk translate above guaranteed, and reaches the bus.  The
-      // charge-replay fast path performs the identical per-word charges,
-      // counter increments and bus transactions without re-translating.
-      // A bus snooper can react to a write (MBM detection -> IRQ ->
-      // handler code running charged accesses); if that disturbs the TLB
-      // or the translation regime, the guaranteed-hit assumption dies, so
-      // the generation guard drops the rest of the chunk back onto the
-      // exact path.
-      u64 w = 0;
-      if (fast_path_) {
-        const u64 tlb_gen = cur_->mmu.tlb().generation();
-        const u64 vm_gen = cur_->sysregs.vm_generation();
-        for (; w < chunk; w += kWordSize) {
-          ++cur_->account.counters().tlb_hits;
-          u64 v;
-          std::memcpy(&v, p + off + w, kWordSize);
-          ++cur_->account.counters().mem_writes;
-          cur_->account.charge(config_.timing.noncacheable_access);
-          ++cur_->account.counters().noncacheable_accesses;
-          BusTransaction txn;
-          txn.paddr = word_align_down(pa + w);
-          txn.core = static_cast<u8>(active_core_);
-          txn.timestamp = bus_timestamp();
-          phys_.write64(pa + w, v);
-          txn.op = BusOp::kWriteWord;
-          txn.value = v;
-          // Same provenance stamp as the exact path in perform(): the
-          // fast-path replay must leave a byte-identical trace.
-          txn.trace_seq =
-              trace_.record(txn.timestamp, TraceKind::kBusWrite, txn.paddr, v);
-          bus_.issue(txn);
-          if (cur_->mmu.tlb().generation() != tlb_gen ||
-              cur_->sysregs.vm_generation() != vm_gen) {
-            w += kWordSize;
-            break;
-          }
-        }
-        obs_bulk_replay_words_.add(w / kWordSize);
-        if (w < chunk) obs_bulk_guard_trips_.add();
-      }
-      if (w < chunk) obs_bulk_exact_words_.add((chunk - w) / kWordSize);
-      for (; w < chunk; w += kWordSize) {
+      // Non-cacheable / device page: the exact per-word path.  Every word
+      // translates on its own and reaches the bus, where a snooper (the
+      // MBM) may react by running handler code that disturbs the TLB.
+      obs_bulk_exact_words_.add(chunk / kWordSize);
+      for (u64 w = 0; w < chunk; w += kWordSize) {
         u64 v;
         std::memcpy(&v, p + off + w, kWordSize);
         if (!write64(va + off + w, v, user).ok) return false;
@@ -524,39 +423,10 @@ bool Machine::read_block_bulk(VirtAddr va, void* out_buf, u64 len, bool user) {
       cur_->account.counters().mem_reads += words;
       phys_.read_block(pa, p + off, chunk);
     } else {
-      // Charge-replay of the per-word read64 path (see write_block_bulk).
-      // Read transactions carry no MBM side effects, but the generation
-      // guard is kept anyway: it is two integer compares, and it makes the
-      // replay's correctness independent of what snoopers do.
-      u64 w = 0;
-      if (fast_path_) {
-        const u64 tlb_gen = cur_->mmu.tlb().generation();
-        const u64 vm_gen = cur_->sysregs.vm_generation();
-        for (; w < chunk; w += kWordSize) {
-          ++cur_->account.counters().tlb_hits;
-          ++cur_->account.counters().mem_reads;
-          cur_->account.charge(config_.timing.noncacheable_access);
-          ++cur_->account.counters().noncacheable_accesses;
-          BusTransaction txn;
-          txn.paddr = word_align_down(pa + w);
-          txn.core = static_cast<u8>(active_core_);
-          txn.timestamp = bus_timestamp();
-          const u64 r = phys_.read64(pa + w);
-          txn.op = BusOp::kReadWord;
-          txn.value = r;
-          bus_.issue(txn);
-          std::memcpy(p + off + w, &r, kWordSize);
-          if (cur_->mmu.tlb().generation() != tlb_gen ||
-              cur_->sysregs.vm_generation() != vm_gen) {
-            w += kWordSize;
-            break;
-          }
-        }
-        obs_bulk_replay_words_.add(w / kWordSize);
-        if (w < chunk) obs_bulk_guard_trips_.add();
-      }
-      if (w < chunk) obs_bulk_exact_words_.add((chunk - w) / kWordSize);
-      for (; w < chunk; w += kWordSize) {
+      // Non-cacheable / device page: the exact per-word path (see
+      // write_block_bulk).
+      obs_bulk_exact_words_.add(chunk / kWordSize);
+      for (u64 w = 0; w < chunk; w += kWordSize) {
         const Access64 r = read64(va + off + w, user);
         if (!r.ok) return false;
         std::memcpy(p + off + w, &r.value, kWordSize);
@@ -735,13 +605,10 @@ void Machine::save_state(SnapWriter& w) const {
   // bus/arbiter/IPI state and the flight-recorder ring.
   w.put_u32(static_cast<u32>(cores_.size()));
   for (const auto& core : cores_) {
-    // System registers, raw, plus the vm generation so the restored
-    // machine reproduces subsequent generation values bit-exactly.
     w.put_u32(SysRegs::kRegCount);
     for (unsigned i = 0; i < SysRegs::kRegCount; ++i) {
       w.put_u64(core->sysregs.raw(i));
     }
-    w.put_u64(core->sysregs.vm_generation());
     core->mmu.tlb().save_state(w);
     core->cache.save_state(w);
     w.put_u64(core->account.cycles());
@@ -802,7 +669,6 @@ void Machine::restore_state(SnapReader& r) {
     for (unsigned i = 0; i < SysRegs::kRegCount; ++i) {
       core->sysregs.restore_raw(i, r.get_u64());
     }
-    core->sysregs.restore_vm_generation(r.get_u64());
     core->mmu.tlb().restore_state(r);
     core->cache.restore_state(r);
     r.section("machine");
@@ -851,18 +717,6 @@ void Machine::restore_state(SnapReader& r) {
   active_core_ = active;
   cur_ = cores_[active].get();
   trace_.set_active_core(static_cast<u8>(active));
-  for (auto& core : cores_) {
-    // Drop the cached walk context through the existing invalidation
-    // mechanism (DESIGN.md §9): 0 never matches a live vm generation, so
-    // the next walk rebuilds from the restored registers.  Same-boot
-    // restores would otherwise see a matching generation over stale
-    // cached state.
-    core->walk_ctx_gen = 0;
-    // Same hazard for the inline translation cache: the restored TLB
-    // generation may numerically match a fill-time generation over
-    // entirely different TLB contents.
-    core->itc_drop();
-  }
   // Host-side observability is not part of the snapshot: restart it.
   // Time-series samples drop too (enrollment survives, sampling disarms);
   // sampling runs re-arm after the restore, and delta-encoded counter

@@ -5,18 +5,20 @@
 // Software layers (kernel, Hypersec, KVM) run *on behalf of* this machine:
 // their accesses to simulated memory translate through real page tables,
 // hit the TLB/cache models, charge cycles, and emit bus transactions that
-// the MBM can snoop (DESIGN.md §3.1).
+// the MBM can snoop (DESIGN.md §3.1).  Every data access translates
+// through Mmu::translate: the TLB is the one translation cache, and no
+// host-side cache sits in front of it (DESIGN.md §9).
 //
 // SMP (DESIGN.md §15): the machine carries N cores, each a full private
-// bundle (TLB + inline translation cache, L1 cache timing model, system
-// registers, cycle ledger, exception model, GIC) sharing one DRAM, one
-// memory bus and one flight recorder.  Execution is sequential and
-// time-multiplexed — exactly one core is *active* at a time, switched by
-// the scheduler via set_active_core() — so every run is deterministic by
-// construction.  Cross-core timing couples only through the shared-bus
-// round-robin arbiter and the monotonic bus clock; with cores == 1 every
-// SMP mechanism is bypassed and behaviour is bit-identical to the
-// single-core machine.
+// bundle (TLB, L1 cache timing model, system registers, cycle ledger,
+// exception model, GIC) sharing one DRAM, one memory bus and one flight
+// recorder.  Execution is sequential and time-multiplexed — exactly one
+// core is *active* at a time, switched by the scheduler via
+// set_active_core() — so every run is deterministic by construction.
+// Cross-core timing couples only through the shared-bus round-robin
+// arbiter and the monotonic bus clock; with cores == 1 every SMP
+// mechanism is bypassed and behaviour is bit-identical to the single-core
+// machine.
 #pragma once
 
 #include <functional>
@@ -56,10 +58,11 @@ struct MachineConfig {
   /// exact pre-SMP machine; N > 1 adds per-core state, the shared-bus
   /// arbiter and IPIs.  Deterministic at any value.
   unsigned cores = 1;
-  /// Host-side fast path (DESIGN.md §9): cached WalkContext and bulk
-  /// charge-replay.  Changes host wall-clock only — simulated cycles,
-  /// counters, bus traffic and fingerprints are bit-identical either way
-  /// (the fast-path differential test pins this).  Off = reference mode.
+  /// Host-side fast path (DESIGN.md §9): the TLB's bucket index and the
+  /// Hypersec audit memo.  Changes host wall-clock only — simulated
+  /// cycles, counters, bus traffic and fingerprints are bit-identical
+  /// either way (the fast-path differential test pins this).  Off =
+  /// reference mode.
   bool host_fast_path = true;
   /// Time-series sampling interval in simulated cycles (DESIGN.md §16):
   /// non-zero enrolls the built-in per-core and machine tracks and arms
@@ -191,22 +194,13 @@ class Machine {
     return ranges_overlap(pa, len, secure_base(), secure_size());
   }
 
-  /// Translation-regime snapshot from the live system registers.  With
-  /// the fast path on, the snapshot is cached per core and invalidated by
-  /// the SysRegs vm-generation write hook instead of rebuilt per access.
-  [[nodiscard]] WalkContext walk_context() const;
-
   /// Runtime fast-path/reference-mode switch (benchmarks flip it to
   /// measure both sides on one machine; tests force reference mode).
-  /// Covers all four layers: cached walk context, TLB lookup index,
-  /// inline translation cache, bulk charge-replay.
+  /// Covers both layers: the TLB's bucket index (here) and the Hypersec
+  /// audit memo (which reads host_fast_path()).
   void set_host_fast_path(bool on) {
     fast_path_ = on;
-    for (auto& c : cores_) {
-      c->walk_ctx_gen = 0;  // drop the cached snapshot
-      c->itc_drop();
-      c->mmu.tlb().set_index_enabled(on);
-    }
+    for (auto& c : cores_) c->mmu.tlb().set_index_enabled(on);
   }
   [[nodiscard]] bool host_fast_path() const { return fast_path_; }
 
@@ -343,32 +337,14 @@ class Machine {
   /// contents travel separately as COW-shared pages (phys().capture()).
   void save_state(SnapWriter& w) const;
   /// Restore architectural state from `r` into this live machine.  Wiring
-  /// (handlers, snoopers) and the host fast-path setting persist; the
-  /// cached walk context is dropped through the vm-generation mechanism
-  /// and host-side observability (metrics, the scope ring) resets; open
+  /// (handlers, snoopers) and the host fast-path setting persist;
+  /// host-side observability (metrics, the scope ring) resets; open
   /// scopes stay open across the restore.  Pending IPIs
   /// restore latched (not delivered): they fire when the scheduler next
   /// activates their target, exactly as they would have pre-snapshot.
   void restore_state(SnapReader& r);
 
  private:
-  // Inline translation cache (DESIGN.md §14): a direct-mapped front cache
-  // over successful translations, valid only while both the TLB and the
-  // translation regime are untouched (generation guards).  A hit replays
-  // the exact effects of Mmu::translate's TLB-hit path — which charges no
-  // cycles — so results are bit-identical to reference mode; any TLB
-  // insert/flush or vm-register write invalidates every entry at once
-  // through the generation compare.  Host fast path only.
-  struct ItcEntry {
-    VirtAddr vpage = 0;
-    u64 tlb_gen = 0;
-    u64 vm_gen = 0;  // 0 never matches a live vm generation
-    PhysAddr ppage = 0;
-    PageAttrs attrs;
-    bool s2_write_ok = true;
-  };
-  static constexpr unsigned kItcEntries = 64;  // power of two (index mask)
-
   /// One core's private state bundle.  Construction order matters:
   /// account and sysregs before the components that hold references to
   /// them (declaration order is initialization order).
@@ -390,14 +366,6 @@ class Machine {
     Mmu mmu;
     ExceptionModel exceptions;
     InterruptController gic;
-    // Cached translation-regime snapshot; valid while walk_ctx_gen matches
-    // sysregs.vm_generation() (which starts at 1, so 0 means "unprimed").
-    mutable WalkContext walk_ctx;
-    mutable u64 walk_ctx_gen = 0;
-    ItcEntry itc[kItcEntries];
-    void itc_drop() {
-      for (ItcEntry& e : itc) e.vm_gen = 0;
-    }
   };
 
   Access64 access64(VirtAddr va, bool is_write, u64 value, bool user);
@@ -406,8 +374,9 @@ class Machine {
   void enroll_builtin_tracks();
   /// Perform the physical access after a successful translation.
   u64 perform(PhysAddr pa, const PageAttrs& attrs, bool is_write, u64 value);
-  /// Rebuild a WalkContext from the live system registers (four reads).
-  [[nodiscard]] WalkContext build_walk_context() const;
+  /// The active core's translation regime, read from its live system
+  /// registers.
+  [[nodiscard]] WalkContext walk_context() const;
   MachineConfig config_;
   Trace trace_;
   PhysicalMemory phys_;
@@ -437,14 +406,9 @@ class Machine {
   El1FaultHandler el1_handler_;
   bool guest_mode_ = false;
   bool fast_path_ = true;
-  // Observability handles (inert unless obs_ is enabled).  The walk-ctx
-  // pair is mutable because walk_context() is logically const.
-  mutable obs::Counter obs_walk_ctx_rebuilds_;
-  mutable obs::Counter obs_walk_ctx_cached_;
+  // Observability handles (inert unless obs_ is enabled).
   obs::Counter obs_bulk_chunks_;
-  obs::Counter obs_bulk_replay_words_;
   obs::Counter obs_bulk_exact_words_;
-  obs::Counter obs_bulk_guard_trips_;
   obs::Counter obs_s2_fault_exits_;
 };
 

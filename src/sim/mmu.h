@@ -92,19 +92,10 @@ class Mmu {
   Tlb& tlb() { return tlb_; }
   [[nodiscard]] const Tlb& tlb() const { return tlb_; }
 
-  /// Stage-1 permission check against decoded attributes.  Public so the
-  /// machine's inline translation cache replays the exact hit-path check.
+ private:
+  /// Stage-1 permission check against decoded attributes.
   static bool permission_ok(const PageAttrs& attrs, const AccessType& access);
 
-  /// Book an inline-translation-cache hit exactly like a TLB hit: the ITC
-  /// (sim/machine.h) only ever serves accesses that would have hit the
-  /// TLB, so the ledger must not distinguish the two.
-  void note_itc_hit() {
-    ++account_.counters().tlb_hits;
-    obs_tlb_hits_.add();
-  }
-
- private:
   /// Fetch one descriptor (cacheable access + fixed walk-step overhead).
   u64 fetch_descriptor(PhysAddr pa, bool stage2);
 

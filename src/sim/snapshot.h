@@ -1,6 +1,6 @@
 // Machine-snapshot persistence: full serialize/restore of machine +
-// kernel state with a versioned binary format (v1, following the
-// trace_io idiom), plus the in-memory copy-on-write fork path
+// kernel state with a versioned binary format (following the trace_io
+// idiom), plus the in-memory copy-on-write fork path
 // (DESIGN.md §12).
 //
 // A Snapshot has two parts:
@@ -34,8 +34,10 @@ namespace hn::sim {
 /// Binary snapshot format version.  Bump on any layout change; the parser
 /// rejects versions it does not understand.  v2: SMP (per-core machine
 /// sections, bus arbiter + pending-IPI state, per-event core provenance,
-/// per-core kernel scheduler state).
-inline constexpr u32 kSnapshotFormatVersion = 2;
+/// per-core kernel scheduler state).  v3: drops the per-core vm
+/// generation and the TLB generation, two host-cache invalidation
+/// counters that are no longer kept.
+inline constexpr u32 kSnapshotFormatVersion = 3;
 
 /// 8-byte file magic: "HNSNAP\0\0".
 inline constexpr char kSnapshotMagic[8] = {'H', 'N', 'S', 'N', 'A', 'P', 0, 0};

@@ -33,21 +33,6 @@ inline constexpr unsigned kHcrVm = 0;    // stage-2 translation enable
 inline constexpr unsigned kHcrImo = 4;   // route physical IRQ to EL2
 inline constexpr unsigned kHcrTvm = 26;  // trap EL1 virtual-memory reg writes
 
-/// True for registers a WalkContext snapshot is derived from: a write to
-/// one of these invalidates the machine's cached translation-regime view
-/// (the host fast path, DESIGN.md §9).
-constexpr bool affects_translation(SysReg reg) {
-  switch (reg) {
-    case SysReg::TTBR0_EL1:
-    case SysReg::TTBR1_EL1:
-    case SysReg::VTTBR_EL2:
-    case SysReg::HCR_EL2:
-      return true;
-    default:
-      return false;
-  }
-}
-
 /// True for registers whose EL1 writes HCR_EL2.TVM traps to EL2 (§5.2.2).
 constexpr bool is_tvm_trapped(SysReg reg) {
   switch (reg) {
@@ -68,32 +53,20 @@ class SysRegs {
   [[nodiscard]] u64 get(SysReg reg) const {
     return regs_[static_cast<unsigned>(reg)];
   }
-  void set(SysReg reg, u64 value) {
-    regs_[static_cast<unsigned>(reg)] = value;
-    if (affects_translation(reg)) ++vm_generation_;
-  }
+  void set(SysReg reg, u64 value) { regs_[static_cast<unsigned>(reg)] = value; }
 
   [[nodiscard]] bool hcr_bit(unsigned b) const {
     return bit(get(SysReg::HCR_EL2), b);
   }
 
-  /// Bumped by every write to a translation-affecting register.  Starts
-  /// at 1 so a cache primed with generation 0 always rebuilds first.
-  [[nodiscard]] u64 vm_generation() const { return vm_generation_; }
-
   // --- Snapshot support (sim/snapshot.h) ------------------------------------
   static constexpr unsigned kRegCount = static_cast<unsigned>(SysReg::kCount);
   /// Raw register slot, by index (snapshot serialization order).
   [[nodiscard]] u64 raw(unsigned index) const { return regs_[index]; }
-  /// Restore a slot without the generation bump `set` applies: restore
-  /// reproduces state bit-exactly, including the generation counter, which
-  /// is restored separately below.
   void restore_raw(unsigned index, u64 value) { regs_[index] = value; }
-  void restore_vm_generation(u64 generation) { vm_generation_ = generation; }
 
  private:
   std::array<u64, static_cast<unsigned>(SysReg::kCount)> regs_{};
-  u64 vm_generation_ = 1;
 };
 
 }  // namespace hn::sim

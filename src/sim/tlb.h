@@ -7,15 +7,18 @@
 // how KVM's page-granularity write-protection keeps trapping (Table 2's
 // baseline behaviour).
 //
-// Host-side representation: lookups go through a vpage hash index instead
-// of scanning the whole array, so a hit costs O(1) host work regardless of
-// capacity.  The index is an invisible acceleration structure — hit/miss
-// results, replacement order and flush behaviour are bit-identical to the
-// naive full scan (the tlb_property_test pins this against a reference
-// implementation).  Three invariants keep it exact:
+// Host-side representation: lookups go through a flat power-of-two array
+// of bucket heads (twice the capacity, rounded up) instead of scanning the
+// whole array, so a hit costs one short chain walk regardless of capacity.
+// It is the simulator's one host cache in front of translation.  The index
+// is invisible: hit/miss results, replacement order and flush behaviour
+// are bit-identical to the naive full scan (the tlb_property_test pins
+// this against a reference implementation).  Three invariants keep it
+// exact:
 //
-//   * per-vpage chains are sorted by slot index, so "first match in array
-//     order" among same-vpage entries is preserved;
+//   * every valid slot sits on its bucket's chain, sorted by slot index,
+//     and every chain walk compares the vpage, so "first match in array
+//     order" is preserved even when distinct vpages share a bucket;
 //   * free slots are taken lowest-index-first (a bitmap find-first-set),
 //     matching the scan's "first invalid entry" choice;
 //   * round-robin eviction is untouched: the victim cursor advances over
@@ -23,7 +26,6 @@
 #pragma once
 
 #include <bit>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -46,12 +48,9 @@ class Tlb {
   explicit Tlb(unsigned entries = 48)
       : entries_(entries),
         chain_next_(entries, kNil),
-        free_((entries + 63) / 64, ~0ull) {
-    // Mask off bits beyond capacity so find-first-free never returns an
-    // out-of-range slot.
-    const unsigned tail = entries % 64;
-    if (tail != 0) free_.back() = (u64{1} << tail) - 1;
-    index_.reserve(entries * 2);
+        head_(std::bit_ceil(2 * entries)),
+        free_((entries + 63) / 64) {
+    clear_index();
   }
 
   /// Returns the matching entry or nullptr.
@@ -66,75 +65,68 @@ class Tlb {
       }
       return nullptr;
     }
-    const auto it = index_.find(vpage);
-    if (it == index_.end()) return nullptr;
-    for (u32 slot = it->second; slot != kNil; slot = chain_next_[slot]) {
+    for (u32 slot = head_[bucket(vpage)]; slot != kNil;
+         slot = chain_next_[slot]) {
       const TlbEntry& e = entries_[slot];
-      if (e.attrs.global || e.asid == asid) return &e;
+      if (e.vpage == vpage && (e.attrs.global || e.asid == asid)) return &e;
     }
     return nullptr;
   }
 
   void insert(const TlbEntry& entry) {
-    ++generation_;
     // Replace an existing mapping for the same page first.  The index is
     // maintained even in reference mode (so the mode can flip at runtime);
-    // only the *search* above changes, and both searches visit same-vpage
+    // only the *search* above changes, and both searches visit matching
     // slots in ascending array order, so the replaced slot is identical.
-    const auto it = index_.find(entry.vpage);
-    if (it != index_.end()) {
-      for (u32 slot = it->second; slot != kNil; slot = chain_next_[slot]) {
-        TlbEntry& e = entries_[slot];
-        if (e.attrs.global || e.asid == entry.asid) {
-          e = entry;
-          e.valid = true;
-          return;
-        }
+    for (u32 slot = head_[bucket(entry.vpage)]; slot != kNil;
+         slot = chain_next_[slot]) {
+      TlbEntry& e = entries_[slot];
+      if (e.vpage == entry.vpage && (e.attrs.global || e.asid == entry.asid)) {
+        e = entry;
+        e.valid = true;
+        return;
       }
     }
-    const u32 slot = first_free_slot();
-    if (slot != kNil) {
-      place(slot, entry);
-      return;
+    u32 slot = first_free_slot();
+    if (slot == kNil) {
+      slot = static_cast<u32>(next_victim_);
+      unlink(slot);
+      next_victim_ = (next_victim_ + 1) % entries_.size();
     }
-    const u32 victim = static_cast<u32>(next_victim_);
-    unlink(entries_[victim].vpage, victim);
-    place(victim, entry);
-    next_victim_ = (next_victim_ + 1) % entries_.size();
+    entries_[slot] = entry;
+    entries_[slot].valid = true;
+    mark_used(slot);
+    link(slot);
   }
 
   void flush_all() {
-    ++generation_;
     for (TlbEntry& e : entries_) e.valid = false;
-    index_.clear();
-    for (u64& w : free_) w = ~0ull;
-    const unsigned tail = entries_.size() % 64;
-    if (tail != 0) free_.back() = (u64{1} << tail) - 1;
+    clear_index();
   }
 
   /// TLBI VAE1-style: drop any entry translating `va` (any ASID).
   void flush_va(VirtAddr va) {
-    ++generation_;
     const VirtAddr vpage = page_align_down(va);
-    const auto it = index_.find(vpage);
-    if (it == index_.end()) return;
-    for (u32 slot = it->second; slot != kNil;) {
-      const u32 next = chain_next_[slot];
+    u32* at = &head_[bucket(vpage)];
+    while (*at != kNil) {
+      const u32 slot = *at;
+      if (entries_[slot].vpage != vpage) {
+        at = &chain_next_[slot];
+        continue;
+      }
+      *at = chain_next_[slot];
       entries_[slot].valid = false;
       mark_free(slot);
-      slot = next;
     }
-    index_.erase(it);
   }
 
   /// TLBI ASIDE1-style: drop all non-global entries for `asid`.
   void flush_asid(u16 asid) {
-    ++generation_;
     for (u32 slot = 0; slot < entries_.size(); ++slot) {
       TlbEntry& e = entries_[slot];
       if (e.valid && !e.attrs.global && e.asid == asid) {
         e.valid = false;
-        unlink(e.vpage, slot);
+        unlink(slot);
         mark_free(slot);
       }
     }
@@ -149,11 +141,6 @@ class Tlb {
     return n;
   }
 
-  /// Bumped by every mutation (insert / flush).  The machine's bulk
-  /// charge-replay path snapshots this to detect a snooper or interrupt
-  /// handler disturbing translation state mid-transfer.
-  [[nodiscard]] u64 generation() const { return generation_; }
-
   /// Host fast path switch: off = reference mode, lookups scan the array
   /// like the original implementation.  Hit/miss results are identical
   /// either way; only host wall-clock changes.
@@ -161,8 +148,8 @@ class Tlb {
   [[nodiscard]] bool index_enabled() const { return index_enabled_; }
 
   // --- Snapshot support (sim/snapshot.h) ------------------------------------
-  // Only the authoritative state (entry array, victim cursor, generation)
-  // is serialized; the lookup index, chains and free bitmap are derived
+  // Only the authoritative state (entry array, victim cursor) is
+  // serialized; the bucket heads, chains and free bitmap are derived
   // host-side structures and are rebuilt on restore.
 
   void save_state(SnapWriter& w) const {
@@ -180,7 +167,6 @@ class Tlb {
       w.put_bool(e.s2_write_ok);
     }
     w.put_u64(next_victim_);
-    w.put_u64(generation_);
   }
 
   void restore_state(SnapReader& r) {
@@ -205,12 +191,32 @@ class Tlb {
       e.s2_write_ok = r.get_bool();
     }
     next_victim_ = r.get_u64();
-    generation_ = r.get_u64();
-    if (r.ok()) rebuild_derived();
+    if (!r.ok()) return;
+    // Ascending slot order links each valid slot at its chain's tail,
+    // reproducing the sorted chains insert() maintains incrementally.
+    clear_index();
+    for (u32 slot = 0; slot < entries_.size(); ++slot) {
+      if (!entries_[slot].valid) continue;
+      mark_used(slot);
+      link(slot);
+    }
   }
 
  private:
   static constexpr u32 kNil = ~u32{0};
+
+  [[nodiscard]] size_t bucket(VirtAddr vpage) const {
+    return (vpage >> kPageShift) & (head_.size() - 1);
+  }
+
+  /// Empty every chain and mark every slot free.  Bits beyond capacity
+  /// stay clear so find-first-free never returns an out-of-range slot.
+  void clear_index() {
+    for (u32& head : head_) head = kNil;
+    for (u64& word : free_) word = ~0ull;
+    const unsigned tail = entries_.size() % 64;
+    if (tail != 0) free_.back() = (u64{1} << tail) - 1;
+  }
 
   /// Lowest-index free slot, or kNil when the TLB is full.
   [[nodiscard]] u32 first_free_slot() const {
@@ -225,72 +231,29 @@ class Tlb {
   void mark_free(u32 slot) { free_[slot / 64] |= u64{1} << (slot % 64); }
   void mark_used(u32 slot) { free_[slot / 64] &= ~(u64{1} << (slot % 64)); }
 
-  /// Fill `slot` with `entry` and link it into its vpage chain, keeping
-  /// the chain sorted by slot index (array-order equivalence).
-  void place(u32 slot, const TlbEntry& entry) {
-    entries_[slot] = entry;
-    entries_[slot].valid = true;
-    mark_used(slot);
-    u32& head = index_.try_emplace(entry.vpage, kNil).first->second;
-    if (head == kNil || head > slot) {
-      chain_next_[slot] = head;
-      head = slot;
-      return;
-    }
-    u32 prev = head;
-    while (chain_next_[prev] != kNil && chain_next_[prev] < slot) {
-      prev = chain_next_[prev];
-    }
-    chain_next_[slot] = chain_next_[prev];
-    chain_next_[prev] = slot;
+  /// Link `slot` into its bucket's chain, keeping the chain sorted by
+  /// slot index (array-order equivalence).
+  void link(u32 slot) {
+    u32* at = &head_[bucket(entries_[slot].vpage)];
+    while (*at != kNil && *at < slot) at = &chain_next_[*at];
+    chain_next_[slot] = *at;
+    *at = slot;
   }
 
-  /// Rebuild the lookup index, chains and free bitmap from the entry
-  /// array after a restore.  Ascending slot order appends each valid slot
-  /// at its chain's tail, reproducing the sorted-chain invariant place()
-  /// maintains incrementally.
-  void rebuild_derived() {
-    index_.clear();
-    for (u32& next : chain_next_) next = kNil;
-    for (u64& word : free_) word = ~0ull;
-    const unsigned tail = entries_.size() % 64;
-    if (tail != 0) free_.back() = (u64{1} << tail) - 1;
-    for (u32 slot = 0; slot < entries_.size(); ++slot) {
-      if (!entries_[slot].valid) continue;
-      mark_used(slot);
-      u32& head = index_.try_emplace(entries_[slot].vpage, kNil).first->second;
-      if (head == kNil) {
-        head = slot;
-        continue;
-      }
-      u32 prev = head;
-      while (chain_next_[prev] != kNil) prev = chain_next_[prev];
-      chain_next_[prev] = slot;
-    }
-  }
-
-  /// Remove `slot` from the chain of `vpage`.
-  void unlink(VirtAddr vpage, u32 slot) {
-    const auto it = index_.find(vpage);
-    u32& head = it->second;
-    if (head == slot) {
-      head = chain_next_[slot];
-      if (head == kNil) index_.erase(it);
-      return;
-    }
-    u32 prev = head;
-    while (chain_next_[prev] != slot) prev = chain_next_[prev];
-    chain_next_[prev] = chain_next_[slot];
+  /// Remove `slot` (still carrying its vpage) from its bucket's chain.
+  void unlink(u32 slot) {
+    u32* at = &head_[bucket(entries_[slot].vpage)];
+    while (*at != slot) at = &chain_next_[*at];
+    *at = chain_next_[slot];
   }
 
   std::vector<TlbEntry> entries_;
-  /// vpage -> lowest slot holding a valid entry for it; entries with the
-  /// same vpage chain through chain_next_ in ascending slot order.
-  std::unordered_map<VirtAddr, u32> index_;
+  /// Valid slots chain through chain_next_ in ascending slot order, one
+  /// chain per bucket; head_[b] is the lowest slot in bucket b, or kNil.
   std::vector<u32> chain_next_;
+  std::vector<u32> head_;
   std::vector<u64> free_;  // bit set = slot invalid/free
   u64 next_victim_ = 0;
-  u64 generation_ = 0;
   bool index_enabled_ = true;
 };
 

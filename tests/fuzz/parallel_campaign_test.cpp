@@ -61,13 +61,11 @@ TEST(ParallelCampaign, CleanCampaignIdenticalAcrossJobCounts) {
   EXPECT_EQ(worker_jobs, 10u);
 }
 
-#if HN_OBS
 TEST(ParallelCampaign, MetricsSnapshotIdenticalAcrossJobCounts) {
   // The observability fold is index-ordered and every per-entry merge is
   // commutative, so the campaign's aggregated metrics snapshot must be
   // bit-identical at any --jobs value — same entries, same values, same
-  // histogram buckets.  (HN_OBS=OFF compiles the recording away, so the
-  // snapshot is legitimately empty there and the test does not apply.)
+  // histogram buckets.
   FuzzOptions options1 = base_options(1);
   options1.collect_metrics = true;
   FuzzOptions options4 = base_options(4);
@@ -82,7 +80,6 @@ TEST(ParallelCampaign, MetricsSnapshotIdenticalAcrossJobCounts) {
   EXPECT_GT(j1.metrics.rollup("sim.mmu"), 0u);
   EXPECT_GT(j1.metrics.value("kernel.syscalls"), 0u);
 }
-#endif  // HN_OBS
 
 TEST(ParallelCampaign, AutoJobsMatchesSequential) {
   // jobs = 0 resolves to hardware concurrency — whatever that is on the

@@ -383,10 +383,8 @@ TEST_F(MonitorTest, FifoHighWaterReachesDepthUnderBurstOverflow) {
   for (int i = 0; i < 16; ++i) watch_word(0xA000 + i * 8);
   for (int i = 0; i < 16; ++i) bus_write(0xA000 + i * 8, i);
   ASSERT_GT(mbm_->stats().fifo_drops, 0u);
-#if HN_OBS
   EXPECT_EQ(machine_.obs().gauge("mbm.fifo.high_water").value(),
             small.fifo_depth);
-#endif
 }
 
 TEST_F(MonitorTest, LineWritebackInvisibleByDefault) {

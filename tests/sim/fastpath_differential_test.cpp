@@ -1,16 +1,16 @@
 // Fast-path vs reference-mode differential tests.
 //
-// DESIGN.md §9's contract: the host fast path (cached walk context, TLB
-// lookup index, bulk charge-replay) changes wall-clock only.  Every
-// scenario here runs twice — once with host_fast_path on, once in
-// reference mode — on identically-constructed machines, and asserts the
-// simulated ledgers are bit-identical: cycles, every counter, the bus
-// transaction count, and the memory contents the scenario touched.
+// DESIGN.md §9's contract: the host fast path (the TLB's bucket index;
+// the Hypersec audit memo is covered in hypersec_test) changes
+// wall-clock only.  Every scenario here runs twice — once with
+// host_fast_path on, once in reference mode — on identically-constructed
+// machines, and asserts the simulated ledgers are bit-identical: cycles,
+// every counter, the bus transaction count, and the memory contents the
+// scenario touched.
 //
 // The disturbance scenarios are the sharp edge: a bus snooper raising an
 // IRQ mid-bulk-transfer whose handler inserts TLB entries or rewrites
-// translation registers forces the charge-replay loop through its
-// generation-guard fallback, which must leave no seam in the ledger.
+// translation registers must leave no seam in the ledger.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -146,7 +146,7 @@ constexpr PhysAddr kPa = 4 * 1024 * 1024;
 TEST(FastPathDifferential, MixedAccessChurn) {
   // Random single-word reads/writes over more pages than TLB slots, with
   // interleaved flushes: exercises index insert/evict/flush against the
-  // reference scan, plus the cached walk context across TLBI traffic.
+  // reference scan, with distinct pages sharing index buckets.
   differential([](Rig& rig, Ledger& out) {
     const unsigned kPages = 48;  // 3x the 16-entry TLB
     for (unsigned p = 0; p < kPages; ++p) {
@@ -192,7 +192,7 @@ TEST(FastPathDifferential, BulkTransfersCacheableAndNot) {
     for (size_t i = 0; i < buf.size(); ++i) buf[i] = static_cast<u8>(i * 7);
     // Cacheable region: page-crossing, unaligned-length (word multiple).
     ASSERT_TRUE(m.write_block_bulk(kVa + 8, buf.data(), buf.size() - 8));
-    // Non-cacheable region: the charge-replay path proper.
+    // Non-cacheable region: the per-word bus-visible path.
     ASSERT_TRUE(m.write_block_bulk(kVa + 4 * kPageSize, buf.data(),
                                    2 * kPageSize + 16));
     std::vector<u8> rd(2 * kPageSize + 16);
@@ -221,9 +221,8 @@ struct IrqOnWrite : BusSnooper {
 
 TEST(FastPathDifferential, IrqHandlerInsertsTlbEntriesMidBulk) {
   // The IRQ handler touches other pages, inserting TLB entries (and
-  // charging cycles) in the middle of a charge-replay bulk write.  The
-  // TLB generation guard must route the rest of the chunk down the exact
-  // path; ledgers still match to the cycle.
+  // charging cycles) in the middle of a non-cacheable bulk write;
+  // ledgers still match to the cycle.
   differential([](Rig& rig, Ledger& out) {
     PageAttrs nc{.write = true};
     nc.attr = MemAttr::kNonCacheable;
@@ -254,10 +253,9 @@ TEST(FastPathDifferential, IrqHandlerInsertsTlbEntriesMidBulk) {
 }
 
 TEST(FastPathDifferential, IrqHandlerRewritesSysregMidBulk) {
-  // The handler rewrites TTBR0_EL1 mid-transfer: the vm-generation guard
-  // must invalidate the cached walk context and abandon the replay loop.
-  // (The bulk VA translates through TTBR1, so results are unchanged —
-  // only the bookkeeping paths diverge, and they must not.)
+  // The handler rewrites TTBR0_EL1 mid-transfer, and every later word
+  // translates under the new register.  (The bulk VA translates through
+  // TTBR1, so results are unchanged.)
   differential([](Rig& rig, Ledger& out) {
     PageAttrs nc{.write = true};
     nc.attr = MemAttr::kNonCacheable;
@@ -287,8 +285,8 @@ TEST(FastPathDifferential, IrqHandlerRewritesSysregMidBulk) {
 
 TEST(FastPathDifferential, WalkContextTracksTranslationRegisterRewrites) {
   // Repointing TTBR1_EL1 at a different root must take effect on the next
-  // access in both modes — the cached snapshot may never serve the old
-  // root.  Maps the same VA to two different PAs via two table trees.
+  // access in both modes.  Maps the same VA to two different PAs via two
+  // table trees.
   differential([](Rig& rig, Ledger& out) {
     rig.map(kVa, kPa, PageAttrs{.write = true});
     Machine& m = rig.m();
@@ -318,8 +316,8 @@ TEST(FastPathDifferential, WalkContextTracksTranslationRegisterRewrites) {
 
 TEST(FastPathDifferential, CapturedTraceIsByteIdentical) {
   // The flight recorder extends the "wall-clock only" contract: the
-  // serialized trace — every kBusWrite the charge-replay loop stamps,
-  // every timestamp — must match the reference walk byte for byte.
+  // serialized trace — every kBusWrite the bulk path stamps, every
+  // timestamp — must match the reference walk byte for byte.
   std::vector<u8> blobs[2];
   for (int mode = 0; mode < 2; ++mode) {
     Rig rig(/*fast_path=*/mode == 0);
@@ -336,7 +334,7 @@ TEST(FastPathDifferential, CapturedTraceIsByteIdentical) {
                           rng.next_below(kPageSize / 8) * 8;
       ASSERT_TRUE(m.write64(va, rng.next()).ok);
     }
-    // Bulk path too: the charge-replay loop stamps the same events.
+    // Bulk path too.
     std::vector<u8> buf(2 * kPageSize);
     for (size_t i = 0; i < buf.size(); ++i) buf[i] = static_cast<u8>(i * 5);
     ASSERT_TRUE(m.write_block_bulk(kVa, buf.data(), buf.size()));

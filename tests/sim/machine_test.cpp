@@ -319,11 +319,9 @@ TEST(MachineScopes, RowsSumToTheCyclesElapsedOnOneCore) {
             m.timing().hvc_roundtrip);
   EXPECT_EQ(report[obs::Layer::kFuzzStep].self_cycles, 40u);
   EXPECT_EQ(report[obs::Layer::kOther].self_cycles, 5u);
-#if HN_OBS
   // The registry's layer.*.self_cycles rows say the same.
   EXPECT_EQ(obs::layer_report(m.metrics_snapshot()).total_cycles(),
             m.account().cycles() - start);
-#endif
 }
 
 TEST(MachineScopes, ScopeOpenAcrossACoreSwitchKeepsExactSelfTime) {

@@ -229,7 +229,7 @@ TEST(SnapshotFormat, GoldenHeaderBytes) {
   ASSERT_GE(s.blob.size(), 16u);
   const u8 kGolden[16] = {
       'H', 'N', 'S', 'N', 'A', 'P', 0, 0,  // magic
-      2,   0,   0,   0,                    // version 2, little-endian
+      3,   0,   0,   0,                    // version 3, little-endian
       0,   0,   0,   0,                    // reserved
   };
   EXPECT_EQ(std::memcmp(s.blob.data(), kGolden, sizeof kGolden), 0);
@@ -307,13 +307,18 @@ TEST(SnapshotFormat, RejectsChecksumMismatch) {
 }
 
 TEST(SnapshotFormat, RejectsUnsupportedVersion) {
-  SampleSnapshot s;
-  s.blob[8] = 99;
-  reseal(s.blob);
-  Snapshot out;
-  const Status st = unpack_snapshot(s.blob, out);
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.message(), "snapshot: unsupported format version 99");
+  // 2 is the previous layout (it carried the vm and TLB generations): a
+  // v2 file must fail with a Status, never misparse as v3.
+  for (const u8 version : {u8{99}, u8{2}}) {
+    SampleSnapshot s;
+    s.blob[8] = version;
+    reseal(s.blob);
+    Snapshot out;
+    const Status st = unpack_snapshot(s.blob, out);
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.message(), "snapshot: unsupported format version " +
+                                std::to_string(version));
+  }
 }
 
 TEST(SnapshotFormat, RejectsForeignPageSize) {

@@ -1,14 +1,15 @@
 // Tlb index-vs-scan equivalence property test.
 //
-// The production Tlb accelerates lookups with a vpage hash index plus a
-// free-slot bitmap; this test drives it against NaiveTlb — a verbatim
-// copy of the original full-scan implementation — through randomized
-// interleavings of insert / lookup / flush_va / flush_asid / flush_all,
-// asserting the two agree on every lookup outcome and on occupancy after
-// every mutation.  Covers both index modes (the reference scan mode must
-// be equivalent too), several capacities (including one that exercises
-// the bitmap's partial tail word), global and non-global entries, ASID
-// collisions, and same-vpage multi-entry chains.
+// The production Tlb accelerates lookups with a flat array of bucket
+// heads plus a free-slot bitmap; this test drives it against NaiveTlb — a
+// verbatim copy of the original full-scan implementation — through
+// randomized interleavings of insert / lookup / flush_va / flush_asid /
+// flush_all, asserting the two agree on every lookup outcome and on
+// occupancy after every mutation.  Covers both index modes (the reference
+// scan mode must be equivalent too), several capacities (including one
+// that exercises the bitmap's partial tail word), global and non-global
+// entries, ASID collisions, same-vpage multi-entry chains, and distinct
+// vpages sharing a bucket.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -90,15 +91,16 @@ bool same_entry(const TlbEntry* a, const TlbEntry* b) {
          a->attrs == b->attrs && a->s2_write_ok == b->s2_write_ok;
 }
 
-/// Small universes force collisions: few pages, few ASIDs, frequent
-/// same-vpage reinsertions with different attributes.
+/// Small universes force collisions: few ASIDs, frequent same-vpage
+/// reinsertions with different attributes, and two to four times as many
+/// pages as the index has buckets, so distinct vpages share bucket chains.
 void run_property(unsigned capacity, bool index_enabled, u64 seed, int ops) {
   Tlb tlb(capacity);
   tlb.set_index_enabled(index_enabled);
   NaiveTlb naive(capacity);
   SplitMix64 rng(seed);
 
-  const unsigned kPages = capacity * 2;  // ~50% conflict pressure
+  const unsigned kPages = capacity * 8;
   const unsigned kAsids = 4;
 
   auto random_va = [&] {
@@ -184,7 +186,7 @@ TEST(TlbProperty, ModeFlipMidstream) {
   for (int i = 0; i < 2000; ++i) {
     tlb.set_index_enabled(i % 128 < 64);
     TlbEntry e;
-    e.vpage = static_cast<VirtAddr>(rng.next_below(32)) * kPageSize;
+    e.vpage = static_cast<VirtAddr>(rng.next_below(128)) * kPageSize;
     e.asid = static_cast<u16>(rng.next_below(3));
     e.ppage = rng.next_below(1u << 16) * kPageSize;
     e.attrs.global = rng.chance(1, 4);
@@ -195,7 +197,7 @@ TEST(TlbProperty, ModeFlipMidstream) {
       tlb.flush_asid(asid);
       naive.flush_asid(asid);
     }
-    const VirtAddr va = rng.next_below(32) * kPageSize;
+    const VirtAddr va = rng.next_below(128) * kPageSize;
     const u16 asid = static_cast<u16>(rng.next_below(3));
     ASSERT_TRUE(same_entry(tlb.lookup(va, asid), naive.lookup(va, asid)))
         << "op " << i;
@@ -203,22 +205,59 @@ TEST(TlbProperty, ModeFlipMidstream) {
   }
 }
 
-TEST(TlbProperty, GenerationBumpsOnEveryMutation) {
-  Tlb tlb(8);
-  const u64 g0 = tlb.generation();
-  TlbEntry e;
-  e.vpage = kPageSize;
-  tlb.insert(e);
-  EXPECT_GT(tlb.generation(), g0);
-  const u64 g1 = tlb.generation();
-  tlb.flush_va(kPageSize);
-  EXPECT_GT(tlb.generation(), g1);
-  const u64 g2 = tlb.generation();
-  tlb.flush_asid(0);
-  EXPECT_GT(tlb.generation(), g2);
-  const u64 g3 = tlb.generation();
-  tlb.flush_all();
-  EXPECT_GT(tlb.generation(), g3);
+TEST(TlbProperty, BucketSharersStayApart) {
+  // Page numbers 2^20 apart share a bucket at every capacity below 2^19
+  // (the bucket is the page number modulo a power of two).  `a` is
+  // non-global in ASID 1, `b` global: a chain walk that skipped the vpage
+  // compare would answer one page's lookup with the other's entry, and a
+  // flush_va that dropped the whole bucket would lose the bystander.
+  constexpr VirtAddr kA = 3 * kPageSize;
+  constexpr VirtAddr kB = kA + (VirtAddr{1} << 20) * kPageSize;
+  for (const bool index_enabled : {true, false}) {
+    SCOPED_TRACE(index_enabled ? "indexed" : "scan");
+    Tlb tlb(8);
+    tlb.set_index_enabled(index_enabled);
+    TlbEntry a;
+    a.vpage = kA;
+    a.asid = 1;
+    a.ppage = 0x10 * kPageSize;
+    a.attrs.global = false;
+    TlbEntry b;
+    b.vpage = kB;
+    b.asid = 2;
+    b.ppage = 0x20 * kPageSize;
+    b.attrs.global = true;
+    tlb.insert(a);
+    tlb.insert(b);
+    // ppage of the entry translating (va, asid); 0 when none does.
+    auto ppage = [&tlb](VirtAddr va, u16 asid) {
+      const TlbEntry* e = tlb.lookup(va, asid);
+      return e != nullptr ? e->ppage : PhysAddr{0};
+    };
+
+    EXPECT_EQ(ppage(kA + 8, 1), a.ppage);
+    EXPECT_EQ(ppage(kA, 2), 0u);
+    EXPECT_EQ(ppage(kB, 1), b.ppage);
+
+    // Re-inserting `a` replaces `a`, never its bucket neighbour.
+    TlbEntry a2 = a;
+    a2.ppage = 0x30 * kPageSize;
+    tlb.insert(a2);
+    EXPECT_EQ(tlb.occupancy(), 2u);
+    EXPECT_EQ(ppage(kA, 1), a2.ppage);
+    EXPECT_EQ(ppage(kB, 1), b.ppage);
+
+    tlb.flush_va(kA);
+    EXPECT_EQ(ppage(kA, 1), 0u);
+    EXPECT_EQ(ppage(kB, 1), b.ppage);
+    EXPECT_EQ(tlb.occupancy(), 1u);
+
+    tlb.insert(a);
+    tlb.flush_va(kB);
+    EXPECT_EQ(ppage(kB, 2), 0u);
+    EXPECT_EQ(ppage(kA, 1), a.ppage);
+    EXPECT_EQ(tlb.occupancy(), 1u);
+  }
 }
 
 }  // namespace
