@@ -1,5 +1,6 @@
 #include "kernel/kpt.h"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 
@@ -34,8 +35,7 @@ Result<PhysAddr> PageTableManager::alloc_table_page(unsigned level) {
   // Zero through the linear map (charged, streaming stores), then hand the
   // page over to the write policy: under Hypernel this is the kPtAlloc
   // hypercall after which the page is read-only at EL1.
-  static const std::array<u8, kPageSize> kZeros{};
-  machine_.write_block_bulk(phys_to_virt(pa.value()), kZeros.data(), kPageSize);
+  machine_.zero_block_bulk(phys_to_virt(pa.value()), kPageSize);
   pt_pages_[pa.value()] = level;
   writer_->on_pt_page_alloc(pa.value(), level);
   return pa;
@@ -48,47 +48,24 @@ Result<PhysAddr> PageTableManager::build_kernel_linear_map(PhysAddr limit,
   if (!root.ok()) return root;
   kernel_root_ = root.value();
 
-  auto boot_map_page = [&](VirtAddr va, PhysAddr pa,
-                           const PageAttrs& attrs) -> Status {
+  // The level-`level` table covering `va`, creating the missing tables
+  // above it top-down (each hooked into its parent as it is allocated).
+  auto boot_table = [&](VirtAddr va, unsigned level) -> Result<PhysAddr> {
     PhysAddr table = kernel_root_;
-    for (unsigned level = 0; level <= 2; ++level) {
-      const u64 idx = sim::va_index(va, level);
-      const u64 desc = machine_.phys().read64(table + idx * 8);
-      if (!sim::desc_valid(desc)) {
-        Result<PhysAddr> next = alloc_table_page_boot(level + 1);
-        if (!next.ok()) return next.status();
-        machine_.phys().write64(table + idx * 8,
-                                sim::make_table_desc(next.value()));
-        table = next.value();
-      } else {
-        assert(sim::desc_is_table(desc, level));
+    for (unsigned l = 0; l < level; ++l) {
+      const PhysAddr slot = table + sim::va_index(va, l) * 8;
+      const u64 desc = machine_.phys().read64(slot);
+      if (sim::desc_valid(desc)) {
+        assert(sim::desc_is_table(desc, l));
         table = sim::desc_out_addr(desc);
+        continue;
       }
+      Result<PhysAddr> next = alloc_table_page_boot(l + 1);
+      if (!next.ok()) return next;
+      machine_.phys().write64(slot, sim::make_table_desc(next.value()));
+      table = next.value();
     }
-    machine_.phys().write64(table + sim::va_index(va, 3) * 8,
-                            sim::make_page_desc(pa, attrs));
-    return Status::Ok();
-  };
-
-  auto boot_map_section = [&](VirtAddr va, PhysAddr pa,
-                              const PageAttrs& attrs) -> Status {
-    PhysAddr table = kernel_root_;
-    for (unsigned level = 0; level <= 1; ++level) {
-      const u64 idx = sim::va_index(va, level);
-      const u64 desc = machine_.phys().read64(table + idx * 8);
-      if (!sim::desc_valid(desc)) {
-        Result<PhysAddr> next = alloc_table_page_boot(level + 1);
-        if (!next.ok()) return next.status();
-        machine_.phys().write64(table + idx * 8,
-                                sim::make_table_desc(next.value()));
-        table = next.value();
-      } else {
-        table = sim::desc_out_addr(desc);
-      }
-    }
-    machine_.phys().write64(table + sim::va_index(va, 2) * 8,
-                            sim::make_block_desc(pa, attrs));
-    return Status::Ok();
+    return table;
   };
 
   const PageAttrs text{.write = false, .exec = true, .user = false};
@@ -101,20 +78,37 @@ Result<PhysAddr> PageTableManager::build_kernel_linear_map(PhysAddr limit,
     // the linear region is 2 MiB RW blocks.
     const PageAttrs rwx{.write = true, .exec = true, .user = false};
     for (PhysAddr pa = 0; pa < limit; pa += kSectionSize) {
-      const PageAttrs& a = pa < kImageEnd ? rwx : rw;
-      if (Status s = boot_map_section(phys_to_virt(pa), pa, a); !s.ok()) return s;
+      const VirtAddr va = phys_to_virt(pa);
+      Result<PhysAddr> table = boot_table(va, 2);
+      if (!table.ok()) return table;
+      machine_.phys().write64(
+          table.value() + sim::va_index(va, 2) * 8,
+          sim::make_block_desc(pa, pa < kImageEnd ? rwx : rw));
     }
-  } else {
-    // Patched-kernel style (§6.2): everything in 4 KiB pages with W^X.
-    for (PhysAddr pa = 0; pa < limit; pa += kPageSize) {
-      const PageAttrs* a = &rw;
-      if (pa < kTextSize) {
-        a = &text;
-      } else if (pa < kRodataBase + kRodataSize) {
-        a = &ro;
-      }
-      if (Status s = boot_map_page(phys_to_virt(pa), pa, *a); !s.ok()) return s;
+    return kernel_root_;
+  }
+
+  // Patched-kernel style (§6.2): everything in 4 KiB pages with W^X, a
+  // last-level table (2 MiB of linear map) at a time.  A leaf is its
+  // frame address or'd with one of three attribute words; a limit inside
+  // a page maps that whole page.
+  static_assert(kKernelVaBase % kSectionSize == 0);
+  const u64 text_bits = sim::make_page_desc(0, text);
+  const u64 ro_bits = sim::make_page_desc(0, ro);
+  const u64 rw_bits = sim::make_page_desc(0, rw);
+  const PhysAddr end = page_align_up(limit);
+  std::array<u64, kPtEntries> leaves;
+  for (PhysAddr base = 0; base < end; base += kSectionSize) {
+    Result<PhysAddr> table = boot_table(phys_to_virt(base), 3);
+    if (!table.ok()) return table;
+    const u64 n = std::min<u64>(kPtEntries, (end - base) / kPageSize);
+    for (u64 i = 0; i < n; ++i) {
+      const PhysAddr pa = base + i * kPageSize;
+      leaves[i] = pa | (pa < kTextSize                  ? text_bits
+                        : pa < kRodataBase + kRodataSize ? ro_bits
+                                                         : rw_bits);
     }
+    machine_.phys().write_block(table.value(), leaves.data(), n * 8);
   }
   return kernel_root_;
 }

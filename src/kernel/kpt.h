@@ -5,7 +5,8 @@
 // descriptor *writes* go through the pluggable PtWriter (direct stores vs
 // Hypersec hypercalls); descriptor *reads* are ordinary charged EL1 loads
 // through the linear map.  The boot-time linear map is built with the MMU
-// off (direct physical stores, uncharged), as a boot loader would.
+// off (direct physical stores, uncharged), as a boot loader would, one
+// last-level table per store.
 #pragma once
 
 #include <map>
@@ -31,7 +32,8 @@ class PageTableManager {
   /// Build the kernel TTBR1 tree mapping the linear region [0, limit):
   /// text RX, rodata RO, data + rest RW, all cacheable; `use_sections`
   /// selects 2 MiB block descriptors for the post-image region (the stock
-  /// kernel behaviour §6.2 patches away).  MMU-off construction.
+  /// kernel behaviour §6.2 patches away).  MMU-off construction; a limit
+  /// inside a page maps that whole page.
   Result<PhysAddr> build_kernel_linear_map(PhysAddr limit, bool use_sections);
 
   /// Allocate a zeroed top-level table for a user address space.

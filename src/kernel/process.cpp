@@ -164,9 +164,7 @@ Result<Task*> ProcessManager::make_task() {
   }
   task->kstack = kstack.value();
   machine_.advance(costs_.page_alloc);
-  static const std::array<u8, 4 * kPageSize> kZeros{};
-  machine_.write_block_bulk(phys_to_virt(task->kstack), kZeros.data(),
-                            4 * kPageSize);
+  machine_.zero_block_bulk(phys_to_virt(task->kstack), 4 * kPageSize);
   Task* raw = task.get();
   tasks_[task->pid] = std::move(task);
   return raw;
@@ -178,9 +176,7 @@ Status ProcessManager::map_fresh_page(Task& task, VirtAddr page_va,
   if (!frame.ok()) return frame.status();
   machine_.advance(costs_.page_alloc);
   // Zero through the linear map (charged bulk path).
-  static const std::array<u8, kPageSize> kZeros{};
-  machine_.write_block_bulk(phys_to_virt(frame.value()), kZeros.data(),
-                            kPageSize);
+  machine_.zero_block_bulk(phys_to_virt(frame.value()), kPageSize);
   frame_ref(frame.value());
   return kpt_.map_page(task.ttbr0, page_va, frame.value(),
                        user_attrs(writable, executable));

@@ -17,6 +17,7 @@ Cache::Cache(const CacheConfig& config, MemoryBus& bus, CycleAccount& account,
   assert(total_lines % config_.ways == 0);
   num_sets_ = total_lines / config_.ways;
   assert(is_pow2(num_sets_));
+  set_mask_ = num_sets_ - 1;
   lines_.resize(total_lines);
   victim_.resize(num_sets_, 0);
 }
@@ -69,8 +70,7 @@ void Cache::access(PhysAddr pa, bool is_write) {
   // Miss: pick a victim (round-robin), evict, fill via the bus.
   ++account_.counters().l1_misses;
   const u64 set = set_index(pa);
-  unsigned way = victim_[set];
-  victim_[set] = (way + 1) % config_.ways;
+  unsigned way = next_victim(set);
   // Prefer an invalid way if one exists.
   for (unsigned w = 0; w < config_.ways; ++w) {
     if (!lines_[set * config_.ways + w].valid) {
@@ -104,8 +104,7 @@ void Cache::write_alloc_line(PhysAddr pa) {
   }
   ++account_.counters().l1_stream_allocs;
   const u64 set = set_index(pa);
-  unsigned way = victim_[set];
-  victim_[set] = (way + 1) % config_.ways;
+  unsigned way = next_victim(set);
   for (unsigned w = 0; w < config_.ways; ++w) {
     if (!lines_[set * config_.ways + w].valid) {
       way = w;

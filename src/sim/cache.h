@@ -102,7 +102,13 @@ class Cache {
              " does not match configured geometry");
       return;
     }
-    for (unsigned& v : victim_) v = r.get_u32();
+    for (unsigned& v : victim_) {
+      v = r.get_u32();
+      if (r.ok() && v >= config_.ways) {
+        r.fail("victim way " + std::to_string(v) + " out of range");
+        return;
+      }
+    }
   }
 
  private:
@@ -113,7 +119,13 @@ class Cache {
   };
 
   [[nodiscard]] u64 set_index(PhysAddr pa) const {
-    return (pa / kCacheLineSize) % num_sets_;
+    return (pa / kCacheLineSize) & set_mask_;
+  }
+  /// Round-robin victim of `set`, advancing its cursor.
+  unsigned next_victim(u64 set) {
+    const unsigned way = victim_[set];
+    victim_[set] = way + 1 == config_.ways ? 0 : way + 1;
+    return way;
   }
   Line* find_line(PhysAddr pa);
   [[nodiscard]] const Line* find_line(PhysAddr pa) const;
@@ -127,6 +139,7 @@ class Cache {
   u8 core_id_ = 0;
   Cycles* bus_clock_ = nullptr;  // Machine's shared bus clock (may be null)
   u64 num_sets_;
+  u64 set_mask_;                  // num_sets_ - 1 (num_sets_ is a power of 2)
   std::vector<Line> lines_;       // num_sets_ * ways, set-major
   std::vector<unsigned> victim_;  // round-robin pointer per set
 };

@@ -329,9 +329,22 @@ Access64 Machine::write64(VirtAddr va, u64 value, bool user) {
 
 bool Machine::write_block_bulk(VirtAddr va, const void* data, u64 len,
                                bool user) {
+  return store_bulk(va, static_cast<const u8*>(data), len, user);
+}
+
+bool Machine::zero_block_bulk(VirtAddr va, u64 len, bool user) {
+  return store_bulk(va, nullptr, len, user);
+}
+
+bool Machine::store_bulk(VirtAddr va, const u8* p, u64 len, bool user) {
   obs::Scope scope(scopes_, obs::Layer::kSimMem);
   assert(is_word_aligned(va) && len % kWordSize == 0);
-  const auto* p = static_cast<const u8*>(data);
+  // The word at byte offset `o` of the source; a null source is all zeros.
+  auto word = [p](u64 o) {
+    u64 v = 0;
+    if (p != nullptr) std::memcpy(&v, p + o, kWordSize);
+    return v;
+  };
   u64 off = 0;
   while (off < len) {
     const VirtAddr page_va = page_align_down(va + off);
@@ -344,9 +357,7 @@ bool Machine::write_block_bulk(VirtAddr va, const void* data, u64 len,
     if (!out.ok) {
       // Fall back to the exact path so fault handling (stage-2 fills, COW)
       // behaves identically to single-word accesses.
-      u64 first;
-      std::memcpy(&first, p + off, kWordSize);
-      if (!write64(va + off, first, user).ok) return false;
+      if (!write64(va + off, word(off), user).ok) return false;
       obs_bulk_exact_words_.add();
       off += kWordSize;
       continue;
@@ -373,16 +384,20 @@ bool Machine::write_block_bulk(VirtAddr va, const void* data, u64 len,
       cur_->account.charge_batch(config_.timing.l1_hit,
                                  words - chunk / kCacheLineSize);
       cur_->account.counters().mem_writes += words;
-      phys_.write_block(pa, p + off, chunk);
+      // A zero fill hands whole frames back to the zero sentinel instead
+      // of materialising them (DESIGN.md §12).
+      if (p != nullptr) {
+        phys_.write_block(pa, p + off, chunk);
+      } else {
+        phys_.zero_range(pa, chunk);
+      }
     } else {
       // Non-cacheable / device page: the exact per-word path.  Every word
       // translates on its own and reaches the bus, where a snooper (the
       // MBM) may react by running handler code that disturbs the TLB.
       obs_bulk_exact_words_.add(chunk / kWordSize);
       for (u64 w = 0; w < chunk; w += kWordSize) {
-        u64 v;
-        std::memcpy(&v, p + off + w, kWordSize);
-        if (!write64(va + off + w, v, user).ok) return false;
+        if (!write64(va + off + w, word(off + w), user).ok) return false;
       }
     }
     off += chunk;

@@ -215,6 +215,11 @@ class Machine {
   /// `va` word aligned, `len` a multiple of the word size.
   bool write_block_bulk(VirtAddr va, const void* data, u64 len,
                         bool user = false);
+  /// write_block_bulk of `len` zero bytes, with identical charges,
+  /// counters, cache state and bus traffic; on cacheable pages the
+  /// frames drop back to the all-zero sentinel instead of being
+  /// materialised (host memory only).
+  bool zero_block_bulk(VirtAddr va, u64 len, bool user = false);
   bool read_block_bulk(VirtAddr va, void* out, u64 len, bool user = false);
 
   /// Translate without performing an access or invoking fault handlers;
@@ -369,6 +374,9 @@ class Machine {
   };
 
   Access64 access64(VirtAddr va, bool is_write, u64 value, bool user);
+  /// The one bulk-store loop behind write_block_bulk (source `p`) and
+  /// zero_block_bulk (`p` null: the source is all zeros).
+  bool store_bulk(VirtAddr va, const u8* p, u64 len, bool user);
   /// Enroll the built-in per-core tracks (sim.core{K}.*) — always done,
   /// so arming later samples a fixed, deterministic track order.
   void enroll_builtin_tracks();

@@ -15,7 +15,9 @@
 //   * writes materialise zero pages and copy shared ones (refcount > 1)
 //     before mutating, so a captured PageSet is immutable: concurrent
 //     machines forked from one snapshot only ever *read* shared pages,
-//     which keeps the fork path clean under TSan.
+//     which keeps the fork path clean under TSan;
+//   * `zero_range` over a whole page drops it back to the sentinel
+//     instead, so zero-filling a fresh frame allocates nothing.
 //
 // Refcount discipline is the shared_ptr classic: increments are relaxed,
 // the owner-drop decrement is acq_rel, and the exclusivity check in the
@@ -212,6 +214,8 @@ class PhysicalMemory {
     }
   }
 
+  /// Zero [pa, pa+len): whole pages return to the zero sentinel (their
+  /// sharing released), partial pages are zeroed in place.
   void zero_range(PhysAddr pa, u64 len) {
     assert(contains(pa, len));
     while (len > 0) {

@@ -9,6 +9,7 @@
 #include "sim/cache.h"
 #include "sim/cycle_account.h"
 #include "sim/phys_mem.h"
+#include "sim/snapshot.h"
 
 namespace hn::sim {
 namespace {
@@ -196,6 +197,23 @@ TEST_F(CacheFixture, HitLatencyCharged) {
   const Cycles before = account_.cycles();
   cache_.access(0x6000, false);
   EXPECT_EQ(account_.cycles() - before, timing_.l1_hit);
+}
+
+TEST_F(CacheFixture, RestoreRejectsOutOfRangeVictimWay) {
+  // The round-robin cursor indexes a way directly, so a snapshot whose
+  // cursor names a way past the set's end must not restore.
+  SnapWriter w;
+  cache_.save_state(w);
+  std::vector<u8> blob = w.take();
+  const u32 ways = cache_.config().ways;
+  for (int i = 0; i < 4; ++i) {
+    blob[blob.size() - 4 + i] = static_cast<u8>(ways >> (8 * i));
+  }
+  SnapReader r(blob);
+  cache_.restore_state(r);
+  EXPECT_EQ(r.status().message(),
+            "snapshot: cache: victim way " + std::to_string(ways) +
+                " out of range");
 }
 
 }  // namespace

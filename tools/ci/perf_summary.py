@@ -14,6 +14,12 @@ simulator change that slows the fast path *and* the reference path alike
 the speedup ratio flat while replay throughput quietly sinks.  Always
 exits 0: CI-runner noise must never gate a merge; the warning is the
 signal to look.
+
+The table also shows each loop's reference-rate change against the
+baseline (informational, never a warning): a speedup can fall because
+the reference side got faster, as `snapshot_fork`'s did when fresh boots
+got cheaper, and the "ref delta" column tells that apart from a slower
+fast path.
 """
 
 import json
@@ -56,8 +62,9 @@ def main(argv):
     lines = [
         "## Sim throughput (quick)",
         "",
-        "| loop | unit | ref | fast | speedup | baseline | delta | fast delta |",
-        "|---|---|---|---|---|---|---|---|",
+        "| loop | unit | ref | fast | speedup | baseline | delta | ref delta "
+        "| fast delta |",
+        "|---|---|---|---|---|---|---|---|---|",
     ]
     warnings = []
     for loop in results["loops"]:
@@ -73,6 +80,10 @@ def main(argv):
                     f"{name}: speedup {loop['speedup']:.2f}x vs baseline "
                     f"{base_speedup:.2f}x ({100 * rel:+.0f}%)"
                 )
+        base_ref = rate(base, "ref") if base else 0
+        ref_delta = (
+            f"{100 * (rate(loop, 'ref') / base_ref - 1.0):+.0f}%" if base_ref else ""
+        )
         base_fast = rate(base, "fast") if base else 0
         fast_delta = ""
         if base_fast:
@@ -84,7 +95,7 @@ def main(argv):
                     f"baseline {fmt_rate(base_fast)} ({100 * rel_fast:+.0f}%)"
                 )
         lines.append(
-            "| {} | {} | {} | {} | {:.2f}x | {} | {} | {} |".format(
+            "| {} | {} | {} | {} | {:.2f}x | {} | {} | {} | {} |".format(
                 name,
                 loop.get("unit", "accesses"),
                 fmt_rate(rate(loop, "ref")),
@@ -92,6 +103,7 @@ def main(argv):
                 loop["speedup"],
                 f"{base_speedup:.2f}x" if base_speedup else "—",
                 delta or "—",
+                ref_delta or "—",
                 fast_delta or "—",
             )
         )
