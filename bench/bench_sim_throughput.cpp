@@ -11,8 +11,10 @@
 //   walk_heavy   — working set past TLB reach: every access walks
 //   s2_nested    — walk-heavy with stage 2 enabled (nested descriptor
 //                  fetches, the architectural blow-up of §3)
-//   bulk_copy    — read/write_block_bulk over a non-cacheable buffer
-//                  (per-word bus-visible traffic, one TLB lookup a word)
+//   audit_memo   — Hypersec's invariant audit of a booted Hypernel system
+//                  between fork/exit page-table churn (the audit memo
+//                  serves unchanged tables from its scan cache; the
+//                  reference rescans every table)
 //   fuzz_replay  — whole differential fuzz sequences across the quick
 //                  configuration matrix (end-to-end replay cost)
 //   campaign     — run_campaign end-to-end (the hypernel_fuzz pipeline):
@@ -40,6 +42,7 @@
 #include "bench/bench_common.h"
 #include "common/stopwatch.h"
 #include "fuzz/fuzzer.h"
+#include "hypernel/system.h"
 #include "sim/machine.h"
 #include "sim/pagetable.h"
 
@@ -51,7 +54,8 @@ using namespace hn::sim;
 struct LoopResult {
   std::string name;
   /// What one unit of `work` is: "accesses" for the memory-system loops,
-  /// "execs" (sequence x configuration runs) for the end-to-end loops.
+  /// "audits" for the audit loop, "execs" (sequence x configuration runs)
+  /// for the end-to-end loops.
   const char* unit = "accesses";
   u64 work = 0;          // units of work per mode run
   u64 sequences = 0;     // fuzz sequences per run (end-to-end loops only)
@@ -305,30 +309,65 @@ LoopResult bench_s2_nested(u64 iters) {
   return run_loop("s2_nested", iters, setup, body);
 }
 
-LoopResult bench_bulk_copy(u64 iters) {
-  // 64 KiB non-cacheable buffer: the bulk paths fall back to per-word
-  // accesses, each a TLB hit whose word reaches the bus (MBM-visible
-  // traffic), so the two modes differ only in the TLB lookup.
-  constexpr u64 kBufBytes = 64 * 1024;
-  constexpr unsigned kPages = kBufBytes / kPageSize;
-  auto setup = [](bool fp) {
-    auto bm = std::make_unique<BenchMachine>(fp);
-    PageAttrs nc{.write = true};
-    nc.attr = MemAttr::kNonCacheable;
-    for (unsigned i = 0; i < kPages; ++i) {
-      bm->map(kVaBase + i * kPageSize, kPaBase + i * kPageSize, nc);
+/// A booted Hypernel system (MBM off), for the loops that exercise
+/// Hypersec rather than the bare memory system.
+class BenchSystem {
+ public:
+  explicit BenchSystem(bool fast_path) {
+    hypernel::SystemConfig cfg;
+    cfg.mode = hypernel::Mode::kHypernel;
+    cfg.enable_mbm = false;
+    cfg.machine.host_fast_path = fast_path;
+    auto sys = hypernel::System::create(cfg);
+    if (!sys.ok()) {
+      std::fprintf(stderr, "FATAL: System::create failed: %s\n",
+                   sys.status().message().c_str());
+      std::abort();
     }
-    return bm;
-  };
-  std::vector<u8> host(kBufBytes, 0xA5);
-  auto body = [iters, &host](BenchMachine& bm) {
-    for (u64 i = 0; i < iters; ++i) {
-      bm.m().write_block_bulk(kVaBase, host.data(), kBufBytes);
-      bm.m().read_block_bulk(kVaBase, host.data(), kBufBytes);
+    sys_ = std::move(sys).value();
+  }
+
+  Machine& m() { return sys_->machine(); }
+  hypernel::System& sys() { return *sys_; }
+
+ private:
+  std::unique_ptr<hypernel::System> sys_;
+};
+
+LoopResult bench_audit_memo(u64 audits) {
+  // The fuzz oracle audits after every op.  Between audits the inventory
+  // changes the way a campaign's does: every 16 audits the previous
+  // forked child exits (its tree leaves the inventory) and a new one is
+  // forked (a fresh tree joins it).  The memo keeps the kernel tree and
+  // the parent's tree cached across the churn; the reference walks every
+  // table of every tree on each audit.  Audits are uncharged host work,
+  // so the simulated ledger of the churn is identical in both modes.
+  auto setup = [](bool fp) { return std::make_unique<BenchSystem>(fp); };
+  auto body = [audits](BenchSystem& bs) {
+    kernel::Kernel& k = bs.sys().kernel();
+    hypersec::Hypersec& hs = *bs.sys().hypersec();
+    kernel::Task* parent = &k.procs().current();
+    u32 child = 0;
+    for (u64 i = 0; i < audits; ++i) {
+      if (i % 16 == 0) {
+        if (child != 0) {
+          k.procs().switch_to(*k.procs().find(child));
+          if (!k.sys_exit().ok()) std::abort();
+          k.procs().switch_to(*parent);
+        }
+        Result<u32> pid = k.sys_fork();
+        if (!pid.ok()) std::abort();
+        child = pid.value();
+      }
+      if (!hs.audit_report().empty()) {
+        std::fprintf(stderr, "FATAL: audit_memo found a violation\n");
+        std::abort();
+      }
     }
   };
-  return run_loop("bulk_copy", iters * 2 * (kBufBytes / kWordSize), setup,
-                  body);
+  LoopResult r = run_loop("audit_memo", audits, setup, body);
+  r.unit = "audits";
+  return r;
 }
 
 /// End-to-end: whole fuzz sequences across the quick matrix.  Fast mode
@@ -568,7 +607,7 @@ int main(int argc, char** argv) {
   loops.push_back(bench_tlb_hit(quick ? 200'000 : 2'000'000));
   loops.push_back(bench_walk_heavy(quick ? 50'000 : 500'000));
   loops.push_back(bench_s2_nested(quick ? 20'000 : 200'000));
-  loops.push_back(bench_bulk_copy(quick ? 50 : 500));
+  loops.push_back(bench_audit_memo(quick ? 200 : 2000));
   loops.push_back(bench_fuzz_replay(quick ? 2 : 8));
   loops.push_back(bench_campaign(quick ? 2 : 6));
   loops.push_back(bench_snapshot_fork(quick ? 20 : 100));

@@ -451,13 +451,7 @@ u64 Hypersec::do_module_seal(std::span<const u64> args, bool seal) {
 u64 Hypersec::do_mbm_irq() {
   if (driver_ == nullptr) return hvc::kBadArgs;
   ++stats_.mbm_irq_calls;
-  const u64 n = driver_->drain(
-      [this](const mbm::MonitorEvent& ev, const RegionInfo& region) {
-        auto it = apps_.find(region.sid);
-        if (it == apps_.end()) return AppVerdict::kBenign;
-        return it->second->on_write_event(ev, region);
-      });
-  stats_.events_dispatched += n;
+  stats_.events_dispatched += driver_->drain(apps_);
   return hvc::kOk;
 }
 

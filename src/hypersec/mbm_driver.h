@@ -11,8 +11,9 @@
 // security application.
 #pragma once
 
-#include <functional>
 #include <map>
+#include <unordered_map>
+#include <vector>
 
 #include "common/status.h"
 #include "common/types.h"
@@ -48,22 +49,23 @@ class MbmDriver {
   MbmDriver& operator=(const MbmDriver&) = delete;
 
   /// §5.3 steps 1-2.  `va`/`size` must be word aligned; the region must be
-  /// in the kernel linear map.
+  /// in the kernel linear map, inside one page and inside the MBM's watch
+  /// window.  Registering again at the same base replaces the region.
   Status register_region(u64 sid, VirtAddr va, u64 size);
+  /// `size` must be the registered region's size.
   Status unregister_region(u64 sid, VirtAddr va, u64 size);
 
-  /// §5.3 steps 7-8: drain the ring, dispatching each event.  Returns the
-  /// number of events delivered.  The dispatch callback reports the
-  /// security app's verdict, which the driver stamps into the kVerdict
+  /// §5.3 steps 7-8: drain the ring, dispatching each event to the app in
+  /// `apps` that owns its region.  Returns the number of events
+  /// delivered.  The app's verdict is stamped into the kVerdict
   /// flight-recorder event closing the write→detect→verdict chain.
-  u64 drain(const std::function<AppVerdict(const mbm::MonitorEvent&,
-                                           const RegionInfo&)>& dispatch);
+  u64 drain(const std::map<u64, SecurityApp*>& apps);
 
-  [[nodiscard]] u64 regions() const { return regions_.size(); }
+  [[nodiscard]] u64 regions() const { return regions_; }
   [[nodiscard]] u64 events_delivered() const { return events_delivered_; }
   [[nodiscard]] u64 unattributed_events() const { return unattributed_; }
   /// Pages currently forced non-cacheable for monitoring.
-  [[nodiscard]] u64 noncacheable_pages() const { return nc_refs_.size(); }
+  [[nodiscard]] u64 noncacheable_pages() const { return pages_.size(); }
 
   /// EL2 software walk of the kernel stage-1 tree (exposed for Hypersec's
   /// own page-protection edits and for tests).
@@ -76,53 +78,29 @@ class MbmDriver {
   El2Walk el2_walk(VirtAddr va);
 
   // --- Snapshot support (sim/snapshot.h) ------------------------------------
+  // Regions in ascending base order, then the non-cacheable pages in
+  // ascending order, whatever order the table holds them in.
 
-  void save_state(sim::SnapWriter& w) const {
-    w.put_u64(regions_.size());
-    for (const auto& [pa, info] : regions_) {
-      w.put_u64(pa);
-      w.put_u64(info.sid);
-      w.put_u64(info.va_base);
-      w.put_u64(info.pa_base);
-      w.put_u64(info.size);
-    }
-    w.put_u64(nc_refs_.size());
-    for (const auto& [pa, refs] : nc_refs_) {
-      w.put_u64(pa);
-      w.put_u32(refs);
-    }
-    w.put_u64(events_delivered_);
-    w.put_u64(unattributed_);
-    w.put_u64(detect_e2e_cycles_);
-    w.put_u64(verdicts_);
-  }
-
-  void restore_state(sim::SnapReader& r) {
-    r.section("mbm driver");
-    const u64 nregions = r.get_count("monitored region");
-    regions_.clear();
-    for (u64 i = 0; r.ok() && i < nregions; ++i) {
-      const PhysAddr key = r.get_u64();
-      RegionInfo info;
-      info.sid = r.get_u64();
-      info.va_base = r.get_u64();
-      info.pa_base = r.get_u64();
-      info.size = r.get_u64();
-      regions_.emplace(key, info);
-    }
-    const u64 nrefs = r.get_count("non-cacheable page");
-    nc_refs_.clear();
-    for (u64 i = 0; r.ok() && i < nrefs; ++i) {
-      const PhysAddr pa = r.get_u64();
-      nc_refs_[pa] = r.get_u32();
-    }
-    events_delivered_ = r.get_u64();
-    unattributed_ = r.get_u64();
-    detect_e2e_cycles_ = r.get_u64();
-    verdicts_ = r.get_u64();
-  }
+  void save_state(sim::SnapWriter& w) const;
+  /// Fails `r` on a region whose key is not its base, that straddles a
+  /// page or leaves the watch window, on keys out of order, and on a page
+  /// whose reference count is below its region count.
+  void restore_state(sim::SnapReader& r);
 
  private:
+  /// Monitoring state of one physical page: the registrations holding it
+  /// non-cacheable, and its regions sorted by base.  A region never
+  /// straddles a page, so the page of an address holds every region that
+  /// can contain it.
+  struct PageState {
+    u32 nc_refs = 0;
+    std::vector<RegionInfo> regions;
+  };
+
+  /// std::map::upper_bound's rule within one page: the region with the
+  /// greatest base <= `pa`, if it contains `pa`.
+  [[nodiscard]] const RegionInfo* region_for(PhysAddr pa) const;
+  [[nodiscard]] bool in_watch_window(PhysAddr pa, u64 size) const;
   void set_bits(PhysAddr pa, u64 size, bool on);
   Status set_page_cacheable(VirtAddr page_va, bool cacheable);
 
@@ -130,8 +108,8 @@ class MbmDriver {
   kernel::Kernel& kernel_;
   mbm::MemoryBusMonitor& mbm_;
   bool noncacheable_remap_;
-  std::map<PhysAddr, RegionInfo> regions_;  // keyed by pa_base
-  std::map<PhysAddr, u32> nc_refs_;         // page PA -> monitoring regions on it
+  std::unordered_map<u64, PageState> pages_;  // keyed by page frame number
+  u64 regions_ = 0;
   u64 events_delivered_ = 0;
   u64 unattributed_ = 0;
   u64 detect_e2e_cycles_ = 0;  // summed verdict_at - store_at, all verdicts

@@ -77,7 +77,7 @@ Result<u32> IpcManager::create_socket_pair() {
   Result<PhysAddr> skb = buddy_.alloc_page();
   if (!skb.ok()) return skb.status();
   sp.skb = skb.value();
-  machine_.account().charge_batch(costs_.page_alloc, 3);
+  machine_.account().charge(costs_.page_alloc * 3);
   const u32 id = next_id_++;
   sockets_[id] = sp;
   return id;

@@ -131,11 +131,10 @@ Status Kernel::boot() {
   // Every core's EL1 vector dispatches into the same kernel IRQ path.
   machine_.install_el1_irq_handler([this](unsigned line) { on_irq(line); });
 
-  // Kernel-structures arena: 160 pages of task structs, runqueues, inodes,
-  // locks... touched in scattered fashion by every kernel path.
-  ws_arena_pages_ = 160;
+  // Kernel-structures arena, touched in scattered fashion by every kernel
+  // path.
   Result<PhysAddr> arena =
-      buddy_->alloc_pages(8);  // 256 pages; use the first 192
+      buddy_->alloc_pages(8);  // 256 pages; use the first kWsArenaPages
   if (!arena.ok()) return arena.status();
   ws_arena_ = arena.value();
   procs_->set_ws_toucher([this](u64 n) { touch_kernel_ws(n); });
@@ -176,7 +175,7 @@ void Kernel::touch_kernel_ws(u64 words) {
   if (ws_arena_ == 0) return;
   for (u64 i = 0; i < words; ++i) {
     const u64 n = ws_cursor_++;
-    const u64 page = (n * 2654435761u) % ws_arena_pages_;
+    const u64 page = (n * 2654435761u) % kWsArenaPages;
     // Each arena page has one hot word (a lock / refcount / list head), so
     // the lines stay L1-resident while the *pages* overflow the TLB: the
     // cost differential between configurations is purely the translation

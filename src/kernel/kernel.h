@@ -113,6 +113,8 @@ class Kernel {
   /// working-set model that gives kernel paths realistic TLB behaviour
   /// (see KernelCosts::ws_*).
   void touch_kernel_ws(u64 words);
+  /// Pages of that arena: task structs, runqueues, inodes, locks...
+  static constexpr u64 kWsArenaPages = 160;
 
   [[nodiscard]] u64 timer_ticks() const { return timer_ticks_; }
   [[nodiscard]] PhysAddr linear_limit() const { return linear_limit_; }
@@ -130,7 +132,7 @@ class Kernel {
     w.put_u64(next_tick_at_.size());
     for (const Cycles t : next_tick_at_) w.put_u64(t);
     w.put_u64(ws_arena_);
-    w.put_u64(ws_arena_pages_);
+    w.put_u64(kWsArenaPages);
     w.put_u64(ws_cursor_);
     buddy_->save_state(w);
     kpt_->save_state(w);
@@ -156,8 +158,19 @@ class Kernel {
     next_tick_at_.assign(r.ok() ? ntimers : 0, 0);
     for (Cycles& t : next_tick_at_) t = r.get_u64();
     ws_arena_ = r.get_u64();
-    ws_arena_pages_ = r.get_u64();
+    const u64 arena_pages = r.get_u64();
     ws_cursor_ = r.get_u64();
+    if (r.ok() && arena_pages != kWsArenaPages) {
+      r.fail("working-set arena of " + std::to_string(arena_pages) +
+             " pages; this kernel's has " + std::to_string(kWsArenaPages));
+      return;
+    }
+    if (r.ok() && (!is_page_aligned(ws_arena_) || ws_arena_ > linear_limit_ ||
+                   linear_limit_ - ws_arena_ < kWsArenaPages * kPageSize)) {
+      r.fail("working-set arena at " + std::to_string(ws_arena_) +
+             " lies outside normal DRAM");
+      return;
+    }
     buddy_->restore_state(r);
     kpt_->restore_state(r);
     cred_slab_->restore_state(r);
@@ -189,7 +202,6 @@ class Kernel {
   u64 timer_ticks_ = 0;
   std::vector<Cycles> next_tick_at_;  // per-core timer deadline
   PhysAddr ws_arena_ = 0;       // kernel-structures arena (working set)
-  u64 ws_arena_pages_ = 0;
   u64 ws_cursor_ = 0;
   obs::Counter obs_syscalls_;
 };

@@ -46,21 +46,25 @@ Vfs::Vfs(sim::Machine& machine, BuddyAllocator& buddy, SlabCache& dentry_slab,
     : machine_(machine), buddy_(buddy), dentry_slab_(dentry_slab),
       costs_(costs) {
   lock_.bind(machine);
-  Inode root;
-  root.ino = kRootIno;
-  root.is_dir = true;
-  inodes_[kRootIno] = root;
+  inodes_.resize(next_ino_);
+  inodes_[kRootIno] = std::make_unique<Inode>();
+  inodes_[kRootIno]->ino = kRootIno;
+  inodes_[kRootIno]->is_dir = true;
+  live_inodes_ = 1;
+}
+
+Inode* Vfs::find_inode(u64 ino) {
+  return ino < inodes_.size() ? inodes_[ino].get() : nullptr;
 }
 
 Inode& Vfs::must_inode(u64 ino) {
-  auto it = inodes_.find(ino);
-  assert(it != inodes_.end());
-  return it->second;
+  Inode* node = find_inode(ino);
+  assert(node != nullptr);
+  return *node;
 }
 
 const Inode* Vfs::inode(u64 ino) const {
-  auto it = inodes_.find(ino);
-  return it == inodes_.end() ? nullptr : &it->second;
+  return ino < inodes_.size() ? inodes_[ino].get() : nullptr;
 }
 
 void Vfs::write_dentry_word(VirtAddr dva, u64 word, u64 value) {
@@ -153,11 +157,15 @@ Result<std::pair<u64, std::string>> Vfs::resolve_parent(std::string_view path) {
 }
 
 Result<u64> Vfs::alloc_ino(bool is_dir) {
-  Inode node;
-  node.ino = next_ino_++;
-  node.is_dir = is_dir;
-  inodes_[node.ino] = node;
-  return node.ino;
+  if (next_ino_ >= kMaxInodes) {
+    return Status::OutOfRange("vfs: inode numbers exhausted");
+  }
+  auto node = std::make_unique<Inode>();
+  node->ino = next_ino_++;
+  node->is_dir = is_dir;
+  inodes_.push_back(std::move(node));
+  ++live_inodes_;
+  return inodes_.back()->ino;
 }
 
 Result<u64> Vfs::create_file(std::string_view path) {
@@ -213,13 +221,14 @@ void Vfs::drop_dentry(u64 parent, const std::string& name,
   dcache_.erase(it);
 }
 
-void Vfs::remove_entry(std::map<DKey, u64>::iterator child) {
+void Vfs::remove_entry(Children::iterator child) {
   Inode& node = must_inode(child->second);
   drop_dentry(child->first.parent, child->first.name, /*zap_inode_word=*/true);
   if (--node.nlink == 0) {
     for (auto& [idx, frame] : node.pages) buddy_.free_page(frame);
-    machine_.account().charge_batch(costs_.page_free, node.pages.size());
-    inodes_.erase(node.ino);
+    machine_.account().charge(costs_.page_free * node.pages.size());
+    inodes_[node.ino].reset();
+    --live_inodes_;
   }
   children_.erase(child);
 }
@@ -308,9 +317,9 @@ Result<StatInfo> Vfs::stat(std::string_view path) {
 
 Result<PhysAddr> Vfs::page_for(u64 ino, u64 pgoff) {
   SpinGuard ns(lock_);
-  auto it = inodes_.find(ino);
-  if (it == inodes_.end()) return Status::NotFound("vfs: bad inode");
-  return ensure_page(it->second, pgoff);
+  Inode* node = find_inode(ino);
+  if (node == nullptr) return Status::NotFound("vfs: bad inode");
+  return ensure_page(*node, pgoff);
 }
 
 PhysAddr Vfs::ensure_page(Inode& node, u64 page_index) {
@@ -326,9 +335,9 @@ PhysAddr Vfs::ensure_page(Inode& node, u64 page_index) {
 
 Status Vfs::write_file(u64 ino, u64 offset, const void* data, u64 len) {
   SpinGuard ns(lock_);
-  auto it = inodes_.find(ino);
-  if (it == inodes_.end()) return Status::NotFound("vfs: bad inode");
-  Inode& node = it->second;
+  Inode* found = find_inode(ino);
+  if (found == nullptr) return Status::NotFound("vfs: bad inode");
+  Inode& node = *found;
   const auto* p = static_cast<const u8*>(data);
   u64 done = 0;
   while (done < len) {
@@ -348,9 +357,9 @@ Status Vfs::write_file(u64 ino, u64 offset, const void* data, u64 len) {
 
 Status Vfs::read_file(u64 ino, u64 offset, void* out, u64 len) {
   SpinGuard ns(lock_);
-  auto it = inodes_.find(ino);
-  if (it == inodes_.end()) return Status::NotFound("vfs: bad inode");
-  Inode& node = it->second;
+  const Inode* found = find_inode(ino);
+  if (found == nullptr) return Status::NotFound("vfs: bad inode");
+  const Inode& node = *found;
   auto* p = static_cast<u8*>(out);
   u64 done = 0;
   while (done < len) {
@@ -371,12 +380,12 @@ Status Vfs::read_file(u64 ino, u64 offset, void* out, u64 len) {
 }
 
 Status Vfs::append_pattern(u64 ino, u64 len, u64 seed) {
-  auto it = inodes_.find(ino);
-  if (it == inodes_.end()) return Status::NotFound("vfs: bad inode");
+  const Inode* node = find_inode(ino);
+  if (node == nullptr) return Status::NotFound("vfs: bad inode");
   SplitMix64 rng(seed);
   std::vector<u8> buf(std::min<u64>(len, kPageSize));
   u64 done = 0;
-  const u64 start = it->second.size;
+  const u64 start = node->size;
   while (done < len) {
     const u64 chunk = std::min<u64>(len - done, buf.size());
     for (u64 i = 0; i < chunk; i += 8) {
@@ -392,11 +401,11 @@ Status Vfs::append_pattern(u64 ino, u64 len, u64 seed) {
 }
 
 void Vfs::evict_inode_pages(u64 ino) {
-  auto it = inodes_.find(ino);
-  if (it == inodes_.end()) return;
-  machine_.account().charge_batch(costs_.page_free, it->second.pages.size());
-  for (auto& [idx, frame] : it->second.pages) buddy_.free_page(frame);
-  it->second.pages.clear();
+  Inode* node = find_inode(ino);
+  if (node == nullptr) return;
+  machine_.account().charge(costs_.page_free * node->pages.size());
+  for (auto& [idx, frame] : node->pages) buddy_.free_page(frame);
+  node->pages.clear();
 }
 
 void Vfs::prune_dcache(u64 n) {
@@ -410,6 +419,121 @@ void Vfs::prune_dcache(u64 n) {
 VirtAddr Vfs::cached_dentry(u64 parent_ino, const std::string& name) const {
   auto it = dcache_.find(DKey{parent_ino, name});
   return it == dcache_.end() ? 0 : it->second.dva;
+}
+
+void Vfs::save_state(sim::SnapWriter& w) const {
+  w.put_u64(live_inodes_);
+  for (u64 ino = 0; ino < inodes_.size(); ++ino) {
+    const Inode* node = inodes_[ino].get();
+    if (node == nullptr) continue;
+    w.put_u64(ino);
+    w.put_u64(node->ino);
+    w.put_bool(node->is_dir);
+    w.put_u64(node->size);
+    w.put_u64(node->nlink);
+    w.put_u64(node->uid);
+    w.put_u64(node->gid);
+    w.put_u64(node->mtime);
+    w.put_u64(node->pages.size());
+    for (const auto& [pgoff, frame] : node->pages) {
+      w.put_u64(pgoff);
+      w.put_u64(frame);
+    }
+  }
+  w.put_u64(children_.size());
+  for (const auto* child : sim::sorted_entries(children_)) {
+    w.put_u64(child->first.parent);
+    w.put_string(child->first.name);
+    w.put_u64(child->second);
+  }
+  w.put_u64(dcache_.size());
+  for (const auto* cached : sim::sorted_entries(dcache_)) {
+    w.put_u64(cached->first.parent);
+    w.put_string(cached->first.name);
+    w.put_u64(cached->second.dva);
+  }
+  w.put_u64(dcache_lru_.size());
+  for (const DKey& key : dcache_lru_) {
+    w.put_u64(key.parent);
+    w.put_string(key.name);
+  }
+  w.put_u64(next_ino_);
+  w.put_u64(lookup_serial_);
+  lock_.save_state(w);
+}
+
+void Vfs::restore_state(sim::SnapReader& r) {
+  r.section("vfs");
+  const u64 ninodes = r.get_count("inode");
+  inodes_.clear();
+  live_inodes_ = 0;
+  for (u64 i = 0; r.ok() && i < ninodes; ++i) {
+    const u64 key = r.get_u64();
+    auto node = std::make_unique<Inode>();
+    node->ino = r.get_u64();
+    node->is_dir = r.get_bool();
+    node->size = r.get_u64();
+    node->nlink = r.get_u64();
+    node->uid = r.get_u64();
+    node->gid = r.get_u64();
+    node->mtime = r.get_u64();
+    const u64 npages = r.get_count("page cache");
+    // Saved in ascending key order (std::map iteration), so hinted
+    // inserts are amortized O(1).
+    for (u64 p = 0; r.ok() && p < npages; ++p) {
+      const u64 pgoff = r.get_u64();
+      node->pages.emplace_hint(node->pages.end(), pgoff, r.get_u64());
+    }
+    if (!r.ok()) return;
+    // Ascending numbers: each key lands past every slot filled so far.
+    if (key < inodes_.size() || key >= kMaxInodes || node->ino != key) {
+      r.fail("inode " + std::to_string(key) +
+             " is out of order, out of range or numbered apart from its key");
+      return;
+    }
+    inodes_.resize(key + 1);
+    inodes_[key] = std::move(node);
+    ++live_inodes_;
+  }
+  const u64 nchildren = r.get_count("directory entry");
+  children_.clear();
+  for (u64 i = 0; r.ok() && i < nchildren; ++i) {
+    DKey key{r.get_u64(), r.get_string()};
+    children_.emplace(std::move(key), r.get_u64());
+  }
+  const u64 ndcache = r.get_count("dcache entry");
+  dcache_.clear();
+  dcache_lru_.clear();
+  for (u64 i = 0; r.ok() && i < ndcache; ++i) {
+    DKey key{r.get_u64(), r.get_string()};
+    // The LRU's end() marks an entry the LRU has not placed yet.
+    dcache_.emplace(std::move(key),
+                    CachedDentry{r.get_u64(), dcache_lru_.end()});
+  }
+  // The LRU must name every cached dentry exactly once.
+  const u64 nlru = r.get_count("dcache LRU entry");
+  for (u64 i = 0; r.ok() && i < nlru; ++i) {
+    DKey key{r.get_u64(), r.get_string()};
+    auto it = dcache_.find(key);
+    if (it == dcache_.end() || it->second.lru != dcache_lru_.end()) {
+      r.fail("LRU entry names no cached dentry, or one twice");
+      return;
+    }
+    it->second.lru = dcache_lru_.insert(dcache_lru_.end(), std::move(key));
+  }
+  if (r.ok() && dcache_lru_.size() != dcache_.size()) {
+    r.fail("LRU omits a cached dentry");
+    return;
+  }
+  next_ino_ = r.get_u64();
+  lookup_serial_ = r.get_u64();
+  if (r.ok() && (next_ino_ < inodes_.size() || next_ino_ > kMaxInodes)) {
+    r.fail("inode bound " + std::to_string(next_ino_) +
+           " is below a live inode or past the inode table");
+    return;
+  }
+  inodes_.resize(next_ino_);
+  lock_.restore_state(r);
 }
 
 }  // namespace hn::kernel

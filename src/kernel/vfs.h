@@ -11,8 +11,10 @@
 #include <functional>
 #include <list>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -102,111 +104,25 @@ class Vfs {
 
   [[nodiscard]] const Inode* inode(u64 ino) const;
   [[nodiscard]] u64 root_ino() const { return kRootIno; }
-  [[nodiscard]] u64 inode_count() const { return inodes_.size(); }
+  [[nodiscard]] u64 inode_count() const { return live_inodes_; }
   /// One past the highest inode number ever issued: the iteration bound
   /// for whole-filesystem walks (fingerprinting), since inode numbers are
   /// never reused.
   [[nodiscard]] u64 ino_bound() const { return next_ino_; }
 
+  /// Inode numbers this filesystem can issue: the inode table is dense by
+  /// number, so a restored snapshot may not claim more.
+  static constexpr u64 kMaxInodes = u64{1} << 20;
+
   // --- Snapshot support (sim/snapshot.h) ------------------------------------
-  // std::map iteration is key-ordered, so serialization is deterministic.
+  // Every table is written in ascending key order: inodes by number,
+  // directory and dcache entries by (parent, name).
 
-  void save_state(sim::SnapWriter& w) const {
-    w.put_u64(inodes_.size());
-    for (const auto& [ino, node] : inodes_) {
-      w.put_u64(ino);
-      w.put_u64(node.ino);
-      w.put_bool(node.is_dir);
-      w.put_u64(node.size);
-      w.put_u64(node.nlink);
-      w.put_u64(node.uid);
-      w.put_u64(node.gid);
-      w.put_u64(node.mtime);
-      w.put_u64(node.pages.size());
-      for (const auto& [pgoff, frame] : node.pages) {
-        w.put_u64(pgoff);
-        w.put_u64(frame);
-      }
-    }
-    w.put_u64(children_.size());
-    for (const auto& [key, ino] : children_) {
-      w.put_u64(key.parent);
-      w.put_string(key.name);
-      w.put_u64(ino);
-    }
-    w.put_u64(dcache_.size());
-    for (const auto& [key, entry] : dcache_) {
-      w.put_u64(key.parent);
-      w.put_string(key.name);
-      w.put_u64(entry.dva);
-    }
-    w.put_u64(dcache_lru_.size());
-    for (const DKey& key : dcache_lru_) {
-      w.put_u64(key.parent);
-      w.put_string(key.name);
-    }
-    w.put_u64(next_ino_);
-    w.put_u64(lookup_serial_);
-    lock_.save_state(w);
-  }
-
-  void restore_state(sim::SnapReader& r) {
-    r.section("vfs");
-    const u64 ninodes = r.get_count("inode");
-    inodes_.clear();
-    for (u64 i = 0; r.ok() && i < ninodes; ++i) {
-      const u64 key = r.get_u64();
-      Inode node;
-      node.ino = r.get_u64();
-      node.is_dir = r.get_bool();
-      node.size = r.get_u64();
-      node.nlink = r.get_u64();
-      node.uid = r.get_u64();
-      node.gid = r.get_u64();
-      node.mtime = r.get_u64();
-      const u64 npages = r.get_count("page cache");
-      // Every map below was saved in ascending key order (std::map
-      // iteration), so hinted inserts are amortized O(1).
-      for (u64 p = 0; r.ok() && p < npages; ++p) {
-        const u64 pgoff = r.get_u64();
-        node.pages.emplace_hint(node.pages.end(), pgoff, r.get_u64());
-      }
-      inodes_.emplace_hint(inodes_.end(), key, std::move(node));
-    }
-    const u64 nchildren = r.get_count("directory entry");
-    children_.clear();
-    for (u64 i = 0; r.ok() && i < nchildren; ++i) {
-      DKey key{r.get_u64(), r.get_string()};
-      children_.emplace_hint(children_.end(), std::move(key), r.get_u64());
-    }
-    const u64 ndcache = r.get_count("dcache entry");
-    dcache_.clear();
-    dcache_lru_.clear();
-    for (u64 i = 0; r.ok() && i < ndcache; ++i) {
-      DKey key{r.get_u64(), r.get_string()};
-      // The LRU's end() marks an entry the LRU has not placed yet.
-      dcache_.emplace_hint(dcache_.end(), std::move(key),
-                           CachedDentry{r.get_u64(), dcache_lru_.end()});
-    }
-    // The LRU must name every cached dentry exactly once.
-    const u64 nlru = r.get_count("dcache LRU entry");
-    for (u64 i = 0; r.ok() && i < nlru; ++i) {
-      DKey key{r.get_u64(), r.get_string()};
-      auto it = dcache_.find(key);
-      if (it == dcache_.end() || it->second.lru != dcache_lru_.end()) {
-        r.fail("LRU entry names no cached dentry, or one twice");
-        return;
-      }
-      it->second.lru = dcache_lru_.insert(dcache_lru_.end(), std::move(key));
-    }
-    if (r.ok() && dcache_lru_.size() != dcache_.size()) {
-      r.fail("LRU omits a cached dentry");
-      return;
-    }
-    next_ino_ = r.get_u64();
-    lookup_serial_ = r.get_u64();
-    lock_.restore_state(r);
-  }
+  void save_state(sim::SnapWriter& w) const;
+  /// Fails `r` on inodes out of order, numbered at or past the restored
+  /// inode bound or apart from their key, an inode bound past kMaxInodes,
+  /// and an LRU that does not name every cached dentry exactly once.
+  void restore_state(sim::SnapReader& r);
 
  private:
   static constexpr u64 kRootIno = 1;
@@ -216,6 +132,11 @@ class Vfs {
     std::string name;
     auto operator<=>(const DKey&) const = default;
   };
+  struct DKeyHash {
+    u64 operator()(const DKey& k) const {
+      return std::hash<std::string>{}(k.name) ^ k.parent;
+    }
+  };
   /// A cached dentry object and its place in the prune order, so dropping
   /// or moving it is O(1) in the LRU.
   struct CachedDentry {
@@ -223,6 +144,7 @@ class Vfs {
     std::list<DKey>::iterator lru;
   };
 
+  Inode* find_inode(u64 ino);
   Inode& must_inode(u64 ino);
   /// Resolve all but the last component; returns parent ino and leaf name.
   Result<std::pair<u64, std::string>> resolve_parent(std::string_view path);
@@ -235,7 +157,8 @@ class Vfs {
   void drop_dentry(u64 parent, const std::string& name, bool zap_inode_word);
   /// unlink's core: drop the entry's dentry (d_delete), remove the entry,
   /// and free the inode with its last link.
-  void remove_entry(std::map<DKey, u64>::iterator child);
+  using Children = std::unordered_map<DKey, u64, DKeyHash>;
+  void remove_entry(Children::iterator child);
   Result<u64> alloc_ino(bool is_dir);
   PhysAddr ensure_page(Inode& node, u64 page_index);
 
@@ -243,9 +166,11 @@ class Vfs {
   BuddyAllocator& buddy_;
   SlabCache& dentry_slab_;
   const KernelCosts& costs_;
-  std::map<u64, Inode> inodes_;
-  std::map<DKey, u64> children_;       // directory entries (on-"disk" truth)
-  std::map<DKey, CachedDentry> dcache_;  // cached dentry objects
+  std::vector<std::unique_ptr<Inode>> inodes_;  // by number; null once freed
+  u64 live_inodes_ = 0;
+  // Directory entries (the on-"disk" truth) and cached dentry objects.
+  Children children_;
+  std::unordered_map<DKey, CachedDentry, DKeyHash> dcache_;
   std::list<DKey> dcache_lru_;  // prune order: creation, renames at the back
   u64 next_ino_ = 2;
   u64 lookup_serial_ = 0;  // drives periodic LRU-touch writes

@@ -171,12 +171,14 @@ void ObjectIntegrityMonitor::save_state(sim::SnapWriter& w) const {
   // Shadow words in address order, then objects in address order.  The
   // objects are disjoint, so walking the records by base and each
   // record's words by index yields the first order too.
+  const auto objects = sim::sorted_entries(objects_);
   u64 nshadow = 0;
-  for (const auto& [base, rec] : objects_) {
-    nshadow += static_cast<u64>(std::popcount(rec.shadowed));
+  for (const auto* obj : objects) {
+    nshadow += static_cast<u64>(std::popcount(obj->second.shadowed));
   }
   w.put_u64(nshadow);
-  for (const auto& [base, rec] : objects_) {
+  for (const auto* obj : objects) {
+    const auto& [base, rec] = *obj;
     for (u64 word = 0; word < kObjectWords; ++word) {
       if ((rec.shadowed >> word) & 1u) {
         w.put_u64(base + word * kWordSize);
@@ -184,10 +186,10 @@ void ObjectIntegrityMonitor::save_state(sim::SnapWriter& w) const {
       }
     }
   }
-  w.put_u64(objects_.size());
-  for (const auto& [base, rec] : objects_) {
-    w.put_u64(base);
-    w.put_u8(static_cast<u8>(rec.kind));
+  w.put_u64(objects.size());
+  for (const auto* obj : objects) {
+    w.put_u64(obj->first);
+    w.put_u8(static_cast<u8>(obj->second.kind));
   }
   w.put_u64(stats_.events_total);
   w.put_u64(stats_.events_cred);
@@ -212,7 +214,7 @@ void ObjectIntegrityMonitor::restore_state(sim::SnapReader& r) {
   for (u64 i = 0; r.ok() && i < nobjects; ++i) {
     const PhysAddr base = r.get_u64();
     const auto kind = static_cast<ObjectKind>(r.get_u8());
-    objects_.emplace_hint(objects_.end(), base, ObjectRecord{.kind = kind});
+    objects_.emplace(base, ObjectRecord{.kind = kind});
   }
   for (const auto& [pa, value] : shadow) {
     auto it = objects_.find(pa & ~(kObjectBytes - 1));

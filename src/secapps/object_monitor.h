@@ -14,8 +14,8 @@
 #pragma once
 
 #include <array>
-#include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -108,7 +108,7 @@ class ObjectIntegrityMonitor : public hypersec::SecurityApp {
   bool watch_cred_;
   bool watch_dentry_;
   u64 sid_;
-  std::map<PhysAddr, ObjectRecord> objects_;  // object base PA -> record
+  std::unordered_map<PhysAddr, ObjectRecord> objects_;  // base PA -> record
   MonitorStats stats_;
   std::vector<Alert> alerts_;
   bool installed_ = false;

@@ -76,10 +76,6 @@ struct Counters {
 class CycleAccount {
  public:
   void charge(Cycles c) { cycles_ += c; }
-  /// Charge `n` events of `per` cycles at once.  Exactly equal to calling
-  /// charge(per) n times — used by the bulk-transfer loops, which replay
-  /// uniform per-word/per-line charges without a per-event call.
-  void charge_batch(Cycles per, u64 n) { charge(per * n); }
   [[nodiscard]] Cycles cycles() const { return cycles_; }
   /// Stable address of the cycle counter — the simulated clock the
   /// machine's scope stack binds to (obs/scope.h).

@@ -260,11 +260,12 @@ Access64 Machine::access64(VirtAddr va, bool is_write, u64 value, bool user) {
   // A stage-2 fault handler may fix the tables and ask for a retry; bound
   // the loop so a broken handler cannot livelock the simulation.
   for (int attempt = 0; attempt < 8; ++attempt) {
-    TranslateOutcome out;
-    {
+    // Built in place: the scope closes after translate returns, and the
+    // outcome is never copied.
+    const TranslateOutcome out = [&] {
       obs::Scope scope(scopes_, obs::Layer::kSimMmu);
-      out = cur_->mmu.translate(va, at, walk_context());
-    }
+      return cur_->mmu.translate(va, at, walk_context());
+    }();
     if (out.ok) {
       Access64 r;
       r.ok = true;
@@ -381,8 +382,8 @@ bool Machine::store_bulk(VirtAddr va, const u8* p, u64 len, bool user) {
         }
       }
       const u64 words = chunk / kWordSize;
-      cur_->account.charge_batch(config_.timing.l1_hit,
-                                 words - chunk / kCacheLineSize);
+      cur_->account.charge(config_.timing.l1_hit *
+                           (words - chunk / kCacheLineSize));
       cur_->account.counters().mem_writes += words;
       // A zero fill hands whole frames back to the zero sentinel instead
       // of materialising them (DESIGN.md §12).
@@ -433,8 +434,8 @@ bool Machine::read_block_bulk(VirtAddr va, void* out_buf, u64 len, bool user) {
         cur_->cache.access(pa + line, /*is_write=*/false);
       }
       const u64 words = chunk / kWordSize;
-      cur_->account.charge_batch(config_.timing.l1_hit,
-                                 words - chunk / kCacheLineSize);
+      cur_->account.charge(config_.timing.l1_hit *
+                           (words - chunk / kCacheLineSize));
       cur_->account.counters().mem_reads += words;
       phys_.read_block(pa, p + off, chunk);
     } else {

@@ -21,6 +21,7 @@
 // blobs with precise diagnostics exactly like parse_trace.
 #pragma once
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -78,6 +79,18 @@ class SnapWriter {
  private:
   std::vector<u8> buf_;
 };
+
+/// A hash map's entries in ascending key order, so a save writes the same
+/// bytes whatever order the table holds them in.
+template <class Map>
+std::vector<const typename Map::value_type*> sorted_entries(const Map& map) {
+  std::vector<const typename Map::value_type*> out;
+  out.reserve(map.size());
+  for (const auto& entry : map) out.push_back(&entry);
+  std::sort(out.begin(), out.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
+  return out;
+}
 
 /// Bounds-checked little-endian reader with a latched failure state, so
 /// per-layer restore code reads fields linearly and checks `ok()` once.

@@ -553,6 +553,59 @@ TEST_F(KernelTest, SocketPairBidirectional) {
   EXPECT_EQ(procs.user_read64(kUserHeapBase + 192).value(), 0xBBBBu);
 }
 
+// ---------------- snapshot restore checks ----------------
+
+/// `blob` with the u64 at `offset` replaced by `value`.
+std::vector<u8> patched(std::vector<u8> blob, size_t offset, u64 value) {
+  for (size_t i = 0; i < 8; ++i) {
+    blob[offset + i] = static_cast<u8>(value >> (8 * i));
+  }
+  return blob;
+}
+
+/// Offset of the working-set arena base in a kernel section: after the
+/// booted flag, the linear limit, the tick count and the per-core timer
+/// deadlines.  Its page count follows it.
+size_t arena_offset(const sim::Machine& m) {
+  return 1 + 8 + 8 + 8 + 8 * m.cores();
+}
+
+TEST_F(KernelTest, RestoreRejectsAnotherWorkingSetArenaSize) {
+  // A zero-page arena used to reach the divide in touch_kernel_ws: the
+  // next syscall, sys_stat("/") say, died of SIGFPE.
+  sim::SnapWriter w;
+  kernel_->save_state(w);
+  const size_t pages_at = arena_offset(*machine_) + 8;
+  for (const u64 pages : {u64{0}, Kernel::kWsArenaPages + 1}) {
+    const std::vector<u8> blob = patched(w.data(), pages_at, pages);
+    sim::SnapReader r(blob);
+    kernel_->restore_state(r);
+    EXPECT_NE(r.status().message().find("working-set arena of"),
+              std::string::npos)
+        << pages << ": " << r.status().message();
+  }
+}
+
+TEST_F(KernelTest, RestoreRejectsAnArenaOutsideNormalDram) {
+  sim::SnapWriter w;
+  kernel_->save_state(w);
+  const PhysAddr limit = kernel_->linear_limit();
+  for (const PhysAddr base : {limit, limit - kPageSize, kBuddyPoolBase + 8}) {
+    const std::vector<u8> blob =
+        patched(w.data(), arena_offset(*machine_), base);
+    sim::SnapReader r(blob);
+    kernel_->restore_state(r);
+    EXPECT_NE(r.status().message().find("outside normal DRAM"),
+              std::string::npos)
+        << std::hex << base << ": " << r.status().message();
+  }
+  // The saved arena itself restores, and the kernel keeps serving.
+  sim::SnapReader r(w.data());
+  kernel_->restore_state(r);
+  ASSERT_TRUE(r.ok()) << r.status().message();
+  EXPECT_TRUE(kernel_->sys_stat("/").ok());
+}
+
 // ---------------- sections mode & misc ----------------
 
 TEST(KernelSections, SectionKernelBootsAndRuns) {
