@@ -4,7 +4,7 @@
 // wall-clock the inner loop of the memory system sustains, with the host
 // fast path on (the TLB's bucket index, the Hypersec audit memo) and off
 // (reference mode: TLB lookups scan the array, every audit rescans).
-// Seven loops cover the regimes every table, ablation and fuzz campaign
+// Six loops cover the regimes every table, ablation and fuzz campaign
 // funnels through:
 //
 //   tlb_hit      — pointer-chase over a working set inside TLB reach
@@ -17,12 +17,8 @@
 //                  reference rescans every table)
 //   fuzz_replay  — whole differential fuzz sequences across the quick
 //                  configuration matrix (end-to-end replay cost)
-//   campaign     — run_campaign end-to-end (the hypernel_fuzz pipeline):
-//                  fast path + snapshot-boot vs fresh-boot reference,
+//   campaign     — run_campaign end-to-end (the hypernel_fuzz pipeline),
 //                  corpus digests asserted equal
-//   snapshot_fork— ready-to-fuzz systems forked from a per-configuration
-//                  boot snapshot (COW restore, --snapshot-boot) instead
-//                  of re-booted fresh per exec (boot amortization)
 //
 // Both modes run the same simulated workload; the bench asserts their
 // simulated cycles and key counters are bit-identical before reporting,
@@ -441,10 +437,9 @@ LoopResult bench_fuzz_replay(u64 sequences) {
 
 /// Whole-campaign throughput: run_campaign end-to-end — generation,
 /// matrix execution, oracles, per-sequence determinism rerun, digest
-/// fold — the way `hypernel_fuzz` actually runs it.  Fast mode is the
-/// fast path plus snapshot-boot forking; reference boots every system
-/// fresh in reference mode.  The corpus digest must be identical across
-/// the two — the determinism contract `--seed=N` promises.
+/// fold — the way `hypernel_fuzz` actually runs it.  The corpus digest
+/// must be identical across fast and reference mode — the determinism
+/// contract `--seed=N` promises.
 LoopResult bench_campaign(u64 sequences) {
   const u64 matrix = fuzz::build_matrix(/*full=*/false).size();
   auto run = [&](bool fast_mode, u64* digest) {
@@ -453,7 +448,6 @@ LoopResult bench_campaign(u64 sequences) {
     opt.sequences = sequences;
     opt.jobs = 1;  // single worker: measure the pipeline, not the pool
     opt.host_fast_path = fast_mode;
-    opt.snapshot_boot = fast_mode;
     Stopwatch sw;
     const fuzz::CampaignResult result = fuzz::run_campaign(opt);
     const double wall = static_cast<double>(sw.elapsed_ns());
@@ -481,60 +475,6 @@ LoopResult bench_campaign(u64 sequences) {
                    "and reference mode: %llx vs %llx\n",
                    (unsigned long long)fast_digest,
                    (unsigned long long)ref_digest);
-      std::abort();
-    }
-    if (rep == 0 || ref < r.ref_ns) r.ref_ns = ref;
-    if (rep == 0 || fast < r.fast_ns) r.fast_ns = fast;
-  }
-  return r;
-}
-
-/// Boot amortization of the fuzz harness: acquiring a ready-to-fuzz
-/// system by re-booting a fresh one per exec ("ref") versus forking it
-/// from a per-configuration boot snapshot via COW restore ("fast",
-/// hypernel_fuzz --snapshot-boot).  The exec payload is empty so the loop
-/// isolates the system-acquisition mechanism itself — op throughput on
-/// top of either path is fuzz_replay's job.  Fingerprints of every exec
-/// are asserted bit-identical across the two paths; the unit is execs,
-/// so the rate column is execs/sec.
-LoopResult bench_snapshot_fork(u64 execs_per_config) {
-  auto specs = fuzz::build_matrix(/*full=*/false);
-  auto run = [&](bool snapshot_boot, u64* digest) {
-    fuzz::ExecutorOptions exec;
-    exec.snapshot_boot = snapshot_boot;
-    const std::span<const fuzz::Op> no_ops;
-    Stopwatch sw;
-    u64 d = hypernel::kFnvOffset;
-    for (const fuzz::FuzzConfigSpec& spec : specs) {
-      for (u64 e = 0; e < execs_per_config; ++e) {
-        const fuzz::RunResult r = fuzz::run_sequence(spec, no_ops, exec);
-        if (r.build_failed) {
-          std::fprintf(stderr, "FATAL: snapshot_fork build failed: %s\n",
-                       r.build_error.c_str());
-          std::abort();
-        }
-        d = hypernel::fnv_fold(d, r.fingerprint.functional_hash());
-        d = hypernel::fnv_fold(d, r.fingerprint.op_digest);
-      }
-    }
-    *digest = d;
-    return static_cast<double>(sw.elapsed_ns());
-  };
-  LoopResult r;
-  r.name = "snapshot_fork";
-  r.unit = "execs";
-  r.work = execs_per_config * specs.size();
-  for (unsigned rep = 0; rep < g_repeat; ++rep) {
-    u64 ref_digest = 0;
-    u64 fast_digest = 0;
-    const double ref = run(false, &ref_digest);
-    const double fast = run(true, &fast_digest);
-    if (ref_digest != fast_digest) {
-      std::fprintf(stderr,
-                   "FATAL: snapshot_fork diverged from re-boot: "
-                   "digest %llx vs %llx\n",
-                   (unsigned long long)ref_digest,
-                   (unsigned long long)fast_digest);
       std::abort();
     }
     if (rep == 0 || ref < r.ref_ns) r.ref_ns = ref;
@@ -610,7 +550,6 @@ int main(int argc, char** argv) {
   loops.push_back(bench_audit_memo(quick ? 200 : 2000));
   loops.push_back(bench_fuzz_replay(quick ? 2 : 8));
   loops.push_back(bench_campaign(quick ? 2 : 6));
-  loops.push_back(bench_snapshot_fork(quick ? 20 : 100));
 
   std::printf("Host-side simulation throughput (%s)\n",
               quick ? "quick" : "full");

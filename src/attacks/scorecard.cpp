@@ -135,7 +135,6 @@ Scorecard run_scorecard(const ScorecardOptions& options) {
 
   fuzz::ExecutorOptions exec_opt;
   exec_opt.capture_trace = options.trace_attribution;
-  exec_opt.snapshot_boot = options.snapshot_boot;
   exec_opt.profile = options.profile;
   exec_opt.collect_metrics = options.collect_metrics;
   exec_opt.sample_cycles = options.sample_cycles;
@@ -231,9 +230,9 @@ Scorecard run_scorecard(const ScorecardOptions& options) {
   if (!options.trace_attribution) score.all_hits_attributed = false;
 
   // --- deterministic JSON --------------------------------------------------
-  // snapshot_boot and jobs are deliberately NOT echoed into the report:
-  // neither may change results, so the JSON must be byte-identical across
-  // them.  trace_attribution is — it gates the attribution fields.
+  // jobs is deliberately NOT echoed into the report: it may not change
+  // results, so the JSON must be byte-identical across it.
+  // trace_attribution is — it gates the attribution fields.
   std::string& j = score.json;
   j += "{\n  \"scorecard_version\": 1,\n  \"options\": "
        "{\"trace_attribution\": ";

@@ -8,8 +8,7 @@
 // pure function of simulated state (alert counts, simulated-cycle
 // latencies, causal-trace attribution), and the JSON renders in a fixed
 // order.  Two scorecards with equal options are byte-identical at any
-// --jobs value, snapshot-booted or fresh-booted — the scorecard tests
-// pin exactly this.
+// --jobs value — the scorecard tests pin exactly this.
 #pragma once
 
 #include <string>
@@ -24,10 +23,6 @@ struct ScorecardOptions {
   /// Worker threads for cell evaluation (0 = hardware concurrency).
   /// Never changes the scorecard, only wall-clock.
   unsigned jobs = 1;
-  /// Fork every cell from a per-configuration boot snapshot.  Results are
-  /// bit-identical either way (only with trace_attribution off: captured
-  /// runs always boot fresh).
-  bool snapshot_boot = false;
   /// Capture the causal flight recorder per cell and require every
   /// detection to be attributable to a bus write through the cause chain.
   bool trace_attribution = true;

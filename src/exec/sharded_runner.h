@@ -12,17 +12,17 @@
 // regardless of worker count, scheduling order, or machine load.
 // Parallelism changes wall-clock only, never results.
 //
-// Cooperative cancellation: with `fail_fast`, the first index whose
-// result satisfies `failed` flips a shared token; indices not yet
-// started are skipped (their slots keep the default-constructed value
-// and are reported in `indices_skipped`).  Because shards are submitted
-// in index order over a FIFO queue, the started set is always a prefix
-// plus the currently-running shards — every index below the lowest
-// failing one is guaranteed to have a valid result.
+// Cooperative cancellation: with `fail_fast`, the shared token holds the
+// lowest index seen so far whose result satisfies `failed`, and a worker
+// skips an index only when it lies above the token (a skipped slot keeps
+// the default-constructed value and is counted in `indices_skipped`).
+// The token only moves down, so every index below the lowest failing one
+// is guaranteed to have a valid result, whatever the scheduling.
 //
-// Exceptions: if `fn` throws, the runner records the exception with the
-// lowest index among those observed, cancels the remaining work, and
-// rethrows after the run drains.  No result is partially merged.
+// Exceptions: if `fn` throws, the index lowers the same token, so the
+// remaining work above it is cancelled and every index below it still
+// runs.  The runner rethrows the exception of the lowest throwing index
+// after the run drains.  No result is partially merged.
 #pragma once
 
 #include <atomic>
@@ -95,13 +95,20 @@ std::vector<Result> run_sharded(u64 n, Fn&& fn, FailFn&& failed,
   const u64 shard = opt.shard_size == 0 ? 1 : opt.shard_size;
   const u64 num_shards = (n + shard - 1) / shard;
   std::latch done(static_cast<std::ptrdiff_t>(num_shards));
-  std::atomic<bool> cancel{false};
+  constexpr u64 kNone = ~0ull;
+  std::atomic<u64> stop_above{kNone};  // the lowest failing index
+  auto lower_stop = [&stop_above](u64 i) {
+    u64 cur = stop_above.load(std::memory_order_relaxed);
+    while (i < cur) {
+      if (stop_above.compare_exchange_weak(cur, i)) break;
+    }
+  };
   std::atomic<u64> run_count{0};
   std::atomic<u64> skip_count{0};
 
   std::mutex err_mu;
   std::exception_ptr first_err;
-  u64 first_err_index = ~0ull;
+  u64 first_err_index = kNone;
 
   {
     ThreadPool pool(jobs, /*queue_capacity=*/2 * jobs);
@@ -109,7 +116,7 @@ std::vector<Result> run_sharded(u64 n, Fn&& fn, FailFn&& failed,
       const u64 hi = lo + shard < n ? lo + shard : n;
       pool.submit([&, lo, hi] {
         for (u64 i = lo; i < hi; ++i) {
-          if (cancel.load(std::memory_order_acquire)) {
+          if (i > stop_above.load(std::memory_order_acquire)) {
             skip_count.fetch_add(1, std::memory_order_relaxed);
             continue;
           }
@@ -121,14 +128,12 @@ std::vector<Result> run_sharded(u64 n, Fn&& fn, FailFn&& failed,
               first_err = std::current_exception();
               first_err_index = i;
             }
-            cancel.store(true, std::memory_order_release);
+            lower_stop(i);
             skip_count.fetch_add(1, std::memory_order_relaxed);
             continue;
           }
           run_count.fetch_add(1, std::memory_order_relaxed);
-          if (opt.fail_fast && failed(results[i])) {
-            cancel.store(true, std::memory_order_release);
-          }
+          if (opt.fail_fast && failed(results[i])) lower_stop(i);
         }
         done.count_down();
       });
@@ -140,7 +145,7 @@ std::vector<Result> run_sharded(u64 n, Fn&& fn, FailFn&& failed,
 
   local.indices_run = run_count.load(std::memory_order_relaxed);
   local.indices_skipped = skip_count.load(std::memory_order_relaxed);
-  local.cancelled = cancel.load(std::memory_order_relaxed);
+  local.cancelled = stop_above.load(std::memory_order_relaxed) != kNone;
   local.wall_ms = watch.elapsed_ms();
   if (report != nullptr) *report = local;
   if (first_err) std::rethrow_exception(first_err);

@@ -15,7 +15,6 @@
 #include "sim/dma_device.h"
 #include "sim/iommu.h"
 #include "sim/pagetable.h"
-#include "sim/snapshot.h"
 #include "sim/trace_io.h"
 
 namespace hn::fuzz {
@@ -70,132 +69,6 @@ struct Mapping {
   VirtAddr va = 0;
   u64 len = 0;
 };
-
-// --- Boot ----------------------------------------------------------------
-
-/// A system ready for its first op: booted, detectors installed, user
-/// scratch buffer mapped.  A fresh-boot run owns one; with snapshot_boot a
-/// per-configuration boot session owns one and every case forks from it.
-/// Members destroy in reverse order, detectors before their system.
-struct Booted {
-  std::unique_ptr<hypernel::System> sys;
-  std::unique_ptr<secapps::ObjectIntegrityMonitor> monitor;
-  std::unique_ptr<secapps::InvariantChecker> invariant;
-  std::unique_ptr<secapps::CfiMonitor> cfi;
-  VirtAddr scratch_va = 0;
-};
-
-/// The one boot sequence: create -> object monitor -> invariant checker ->
-/// CFI monitor -> scratch mmap.  `metrics` enables the observability
-/// registry from System::create; `trace` turns the flight recorder on
-/// before the monitor installs, so region registration is part of the
-/// causal record.  Neither changes simulated state.
-Status boot(const FuzzConfigSpec& spec, bool metrics, bool trace,
-            Booted& out) {
-  hypernel::SystemConfig cfg = spec.system_config();
-  cfg.metrics = metrics;
-  auto built = hypernel::System::create(cfg);
-  if (!built.ok()) return built.status();
-  out.sys = std::move(built).value();
-  hypernel::System& sys = *out.sys;
-  if (trace) sys.machine().trace().set_enabled(true);
-  auto install = [](auto& app, const char* what) {
-    Status s = app->install();
-    if (s.ok()) return s;
-    return Status(s.code(), std::string(what) + " install: " + s.message());
-  };
-  if (spec.monitored()) {
-    out.monitor = std::make_unique<secapps::ObjectIntegrityMonitor>(
-        sys, spec.granularity);
-    if (Status s = install(out.monitor, "monitor"); !s.ok()) return s;
-  }
-  if (spec.has_invariant_checker()) {
-    out.invariant = std::make_unique<secapps::InvariantChecker>(sys);
-    if (Status s = install(out.invariant, "invariant checker"); !s.ok()) {
-      return s;
-    }
-  }
-  if (spec.has_cfi_monitor()) {
-    out.cfi = std::make_unique<secapps::CfiMonitor>(
-        sys, /*watch_dentry_ops=*/!spec.monitored());
-    if (Status s = install(out.cfi, "cfi monitor"); !s.ok()) return s;
-  }
-  // Shared user scratch buffer for IPC payloads; part of every run, so
-  // it is itself configuration-invariant.
-  auto scratch = sys.kernel().sys_mmap(4 * kPageSize, /*writable=*/true);
-  if (!scratch.ok()) {
-    return Status(scratch.status().code(),
-                  "scratch mmap: " + scratch.status().message());
-  }
-  out.scratch_va = scratch.value();
-  return Status::Ok();
-}
-
-// --- Snapshot-boot sessions ------------------------------------------------
-//
-// ExecutorOptions::snapshot_boot forks every case from a boot-time COW
-// snapshot instead of building and booting a fresh system.  Sessions are
-// thread_local (the sharded campaign runner gives each worker its own
-// systems either way) and keyed by the spec's identity, so a full-matrix
-// campaign keeps one booted system per configuration per worker.
-
-struct BootSession {
-  u64 digest = 0;
-  /// Boot failures replay on every case, exactly like a fresh-boot run.
-  Status status;
-  Booted booted;
-  sim::Snapshot boot;                // system state at the fork point
-  std::vector<u8> monitor_state;     // executor-owned monitor, saved apart
-  std::vector<u8> invariant_state;
-  std::vector<u8> cfi_state;
-};
-
-u64 session_digest(const FuzzConfigSpec& spec) {
-  u64 h = hypernel::kFnvOffset;
-  for (const char c : spec.name) h = fold(h, static_cast<u8>(c));
-  h = fold(h, static_cast<u64>(spec.mode));
-  h = fold(h, spec.monitor ? 1 : 0);
-  h = fold(h, static_cast<u64>(spec.granularity));
-  h = fold(h, spec.invariant_checker ? 1 : 0);
-  h = fold(h, spec.cfi_monitor ? 1 : 0);
-  h = fold(h, spec.tlb_entries);
-  h = fold(h, spec.cache_enabled ? 1 : 0);
-  h = fold(h, spec.cache_size_bytes);
-  h = fold(h, spec.l1_miss_fill);
-  h = fold(h, spec.use_sections ? 1 : 0);
-  h = fold(h, spec.host_fast_path ? 1 : 0);
-  h = fold(h, spec.cores);
-  return h;
-}
-
-/// Find or create this worker's boot session for `spec`: boot once, then
-/// save the system and detector states as the fork point.
-BootSession& boot_session(const FuzzConfigSpec& spec) {
-  thread_local std::vector<std::unique_ptr<BootSession>> sessions;
-  const u64 digest = session_digest(spec);
-  for (auto& s : sessions) {
-    if (s->digest == digest) return *s;
-  }
-  auto session = std::make_unique<BootSession>();
-  session->digest = digest;
-  Booted booted;  // a failed boot's leftovers die with this scope
-  session->status = boot(spec, /*metrics=*/false, /*trace=*/false, booted);
-  if (session->status.ok()) {
-    session->booted = std::move(booted);
-    const Booted& b = session->booted;
-    session->boot = b.sys->save_state();
-    auto blob = [](const auto& app) {
-      sim::SnapWriter w;
-      app->save_state(w);
-      return w.take();
-    };
-    if (b.monitor) session->monitor_state = blob(b.monitor);
-    if (b.invariant) session->invariant_state = blob(b.invariant);
-    if (b.cfi) session->cfi_state = blob(b.cfi);
-  }
-  sessions.push_back(std::move(session));
-  return *sessions.back();
-}
 
 class Exec {
  public:
@@ -289,78 +162,69 @@ class Exec {
   }
 
  private:
-  /// Acquire a booted system: either a fresh boot, or — with snapshot_boot
-  /// and no per-run host instrumentation — a COW restore of this worker's
-  /// cached boot session.  Returns false with out.build_* set on failure.
+  /// Boot the run's system, start its host clock and arm its sampler.
+  /// Returns false with out.build_* set on failure.
   bool prepare(RunResult& out) {
-    auto fail = [&out](std::string error) {
+    const u64 boot_start = obs::host_now_ns();
+    if (Status s = boot(); !s.ok()) {
       out.build_failed = true;
-      out.build_error = std::move(error);
+      out.build_error = s.message();
       return false;
-    };
-    const bool from_snapshot = opt_.snapshot_boot && opt_.trace_step == ~0ull &&
-                               !opt_.collect_metrics && !opt_.capture_trace;
-    if (from_snapshot) {
-      BootSession& session = boot_session(spec_);
-      if (!session.status.ok()) return fail(session.status.message());
-      const Booted& b = session.booted;
-      obs::ScopeStack& scopes = b.sys->machine().scopes();
-      if (opt_.profile) {
-        // The session machine persists across runs on this worker; start
-        // its host clock and zero its rows so each RunResult carries only
-        // its own time.
-        scopes.set_host_clock(true);
-        scopes.reset_report();
-      }
-      obs::Scope scope(scopes, obs::Layer::kFuzzSnapshot);
-      // Every case restores — including the first, right after the boot
-      // that produced the snapshot — so all cases share one start state.
-      if (Status s = b.sys->restore_state(session.boot); !s.ok()) {
-        return fail("snapshot restore: " + s.message());
-      }
-      auto restore_blob = [&fail](auto& app, const std::vector<u8>& blob,
-                                  const char* what) {
-        if (!app) return true;
-        sim::SnapReader r(blob);
-        app->restore_state(r);
-        return r.ok() ||
-               fail(std::string(what) + " restore: " + r.status().message());
-      };
-      if (!restore_blob(b.monitor, session.monitor_state, "monitor") ||
-          !restore_blob(b.invariant, session.invariant_state,
-                        "invariant checker") ||
-          !restore_blob(b.cfi, session.cfi_state, "cfi monitor")) {
-        return false;
-      }
-      use(b);
-    } else {
-      const u64 boot_start = obs::host_now_ns();
-      if (Status s = boot(spec_, opt_.collect_metrics || opt_.capture_trace,
-                          opt_.capture_trace, owned_);
-          !s.ok()) {
-        return fail(s.message());
-      }
-      use(owned_);
-      if (opt_.profile) {
-        // System::create builds the machine this stack lives in, so the
-        // host clock starts at boot_start with the boot as one scope.
-        m().scopes().start_host_clock_at(boot_start, obs::Layer::kFuzzBoot);
-      }
     }
-    // Arm the sampler at the op-phase fork point, the same on both paths.
-    // restore_state just cleared samples and disarmed, the restored cycle
-    // counts equal the fresh boot's, and boundaries are absolute — so the
-    // sampled stream is byte-identical either way.
+    if (opt_.profile) {
+      // System::create builds the machine this stack lives in, so the
+      // host clock starts at boot_start with the boot as one scope.
+      m().scopes().start_host_clock_at(boot_start, obs::Layer::kFuzzBoot);
+    }
+    // Arm the sampler at the op-phase start; sample boundaries are
+    // absolute simulated cycles.
     if (opt_.sample_cycles != 0) m().arm_timeseries(opt_.sample_cycles);
     return true;
   }
 
-  void use(const Booted& b) {
-    sys_ = b.sys.get();
-    monitor_ = b.monitor.get();
-    invariant_ = b.invariant.get();
-    cfi_ = b.cfi.get();
-    scratch_va_ = b.scratch_va;
+  /// The one boot sequence: create -> object monitor -> invariant checker
+  /// -> CFI monitor -> scratch mmap.  Metrics or trace capture enables the
+  /// observability registry from System::create; trace capture turns the
+  /// flight recorder on before the monitor installs, so region
+  /// registration is part of the causal record.  Neither changes
+  /// simulated state.
+  Status boot() {
+    hypernel::SystemConfig cfg = spec_.system_config();
+    cfg.metrics = opt_.collect_metrics || opt_.capture_trace;
+    auto built = hypernel::System::create(cfg);
+    if (!built.ok()) return built.status();
+    sys_ = std::move(built).value();
+    if (opt_.capture_trace) m().trace().set_enabled(true);
+    auto install = [](auto& app, const char* what) {
+      Status s = app->install();
+      if (s.ok()) return s;
+      return Status(s.code(), std::string(what) + " install: " + s.message());
+    };
+    if (spec_.monitored()) {
+      monitor_ = std::make_unique<secapps::ObjectIntegrityMonitor>(
+          *sys_, spec_.granularity);
+      if (Status s = install(monitor_, "monitor"); !s.ok()) return s;
+    }
+    if (spec_.has_invariant_checker()) {
+      invariant_ = std::make_unique<secapps::InvariantChecker>(*sys_);
+      if (Status s = install(invariant_, "invariant checker"); !s.ok()) {
+        return s;
+      }
+    }
+    if (spec_.has_cfi_monitor()) {
+      cfi_ = std::make_unique<secapps::CfiMonitor>(
+          *sys_, /*watch_dentry_ops=*/!spec_.monitored());
+      if (Status s = install(cfi_, "cfi monitor"); !s.ok()) return s;
+    }
+    // Shared user scratch buffer for IPC payloads; part of every run, so
+    // it is itself configuration-invariant.
+    auto scratch = k().sys_mmap(4 * kPageSize, /*writable=*/true);
+    if (!scratch.ok()) {
+      return Status(scratch.status().code(),
+                    "scratch mmap: " + scratch.status().message());
+    }
+    scratch_va_ = scratch.value();
+    return Status::Ok();
   }
 
   kernel::Kernel& k() { return sys_->kernel(); }
@@ -1111,13 +975,12 @@ class Exec {
 
   const FuzzConfigSpec& spec_;
   const ExecutorOptions& opt_;
-  // Fresh-boot path: the Exec owns the booted system; snapshot-boot path:
-  // the thread-local BootSession does, and this stays empty.
-  Booted owned_;
-  hypernel::System* sys_ = nullptr;
-  secapps::ObjectIntegrityMonitor* monitor_ = nullptr;
-  secapps::InvariantChecker* invariant_ = nullptr;
-  secapps::CfiMonitor* cfi_ = nullptr;
+  // The booted system and its detectors, filled by boot().  Members
+  // destroy in reverse order, detectors before their system.
+  std::unique_ptr<hypernel::System> sys_;
+  std::unique_ptr<secapps::ObjectIntegrityMonitor> monitor_;
+  std::unique_ptr<secapps::InvariantChecker> invariant_;
+  std::unique_ptr<secapps::CfiMonitor> cfi_;
   sim::Iommu iommu_;  // bypass mode: DMA passes in every configuration
   VirtAddr scratch_va_ = 0;
   size_t step_ = 0;

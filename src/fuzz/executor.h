@@ -121,8 +121,8 @@ struct RunResult {
   std::vector<u8> trace_blob;
   /// Serialized HNTSERIE time-series stream of the whole run
   /// (ExecutorOptions::sample_cycles; format in obs/timeseries.h).
-  /// Bit-identical across --jobs, fast-path/reference and snapshot-boot —
-  /// the matrix determinism test pins these axes.
+  /// Bit-identical across --jobs and fast-path/reference — the matrix
+  /// determinism test pins these axes.
   std::vector<u8> timeseries_blob;
   /// Per-layer self time of the run on both clocks
   /// (ExecutorOptions::profile), the host clock from the start of boot.
@@ -149,26 +149,15 @@ struct ExecutorOptions {
   /// serialized blob in RunResult::trace_blob.  Implies the registry
   /// (layer scopes are interleaved on the exported timeline).
   bool capture_trace = false;
-  /// Fork every case from a per-configuration boot snapshot (COW restore)
-  /// instead of building and booting a fresh system.  Results are
-  /// bit-identical either way (the snapshot invariance suite pins this);
-  /// only host wall-clock changes.  Ignored — with a fresh boot — for
-  /// runs that need per-run host-side instrumentation (trace_step,
-  /// collect_metrics, capture_trace).
-  bool snapshot_boot = false;
   /// Turn on the machine's host clock for the run and return its layer
   /// report in RunResult::profile.  Host-only: results are unchanged.
   bool profile = false;
   /// Non-zero = sample every enrolled time-series track every N simulated
   /// cycles and return the serialized stream in
   /// RunResult::timeseries_blob.  Tracks probe always-live accumulators
-  /// (not registry handles), so sampling needs no registry and, unlike
-  /// metrics/trace capture, composes with snapshot_boot: the sampler
-  /// arms at the op phase in both paths, and delta-encoded counter
-  /// tracks make the streams byte-identical.  Host-side only — never
-  /// part of simulated state or any digest: restoring a boot snapshot
-  /// clears and disarms the sampler, so boot sessions stay
-  /// sampling-agnostic and each sampled run re-arms explicitly.
+  /// (not registry handles), so sampling needs no registry.  The sampler
+  /// arms when the op phase starts.  Host-side only — never part of
+  /// simulated state or any digest.
   Cycles sample_cycles = 0;
 };
 

@@ -180,7 +180,6 @@ CampaignResult run_campaign(const FuzzOptions& options, std::ostream* log) {
   ExecutorOptions exec{.inject_bypass = options.inject_bypass,
                        .audit_stride = options.audit_stride,
                        .collect_metrics = options.collect_metrics,
-                       .snapshot_boot = options.snapshot_boot,
                        .profile = options.profile};
 
   // Fan the sequences out: each index is an independent universe (its
@@ -211,9 +210,9 @@ CampaignResult run_campaign(const FuzzOptions& options, std::ostream* log) {
   // exactly what the old sequential loop saw, so logs, digests and
   // failure details are byte-identical at any job count.
   for (u64 index = 0; index < outcomes.size(); ++index) {
-    // Unevaluated slots form a suffix and only exist under fail-fast
-    // (shards are submitted in index order over a FIFO queue, so every
-    // index below the lowest failure has a result).
+    // Unevaluated slots only exist under fail-fast, and only above the
+    // lowest failure (the runner runs every index below it), where the
+    // merge has already stopped.
     if (!outcomes[index].evaluated) break;
     const u64 seq_seed = outcomes[index].seq_seed;
     const std::vector<Op>& ops = outcomes[index].ops;

@@ -80,10 +80,6 @@ struct FuzzOptions {
   /// happens via deterministic reruns on the merging thread, so blobs are
   /// byte-identical at any `jobs` value and never perturb digests.
   bool capture_trace = false;
-  /// Fork every case from a per-configuration boot snapshot (COW restore)
-  /// instead of re-booting (ExecutorOptions::snapshot_boot).  Results are
-  /// bit-identical either way; only host wall-clock changes.
-  bool snapshot_boot = false;
   /// Non-zero = sample time-series tracks every N simulated cycles
   /// (ExecutorOptions::sample_cycles) and produce one campaign-
   /// representative stream in CampaignResult::timeseries_blob via a

@@ -121,23 +121,15 @@ Status MbmDriver::register_region(u64 sid, VirtAddr va, u64 size) {
     return Status::Invalid("mbm: region leaves the watch window");
   }
 
-  RegionInfo region;
-  region.sid = sid;
-  region.va_base = va;
-  region.pa_base = pa;
-  region.size = size;
   PageState& page = pages_[pa >> kPageShift];
   auto it = std::lower_bound(page.regions.begin(), page.regions.end(), pa,
                              base_before);
   if (it != page.regions.end() && it->pa_base == pa) {
-    *it = region;
-  } else {
-    page.regions.insert(it, region);
-    ++regions_;
+    return Status::Invalid("mbm: a region already starts at this base");
   }
-  // Every registration takes a reference on the page, a re-registration
-  // at the same base too; unregister releases one.
-  const bool first_on_page = page.nc_refs++ == 0;
+  const bool first_on_page = page.regions.empty();
+  page.regions.insert(it, RegionInfo{sid, va, pa, size});
+  ++regions_;
 
   set_bits(pa, size, true);
   machine_.trace().record(machine_.bus_order_now(),
@@ -168,7 +160,7 @@ Status MbmDriver::unregister_region(u64 sid, VirtAddr va, u64 size) {
   page.regions.erase(std::lower_bound(page.regions.begin(),
                                       page.regions.end(), w.pa, base_before));
   --regions_;
-  if (--page.nc_refs == 0) {
+  if (page.regions.empty()) {
     pages_.erase(frame);
     if (noncacheable_remap_) {
       if (Status s = set_page_cacheable(page_align_down(va), true); !s.ok()) {
@@ -232,10 +224,12 @@ void MbmDriver::save_state(sim::SnapWriter& w) const {
       w.put_u64(info.size);
     }
   }
+  // Each non-cacheable page with its reference count, which is its
+  // region count.
   w.put_u64(pages.size());
   for (const auto* page : pages) {
     w.put_u64(page->first << kPageShift);
-    w.put_u32(page->second.nc_refs);
+    w.put_u32(static_cast<u32>(page->second.regions.size()));
   }
   w.put_u64(events_delivered_);
   w.put_u64(unattributed_);
@@ -275,7 +269,13 @@ void MbmDriver::restore_state(sim::SnapReader& r) {
     ++regions_;
     prev_base = key;
   }
+  // Every page with regions is listed once, with its region count.
   const u64 nrefs = r.get_count("non-cacheable page");
+  if (r.ok() && nrefs != pages_.size()) {
+    r.fail("non-cacheable page count " + std::to_string(nrefs) +
+           " is not the count of pages with regions");
+    return;
+  }
   PhysAddr prev = 0;
   for (u64 i = 0; r.ok() && i < nrefs; ++i) {
     const PhysAddr pa = r.get_u64();
@@ -285,15 +285,14 @@ void MbmDriver::restore_state(sim::SnapReader& r) {
              " is unaligned or out of order");
       return;
     }
-    pages_[pa >> kPageShift].nc_refs = refs;
-    prev = pa;
-  }
-  for (const auto* page : sim::sorted_entries(pages_)) {
-    if (r.ok() && (page->second.nc_refs == 0 ||
-                   page->second.nc_refs < page->second.regions.size())) {
-      r.fail("page " + std::to_string(page->first << kPageShift) +
-             " holds fewer references than regions");
+    const auto page = pages_.find(pa >> kPageShift);
+    if (r.ok() &&
+        (page == pages_.end() || refs != page->second.regions.size())) {
+      r.fail("page " + std::to_string(pa) +
+             " holds a reference count other than its region count");
+      return;
     }
+    prev = pa;
   }
   events_delivered_ = r.get_u64();
   unattributed_ = r.get_u64();

@@ -50,7 +50,7 @@ class MbmDriver {
 
   /// §5.3 steps 1-2.  `va`/`size` must be word aligned; the region must be
   /// in the kernel linear map, inside one page and inside the MBM's watch
-  /// window.  Registering again at the same base replaces the region.
+  /// window, and no region may already start at its base.
   Status register_region(u64 sid, VirtAddr va, u64 size);
   /// `size` must be the registered region's size.
   Status unregister_region(u64 sid, VirtAddr va, u64 size);
@@ -84,16 +84,15 @@ class MbmDriver {
   void save_state(sim::SnapWriter& w) const;
   /// Fails `r` on a region whose key is not its base, that straddles a
   /// page or leaves the watch window, on keys out of order, and on a page
-  /// whose reference count is below its region count.
+  /// whose reference count is not its region count.
   void restore_state(sim::SnapReader& r);
 
  private:
-  /// Monitoring state of one physical page: the registrations holding it
-  /// non-cacheable, and its regions sorted by base.  A region never
-  /// straddles a page, so the page of an address holds every region that
-  /// can contain it.
+  /// Monitoring state of one physical page: its regions sorted by base,
+  /// each holding the page non-cacheable.  A region never straddles a
+  /// page, so the page of an address holds every region that can contain
+  /// it.
   struct PageState {
-    u32 nc_refs = 0;
     std::vector<RegionInfo> regions;
   };
 

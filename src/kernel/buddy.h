@@ -68,8 +68,7 @@ class BuddyAllocator {
       w.put_bytes(list.data(), list.size() * sizeof(u64));
     }
     w.put_bytes(block_order_.data(), block_order_.size());
-    // Bit-packed allocated map: the pool is large (one bit per frame) and
-    // restore is on the snapshot-boot fast path.
+    // Bit-packed allocated map: the pool is large (one bit per frame).
     std::vector<u8> bits((allocated_.size() + 7) / 8, 0);
     for (size_t i = 0; i < allocated_.size(); ++i) {
       if (allocated_[i]) bits[i >> 3] |= static_cast<u8>(1u << (i & 7));

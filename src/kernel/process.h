@@ -217,8 +217,8 @@ class ProcessManager {
     const u64 nframes = r.get_count("frame ref");
     frame_refs_.clear();
     // Saved in ascending key order (std::map iteration), so the hinted
-    // inserts are amortized O(1) — this map is the big one on the
-    // snapshot-boot restore path.
+    // inserts are amortized O(1) — this is the biggest map a restore
+    // reads.
     for (u64 i = 0; r.ok() && i < nframes; ++i) {
       const PhysAddr frame = r.get_u64();
       frame_refs_.emplace_hint(frame_refs_.end(), frame, r.get_u32());

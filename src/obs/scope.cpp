@@ -204,11 +204,6 @@ LayerReport ScopeStack::report() {
   return report_;
 }
 
-void ScopeStack::reset_report() {
-  settle();
-  report_ = LayerReport{};
-}
-
 std::vector<ScopeEvent> ScopeStack::chronological() const {
   std::vector<ScopeEvent> out;
   out.reserve(ring_.size());

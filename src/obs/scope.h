@@ -47,7 +47,6 @@ enum class Layer : u8 {
   kKernelSyscall,  // a syscall, SVC entry to exit
   kSecapps,        // a security app handling one MBM event
   kFuzzBoot,       // building and booting a fuzz run's system
-  kFuzzSnapshot,   // restoring a fuzz run's system from a boot snapshot
   kFuzzStep,       // a fuzz op, outside the layers above
   kOther,          // everything outside any scope
   kCount,
@@ -66,7 +65,6 @@ inline constexpr unsigned kLayerCount = static_cast<unsigned>(Layer::kCount);
     case Layer::kKernelSyscall: return "kernel.syscall";
     case Layer::kSecapps: return "secapps";
     case Layer::kFuzzBoot: return "fuzz.boot";
-    case Layer::kFuzzSnapshot: return "fuzz.snapshot";
     case Layer::kFuzzStep: return "fuzz.step";
     case Layer::kOther: return "other";
     case Layer::kCount: break;
@@ -151,8 +149,6 @@ class ScopeStack {
 
   /// The rows so far, the open stretch included.
   [[nodiscard]] LayerReport report();
-  /// Zero the rows; the next stretch starts now.
-  void reset_report();
 
   /// The host instant of the last settle: a report() covers the host
   /// stretch from the moment the host clock started to here.

@@ -7,8 +7,8 @@
 // emits one sample row holding all track values.  Samples are keyed on
 // simulated cycles only — never host time, thread ids, or job counts —
 // so two runs of the same simulated universe produce byte-identical
-// sample streams at any --jobs, any --cores and across snapshot-boot (the
-// matrix test pins these axes).
+// sample streams at any --jobs and any --cores (the matrix test pins
+// these axes).
 //
 // Two track kinds:
 //

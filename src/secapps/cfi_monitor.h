@@ -73,53 +73,6 @@ class CfiMonitor : public hypersec::SecurityApp {
   [[nodiscard]] u64 baseline_words() const { return baseline_.size(); }
   [[nodiscard]] bool watching_dentry_ops() const { return watch_dentry_ops_; }
 
-  // --- Snapshot support (sim/snapshot.h) ------------------------------------
-  // Executor-owned blob, like the object monitor.  Hook/observer wiring is
-  // install-time and survives restores.
-
-  void save_state(sim::SnapWriter& w) const {
-    w.put_bool(installed_);
-    w.put_u64(baseline_.size());
-    for (const auto& [pa, value] : baseline_) {
-      w.put_u64(pa);
-      w.put_u64(value);
-    }
-    w.put_u64(module_pages_.size());
-    for (const PhysAddr pa : module_pages_) w.put_u64(pa);
-    w.put_u64(stats_.events_total);
-    w.put_u64(stats_.events_syscall);
-    w.put_u64(stats_.events_vector);
-    w.put_u64(stats_.events_module);
-    w.put_u64(stats_.events_fnptr);
-    w.put_u64(stats_.modules_registered);
-    w.put_u64(stats_.modules_unregistered);
-    save_alerts(w, alerts_);
-  }
-
-  void restore_state(sim::SnapReader& r) {
-    r.section("cfi monitor");
-    installed_ = r.get_bool();
-    const u64 nbase = r.get_count("baseline word");
-    baseline_.clear();
-    for (u64 i = 0; r.ok() && i < nbase; ++i) {
-      const PhysAddr pa = r.get_u64();
-      baseline_.emplace_hint(baseline_.end(), pa, r.get_u64());
-    }
-    const u64 npages = r.get_count("module text page");
-    module_pages_.clear();
-    for (u64 i = 0; r.ok() && i < npages; ++i) {
-      module_pages_.emplace_hint(module_pages_.end(), r.get_u64());
-    }
-    stats_.events_total = r.get_u64();
-    stats_.events_syscall = r.get_u64();
-    stats_.events_vector = r.get_u64();
-    stats_.events_module = r.get_u64();
-    stats_.events_fnptr = r.get_u64();
-    stats_.modules_registered = r.get_u64();
-    stats_.modules_unregistered = r.get_u64();
-    restore_alerts(r, alerts_);
-  }
-
  private:
   /// Register `words` contiguous words at linear-map `va` and record their
   /// current contents as the baseline.

@@ -65,48 +65,6 @@ class InvariantChecker : public hypersec::SecurityApp,
   }
   [[nodiscard]] u64 monitored_pages() const { return pages_.size(); }
 
-  // --- Snapshot support (sim/snapshot.h) ------------------------------------
-  // Executor-owned like the object monitor: serialized as a separate blob
-  // next to the system snapshot.  Wiring (app registration, PT observer)
-  // is re-established by install() and survives restores untouched.
-
-  void save_state(sim::SnapWriter& w) const {
-    w.put_bool(installed_);
-    w.put_u64(pages_.size());
-    for (const PhysAddr pa : pages_) w.put_u64(pa);
-    w.put_u64(reported_.size());
-    for (const auto& [code, detail] : reported_) {
-      w.put_u8(code);
-      w.put_string(detail);
-    }
-    w.put_u64(stats_.events_total);
-    w.put_u64(stats_.pages_registered);
-    w.put_u64(stats_.pages_unregistered);
-    w.put_u64(stats_.audits_run);
-    save_alerts(w, alerts_);
-  }
-
-  void restore_state(sim::SnapReader& r) {
-    r.section("invariant checker");
-    installed_ = r.get_bool();
-    const u64 npages = r.get_count("monitored PT page");
-    pages_.clear();
-    for (u64 i = 0; r.ok() && i < npages; ++i) {
-      pages_.emplace_hint(pages_.end(), r.get_u64());
-    }
-    const u64 nreported = r.get_count("audit finding");
-    reported_.clear();
-    for (u64 i = 0; r.ok() && i < nreported; ++i) {
-      const u8 code = r.get_u8();
-      reported_.emplace(code, r.get_string());
-    }
-    stats_.events_total = r.get_u64();
-    stats_.pages_registered = r.get_u64();
-    stats_.pages_unregistered = r.get_u64();
-    stats_.audits_run = r.get_u64();
-    restore_alerts(r, alerts_);
-  }
-
  private:
   void register_page(PhysAddr pa);
 

@@ -64,9 +64,8 @@ class ObjectIntegrityMonitor : public hypersec::SecurityApp {
   [[nodiscard]] Granularity granularity() const { return granularity_; }
 
   // --- Snapshot support (sim/snapshot.h) ------------------------------------
-  // The monitor is executor-owned, not part of hypernel::System, so its
-  // state serializes separately (the fuzz snapshot-boot path pairs each
-  // system snapshot with a monitor blob).
+  // The monitor is not part of hypernel::System, so its state serializes
+  // separately (table2_exact_test digests it next to the system's).
 
   void save_state(sim::SnapWriter& w) const;
   /// Fails `r` when a shadow word is not a word of any tracked object.

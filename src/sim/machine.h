@@ -134,8 +134,7 @@ class Machine {
   /// (Re-)arm sampling every `interval` cycles from the current
   /// bus-order instant.  Drops accumulated samples and re-primes counter
   /// baselines, so arming at the same simulated cycle always reproduces
-  /// the same stream — the executor re-arms at op-phase start on both
-  /// the fresh-boot and snapshot-boot paths for exactly this reason.
+  /// the same stream.
   void arm_timeseries(Cycles interval) {
     timeseries_.arm(interval, bus_order_now());
   }

@@ -1,5 +1,6 @@
 #include "workloads/apps.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 
@@ -265,8 +266,11 @@ AppResult run_apache(hypernel::System& system, const AppParams& p) {
     [[maybe_unused]] Result<u64> opened = k.vfs().lookup(path);
     assert(opened.ok());
     k.procs().cred_get(k.procs().current().cred);
+    // A fresh document fills the buffer exactly; one reloaded from a
+    // snapshot of an earlier run has grown past it.
+    const u64 len = std::min<u64>(st.value().size, body.size());
     [[maybe_unused]] Status rd = k.sys_read(st.value().ino, 0, body.data(),
-                                            st.value().size);
+                                            len);
     assert(rd.ok());
     k.procs().cred_put(k.procs().current().cred);
     // ...and responds.

@@ -1,7 +1,7 @@
 // Scorecard harness tests: the acceptance gates (every intended attack
 // hit with a causal attribution chain, zero false positives), the golden
-// report digest pinned at --jobs=1 vs --jobs=4, and byte-identity of
-// snapshot-booted against fresh-booted scorecards.
+// report digest pinned at --jobs=1 vs --jobs=4, and the untraced report's
+// digest.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -68,19 +68,12 @@ TEST(Scorecard, JobCountNeverChangesTheReport) {
   EXPECT_EQ(b.digest, kGoldenTracedDigest);
 }
 
-TEST(Scorecard, SnapshotBootMatchesFreshBoot) {
-  // Attribution needs per-run trace capture, which always boots fresh —
-  // so the snapshot-boot contract is pinned with attribution off.
-  ScorecardOptions fresh;
-  fresh.jobs = 4;
-  fresh.trace_attribution = false;
-  ScorecardOptions snapshot = fresh;
-  snapshot.snapshot_boot = true;
-  const Scorecard a = run_scorecard(fresh);
-  const Scorecard b = run_scorecard(snapshot);
-  EXPECT_EQ(a.json, b.json);
+TEST(Scorecard, UntracedReportKeepsHitsAndDropsAttribution) {
+  ScorecardOptions opt;
+  opt.jobs = 4;
+  opt.trace_attribution = false;
+  const Scorecard a = run_scorecard(opt);
   EXPECT_EQ(a.digest, kGoldenUntracedDigest);
-  EXPECT_EQ(b.digest, kGoldenUntracedDigest);
   // Hits still land without traces; only the attribution gate drops.
   EXPECT_TRUE(a.all_intended_hit);
   EXPECT_TRUE(a.zero_false_positives);
@@ -152,18 +145,13 @@ TEST(SmpScorecard, JobCountNeverChangesTheReport) {
   EXPECT_EQ(b.digest, kGoldenSmpTracedDigest);
 }
 
-TEST(SmpScorecard, SnapshotBootMatchesFreshBootAtTwoCores) {
-  ScorecardOptions fresh;
-  fresh.jobs = 4;
-  fresh.cores = 2;
-  fresh.trace_attribution = false;
-  ScorecardOptions snapshot = fresh;
-  snapshot.snapshot_boot = true;
-  const Scorecard a = run_scorecard(fresh);
-  const Scorecard b = run_scorecard(snapshot);
-  EXPECT_EQ(a.json, b.json);
+TEST(SmpScorecard, UntracedReportAtTwoCoresStaysPinned) {
+  ScorecardOptions opt;
+  opt.jobs = 4;
+  opt.cores = 2;
+  opt.trace_attribution = false;
+  const Scorecard a = run_scorecard(opt);
   EXPECT_EQ(a.digest, kGoldenSmpUntracedDigest);
-  EXPECT_EQ(b.digest, kGoldenSmpUntracedDigest);
   EXPECT_TRUE(a.all_intended_hit);
   EXPECT_TRUE(a.zero_false_positives);
 }

@@ -245,14 +245,9 @@ TEST(ShardedRunner, ExceptionPropagatesWithLowestObservedIndex) {
           opt);
       FAIL() << "expected run_sharded to rethrow (jobs=" << jobs << ")";
     } catch (const std::runtime_error& e) {
-      // Deterministic for jobs=1 (first throwing index); for parallel
-      // runs the recorded index is the lowest among those observed,
-      // which is always an odd index from the front of the range.
-      const u64 index = std::stoull(e.what());
-      EXPECT_EQ(index % 2, 1u);
-      if (jobs == 1) {
-        EXPECT_EQ(index, 1u);
-      }
+      // A throw cancels only the indices above it, so index 1 always
+      // runs and its exception is the one rethrown at any job count.
+      EXPECT_EQ(std::stoull(e.what()), 1u) << "jobs=" << jobs;
     }
   }
 }
@@ -273,12 +268,15 @@ TEST(ShardedRunner, FailFastSequentialStopsAtFirstFailure) {
 }
 
 TEST(ShardedRunner, FailFastParallelCoversEveryIndexBelowTheFailure) {
-  // FIFO submission order guarantees indices below the lowest failing
-  // one always have valid results, at any worker count.
+  // Indices below the lowest failing one always have valid results, at
+  // any worker count.  Eight shards of eight on four workers: the failing
+  // index ends the third shard, so the last shards start only after the
+  // failure, whatever the host's load.
   constexpr u64 kN = 64;
   constexpr u64 kFail = 23;
   ShardOptions opt;
   opt.jobs = 4;
+  opt.shard_size = 8;
   opt.fail_fast = true;
   ShardReport report;
   const std::vector<u64> got = run_sharded<u64>(
@@ -296,6 +294,42 @@ TEST(ShardedRunner, FailFastParallelCoversEveryIndexBelowTheFailure) {
   }
   EXPECT_EQ(report.indices_run + report.indices_skipped, kN);
   EXPECT_LT(report.indices_run, kN);  // cancellation actually bit
+}
+
+TEST(ShardedRunner, FailFastNeverSkipsAnIndexBelowAnInstantFailure) {
+  // The shard just below the failing one stalls on its first cell until
+  // the failure has been seen, so the instant failure always lands while
+  // the rest of that shard waits to run.  Those cells lie below the
+  // failure and must still run.
+  constexpr u64 kN = 200;
+  constexpr u64 kFail = 100;
+  constexpr u64 kShard = 4;
+  ShardOptions opt;
+  opt.jobs = 4;
+  opt.shard_size = kShard;
+  opt.fail_fast = true;
+  for (int round = 0; round < 200; ++round) {
+    std::atomic<bool> seen{false};
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    const std::vector<u64> got = run_sharded<u64>(
+        kN,
+        [&](u64 i) {
+          while (i == kFail - kShard && !seen.load() &&
+                 std::chrono::steady_clock::now() < give_up) {
+            std::this_thread::yield();
+          }
+          return i + 1;
+        },
+        [&](const u64& v) {
+          if (v == kFail + 1) seen.store(true);
+          return v == kFail + 1;
+        },
+        opt);
+    for (u64 i = 0; i <= kFail; ++i) {
+      ASSERT_EQ(got[i], i + 1) << "round " << round << " index " << i;
+    }
+  }
 }
 
 TEST(ShardedRunner, ReportsPerRunWorkerStats) {

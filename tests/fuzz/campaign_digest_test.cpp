@@ -51,16 +51,6 @@ TEST(CampaignDigest, ReferenceModeIsBitIdentical) {
   EXPECT_EQ(r.corpus_digest, kGoldenDigest);
 }
 
-TEST(CampaignDigest, SnapshotBootIsBitIdentical) {
-  // Forking every case from a COW boot snapshot must land on the golden
-  // digest: the fork point is the state a fresh boot reaches.
-  FuzzOptions opt = canonical_options();
-  opt.snapshot_boot = true;
-  const CampaignResult r = run_campaign(opt);
-  EXPECT_EQ(r.failures, 0u);
-  EXPECT_EQ(r.corpus_digest, kGoldenDigest);
-}
-
 TEST(CampaignDigest, MetricsCollectionIsBitIdentical) {
   // Metrics runs bind the span tracer to the cycle counter and boot with
   // the registry on; charging is exact either way, so collecting metrics

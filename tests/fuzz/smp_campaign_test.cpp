@@ -10,7 +10,7 @@
 // Three pins, harvested from
 //   ./build/tools/hypernel_fuzz --seed=1 --sequences=20 --ops=40
 //       --attack-seeds --cores=N
-// and each invariant across --jobs, --snapshot-boot and --reference.
+// and each invariant across --jobs and --reference.
 // The cores=1 pin proves the SMP machinery is inert on a single core:
 // this campaign predates the SMP work, and its digest did not move.
 #include <gtest/gtest.h>
@@ -60,17 +60,6 @@ TEST(SmpCampaign, DualCoreJobsInvariant) {
   FuzzOptions serial = smp_options(2);
   serial.jobs = 1;
   const CampaignResult r = run_campaign(serial);
-  EXPECT_EQ(r.failures, 0u);
-  EXPECT_EQ(r.corpus_digest, kGoldenDualCore);
-}
-
-TEST(SmpCampaign, DualCoreSnapshotBootInvariant) {
-  // COW boot snapshots capture every per-core register file, TLB, cycle
-  // account and the bus-arbiter state; forked cases must land on the
-  // same digest as fresh boots.
-  FuzzOptions opt = smp_options(2);
-  opt.snapshot_boot = true;
-  const CampaignResult r = run_campaign(opt);
   EXPECT_EQ(r.failures, 0u);
   EXPECT_EQ(r.corpus_digest, kGoldenDualCore);
 }

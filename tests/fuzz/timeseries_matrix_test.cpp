@@ -3,10 +3,9 @@
 //
 // The sampler's contract is that the serialized HNTSERIE stream is a
 // pure function of the simulated universe: byte-identical at any --jobs
-// count, across fresh-boot vs --snapshot-boot, and with the host fast
-// path on or off — for every core count.  The matrix below pins these
-// axes (identity holds *within* each cores value; different core counts
-// legitimately sample different universes).
+// count and with the host fast path on or off — for every core count.
+// The matrix below pins these axes (identity holds *within* each cores
+// value; different core counts legitimately sample different universes).
 //
 // The cross-check pins satellite agreement between the two read sides:
 // the per-window timeline and the causal attribution report are built
@@ -43,32 +42,28 @@ FuzzConfigSpec monitor_spec(unsigned cores) {
   return spec;
 }
 
-std::vector<u8> sampled_stream(unsigned cores, bool snapshot_boot,
-                               bool host_fast_path) {
+std::vector<u8> sampled_stream(unsigned cores, bool host_fast_path) {
   FuzzConfigSpec spec = monitor_spec(cores);
   spec.host_fast_path = host_fast_path;
   ExecutorOptions exec;
-  exec.snapshot_boot = snapshot_boot;
   exec.sample_cycles = kInterval;
   return run_sequence(spec, matrix_ops(), exec).timeseries_blob;
 }
 
-TEST(TimeSeriesMatrix, ByteIdenticalAcrossBootAndTimingModes) {
+TEST(TimeSeriesMatrix, ByteIdenticalAcrossTimingModes) {
   for (const unsigned cores : {1u, 2u, 4u}) {
     SCOPED_TRACE(testing::Message() << "cores=" << cores);
-    const std::vector<u8> fresh = sampled_stream(cores, false, true);
-    ASSERT_FALSE(fresh.empty());
+    const std::vector<u8> fast = sampled_stream(cores, true);
+    ASSERT_FALSE(fast.empty());
 
     // The stream actually sampled something: tracks and rows exist.
     obs::TimeSeriesData data;
-    ASSERT_TRUE(obs::parse_timeseries(fresh, data).ok());
+    ASSERT_TRUE(obs::parse_timeseries(fast, data).ok());
     EXPECT_EQ(data.interval, kInterval);
     EXPECT_GT(data.tracks.size(), 0u);
     EXPECT_GT(data.samples.size(), 0u);
 
-    EXPECT_EQ(sampled_stream(cores, true, true), fresh)
-        << "snapshot-boot diverged";
-    EXPECT_EQ(sampled_stream(cores, false, false), fresh)
+    EXPECT_EQ(sampled_stream(cores, false), fast)
         << "reference mode diverged";
   }
 }

@@ -16,6 +16,7 @@
 #include "hypersec/mbm_driver.h"
 #include "kernel/layout.h"
 #include "secapps/object_monitor.h"
+#include "sim/pagetable.h"
 
 namespace hn::hypersec {
 namespace {
@@ -88,6 +89,27 @@ TEST_F(MonHvcTest, UnregisterOfAnotherSizeIsDeniedAndKeepsTheBitmap) {
 
   EXPECT_EQ(hvc(hvc::kMonUnregister, va, 64), hvc::kOk);
   EXPECT_EQ(driver_->regions(), regions - 1);
+}
+
+TEST_F(MonHvcTest, SecondRegistrationAtABaseIsDenied) {
+  // One unregister must release the page: a second registration at the
+  // same base would otherwise leave the page non-cacheable with no
+  // region once the first is gone.
+  const VirtAddr va = fresh_page(*sys_);
+  const u64 regions = driver_->regions();
+  const u64 pages = driver_->noncacheable_pages();
+  ASSERT_EQ(hvc(hvc::kMonRegister, va, 64), hvc::kOk);
+  EXPECT_EQ(hvc(hvc::kMonRegister, va, 128), hvc::kDenied);
+  EXPECT_EQ(driver_->regions(), regions + 1);
+  EXPECT_EQ(driver_->noncacheable_pages(), pages + 1);
+
+  EXPECT_EQ(hvc(hvc::kMonUnregister, va, 64), hvc::kOk);
+  EXPECT_EQ(hvc(hvc::kMonUnregister, va, 64), hvc::kDenied);
+  EXPECT_EQ(driver_->regions(), regions);
+  EXPECT_EQ(driver_->noncacheable_pages(), pages);
+  const MbmDriver::El2Walk w = driver_->el2_walk(va);
+  ASSERT_TRUE(w.ok);
+  EXPECT_EQ(sim::decode_attrs(w.desc).attr, sim::MemAttr::kNormalCacheable);
 }
 
 TEST(MonHvc, RegionLeavingTheWatchWindowIsDenied) {
@@ -180,6 +202,29 @@ TEST_F(DriverRestoreTest, RejectsARegionLeavingTheWatchWindow) {
       << r.status().message();
 }
 
+TEST_F(DriverRestoreTest, RejectsAReferenceCountOtherThanTheRegionCount) {
+  // The page list follows the one region: its length (1), the page, then
+  // the page's u32 reference count (1).
+  constexpr size_t kPages = kSize + 8;
+  constexpr size_t kRefs = kPages + 8 + 8;
+  struct Case {
+    size_t offset;
+    u8 value;
+    const char* message;
+  };
+  for (const Case& c : {Case{kPages, 0, "count of pages with regions"},
+                        Case{kPages, 2, "count of pages with regions"},
+                        Case{kRefs, 0, "other than its region count"},
+                        Case{kRefs, 2, "other than its region count"}}) {
+    std::vector<u8> blob = blob_;
+    blob[c.offset] = c.value;
+    sim::SnapReader r(blob);
+    driver_->restore_state(r);
+    EXPECT_NE(r.status().message().find(c.message), std::string::npos)
+        << r.status().message();
+  }
+}
+
 TEST_F(DriverRestoreTest, RejectsRegionsOutOfOrderAcrossPages) {
   // A second region on another page, then the two records swapped: each
   // page's own list stays sorted, but the blob's keys descend.
@@ -216,20 +261,23 @@ class RecordingApp : public SecurityApp {
 };
 
 /// The driver's rules over the ordered maps it used before the per-page
-/// table: regions keyed by base, attribution by upper_bound, one
-/// non-cacheable reference per registration, the bitmap as a word set.
+/// table: regions keyed by base (a second registration at a base is
+/// denied), attribution by upper_bound, one non-cacheable reference per
+/// region, the bitmap as a word set.
 struct Reference {
   std::map<PhysAddr, RegionInfo> regions;
   std::map<PhysAddr, u32> nc_refs;
   std::set<PhysAddr> watched_words;
   u64 unattributed = 0;
 
-  void add(const RegionInfo& r) {
-    regions[r.pa_base] = r;
+  /// Returns whether the register is accepted.
+  bool add(const RegionInfo& r) {
+    if (!regions.emplace(r.pa_base, r).second) return false;
     ++nc_refs[page_align_down(r.pa_base)];
     for (u64 w = 0; w < r.size; w += kWordSize) {
       watched_words.insert(r.pa_base + w);
     }
+    return true;
   }
   /// Returns whether the unregister is accepted.
   bool remove(PhysAddr pa, u64 size) {
@@ -295,7 +343,7 @@ TEST(RegionTableProperty, MatchesTheOrderedMapReference) {
                    std::to_string(op));
       const u64 kind = rng.next_below(10);
       if (kind < 4 || ref.regions.empty()) {
-        // Register, or re-register at an existing base with a new size.
+        // Register, or try again at an existing base with a new size.
         VirtAddr va = random_va();
         if (kind == 1 && !ref.regions.empty()) {
           auto it = ref.regions.begin();
@@ -304,8 +352,9 @@ TEST(RegionTableProperty, MatchesTheOrderedMapReference) {
         }
         const u64 room = (kPageSize - (va & kPageMask)) / kWordSize;
         const u64 size = rng.next_in(1, std::min<u64>(room, 24)) * kWordSize;
-        ASSERT_TRUE(driver.register_region(1, va, size).ok());
-        ref.add(RegionInfo{1, va, kernel::virt_to_phys(va), size});
+        const bool accepted =
+            ref.add(RegionInfo{1, va, kernel::virt_to_phys(va), size});
+        ASSERT_EQ(driver.register_region(1, va, size).ok(), accepted);
       } else if (kind < 6) {
         // Unregister a live region, sometimes with the wrong size.
         auto it = ref.regions.begin();

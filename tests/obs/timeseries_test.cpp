@@ -40,7 +40,7 @@ TEST(TimeSeries, PollEmitsOneRowPerBoundary) {
 TEST(TimeSeries, BoundariesAreAbsolute) {
   // Arming mid-stream schedules the next *absolute* multiple of the
   // interval, so re-arming at the same simulated cycle reproduces the
-  // same stamps (the snapshot-boot byte-identity hinges on this).
+  // same stamps.
   TimeSeries ts;
   u64 v = 0;
   ts.enroll("v", TrackKind::kCounter, [&] { return v; });

@@ -134,12 +134,12 @@ TEST(CowPages, AdoptRejectsPageCountMismatch) {
 }
 
 TEST(CowPages, ConcurrentForksShareAndDivergeSafely) {
-  // The snapshot-boot fuzz path forks many machines from one captured
-  // PageSet.  Model that directly: one shared snapshot, several threads
-  // each adopting (concurrent refcount bumps on the same pages), writing
-  // their own divergent state (concurrent copy-on-write of shared pages)
-  // and re-adopting (concurrent drops).  TSan owns the verdict; the
-  // assertions pin isolation.
+  // A captured PageSet may back machines on several threads at once (its
+  // refcounts are atomic).  Model that directly: one shared snapshot,
+  // several threads each adopting (concurrent refcount bumps on the same
+  // pages), writing their own divergent state (concurrent copy-on-write
+  // of shared pages) and re-adopting (concurrent drops).  TSan owns the
+  // verdict; the assertions pin isolation.
   PhysicalMemory base(kMemBytes);
   for (u64 p = 0; p < base.page_count(); ++p) {
     base.write64(p * kPageSize, 0xBA5E0000 + p);
@@ -511,20 +511,42 @@ TEST(SystemSnapshot, PostRootkitScenarioRoundTrip) {
   post_rootkit_round_trip(secapps::Granularity::kWholeObject);
 }
 
-TEST(SystemSnapshot, ForkedTwinsDivergeIndependently) {
-  // One snapshot, two restored twins: each runs a different workload
-  // without contaminating the other or the snapshot donor.
-  auto donor = make_system(Mode::kNative, /*mbm=*/false);
+u64 stage2_faults(System& sys) {
+  return sys.kvm() != nullptr ? sys.kvm()->stats().s2_faults_serviced : 0;
+}
+
+/// Twin A's workload: a new file, then a forked, exec'd child touching
+/// fresh user memory, so a KVM guest faults in stage-2 mappings its
+/// restored tables do not hold yet.
+void diverge_a(System& sys) {
+  kernel::Kernel& k = sys.kernel();
+  ASSERT_TRUE(k.sys_creat("/only-in-a").ok());
+  Result<u32> pid = k.sys_fork();
+  ASSERT_TRUE(pid.ok());
+  k.procs().switch_to(*k.procs().find(pid.value()));
+  ASSERT_TRUE(k.sys_execve().ok());
+  ASSERT_TRUE(k.run_user_memory(512, 64, /*seed=*/7).ok());
+}
+
+/// ForkedTwinsDivergeIndependently in one mode.
+void forked_twins_diverge(Mode mode) {
+  SCOPED_TRACE(hypernel::mode_name(mode));
+  const bool mbm = mode == Mode::kHypernel;
+  auto donor = make_system(mode, mbm);
   ASSERT_TRUE(donor->kernel().sys_creat("/seed").ok());
   const Snapshot snap = donor->save_state();
 
-  auto twin_a = make_system(Mode::kNative, /*mbm=*/false);
-  auto twin_b = make_system(Mode::kNative, /*mbm=*/false);
+  auto twin_a = make_system(mode, mbm);
+  auto twin_b = make_system(mode, mbm);
   ASSERT_TRUE(twin_a->restore_state(snap).ok());
   ASSERT_TRUE(twin_b->restore_state(snap).ok());
 
-  ASSERT_TRUE(twin_a->kernel().sys_creat("/only-in-a").ok());
+  const u64 faults_at_restore = stage2_faults(*twin_a);
+  diverge_a(*twin_a);
   ASSERT_TRUE(twin_b->kernel().sys_mkdir("/only-in-b").ok());
+  if (mode == Mode::kKvmGuest) {
+    EXPECT_GT(stage2_faults(*twin_a), faults_at_restore);
+  }
 
   EXPECT_TRUE(twin_a->kernel().sys_stat("/only-in-a").ok());
   EXPECT_FALSE(twin_a->kernel().sys_stat("/only-in-b").ok());
@@ -535,15 +557,26 @@ TEST(SystemSnapshot, ForkedTwinsDivergeIndependently) {
 
   // And a twin restored later from the same snapshot replays twin A's
   // future exactly: forks are deterministic, not merely isolated.
-  auto twin_c = make_system(Mode::kNative, /*mbm=*/false);
+  auto twin_c = make_system(mode, mbm);
   ASSERT_TRUE(twin_c->restore_state(snap).ok());
-  ASSERT_TRUE(twin_c->kernel().sys_creat("/only-in-a").ok());
+  diverge_a(*twin_c);
   EXPECT_TRUE(twin_c->kernel().sys_stat("/only-in-a").ok());
   EXPECT_FALSE(twin_c->kernel().sys_stat("/only-in-b").ok());
+  EXPECT_EQ(stage2_faults(*twin_c), stage2_faults(*twin_a));
   const auto fp_a = hypernel::take_fingerprint(*twin_a);
   const auto fp_c = hypernel::take_fingerprint(*twin_c);
   EXPECT_TRUE(fp_a.functionally_equal(fp_c)) << fp_a.diff(fp_c);
   EXPECT_EQ(fp_a.cycles, fp_c.cycles);
+}
+
+TEST(SystemSnapshot, ForkedTwinsDivergeIndependently) {
+  // One snapshot, two restored twins: each runs a different workload
+  // without contaminating the other or the snapshot donor, in every
+  // mode — a KVM guest's stage-2 tables and a Hypernel system's Hypersec
+  // and MBM state restore with the rest.
+  for (const Mode mode : {Mode::kNative, Mode::kKvmGuest, Mode::kHypernel}) {
+    forked_twins_diverge(mode);
+  }
 }
 
 }  // namespace

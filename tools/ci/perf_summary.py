@@ -17,9 +17,8 @@ signal to look.
 
 The table also shows each loop's reference-rate change against the
 baseline (informational, never a warning): a speedup can fall because
-the reference side got faster, as `snapshot_fork`'s did when fresh boots
-got cheaper, and the "ref delta" column tells that apart from a slower
-fast path.
+the reference side got faster, and the "ref delta" column tells that
+apart from a slower fast path.
 """
 
 import json

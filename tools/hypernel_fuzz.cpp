@@ -85,9 +85,6 @@ void usage() {
       "  --no-shrink       report original failing sequences unshrunk\n"
       "  --reference       force host-side reference mode (no sim fast\n"
       "                    path); output must stay byte-identical\n"
-      "  --snapshot-boot   fork every case from a per-configuration boot\n"
-      "                    snapshot (COW restore) instead of re-booting;\n"
-      "                    output must stay byte-identical\n"
       "  --no-attacks      generate no attack writes\n"
       "  --no-forged       generate no forged-hypercall probes\n"
       "  --inject-bypass   test hook: attack writes dodge the bus snooper\n"
@@ -146,8 +143,6 @@ bool parse(int argc, char** argv, Options* opt) {
       opt->fuzz.capture_trace = true;  // reproducers ship with their trace
     } else if (std::strcmp(arg, "--reference") == 0) {
       opt->fuzz.host_fast_path = false;
-    } else if (std::strcmp(arg, "--snapshot-boot") == 0) {
-      opt->fuzz.snapshot_boot = true;
     } else if (std::strcmp(arg, "--fail-fast") == 0) {
       opt->fuzz.fail_fast = true;
     } else if (std::strcmp(arg, "--no-shrink") == 0) {
@@ -209,7 +204,6 @@ int replay(const Options& opt) {
                                  .audit_stride = opt.fuzz.audit_stride};
   exec.collect_metrics = opt.fuzz.collect_metrics;
   exec.capture_trace = !opt.artifacts.trace_out.empty();
-  exec.snapshot_boot = opt.fuzz.snapshot_boot;
   exec.profile = opt.fuzz.profile;
   exec.sample_cycles = opt.fuzz.sample_cycles;
   for (size_t i = 0; i < ops.size(); ++i) {

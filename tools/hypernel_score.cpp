@@ -6,13 +6,12 @@
 // truth, and emits a deterministic report: a human table on stdout, the
 // full JSON via --out, and the scorecard digest on the last line.
 //
-// The report is byte-identical at any --jobs value and (with
-// --no-trace) whether cells boot fresh or fork from boot snapshots —
-// the scorecard tests pin both.
+// The report is byte-identical at any --jobs value — the scorecard
+// tests pin this.
 //
 //   hypernel_score                           # table + digest
 //   hypernel_score --jobs=4 --out=score.json
-//   hypernel_score --no-trace --snapshot-boot
+//   hypernel_score --no-trace
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -33,8 +32,6 @@ void usage() {
       "  --no-trace        skip flight-recorder capture and causal\n"
       "                    attribution (faster; attribution not required\n"
       "                    for the exit code)\n"
-      "  --snapshot-boot   fork cells from per-configuration boot\n"
-      "                    snapshots (COW restore) instead of re-booting\n"
       "  --cores=N         simulated cores per machine (default 1); N > 1\n"
       "                    adds the cross-core scenario rows\n"
       "artifacts (metrics and profile cover every cell; the trace and the\n"
@@ -74,8 +71,6 @@ int main(int argc, char** argv) {
       out_path = arg + 6;
     } else if (std::strcmp(arg, "--no-trace") == 0) {
       opt.trace_attribution = false;
-    } else if (std::strcmp(arg, "--snapshot-boot") == 0) {
-      opt.snapshot_boot = true;
     } else if (std::strncmp(arg, "--cores=", 8) == 0) {
       if (!hn::parse_u32(arg + 8, &opt.cores) || opt.cores == 0 ||
           opt.cores > 8) {

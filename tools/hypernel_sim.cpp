@@ -349,7 +349,9 @@ void usage() {
       "  info    [--mode=...]\n"
       "  any command also accepts --save-state=F / --load-state=F: write\n"
       "  the machine snapshot at exit / restore one right after boot (the\n"
-      "  configuration must match the one the snapshot was taken from)\n"
+      "  configuration must match the one the snapshot was taken from).\n"
+      "  lmbench and app --name=untar expect a fresh kernel: on a snapshot\n"
+      "  that already holds their files they stop on an assert\n"
       "artifacts of the run (the profile starts after boot):\n%s",
       obs::kArtifactUsage);
 }
