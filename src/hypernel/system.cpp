@@ -1,5 +1,7 @@
 #include "hypernel/system.h"
 
+#include <string>
+
 #include "mbm/bitmap_math.h"
 
 namespace hn::hypernel {
@@ -98,7 +100,7 @@ sim::Counters System::counters_since(const Snapshot& s) const {
   return machine_->account().counters().delta(s.counters);
 }
 
-// --- Machine snapshot / COW fork ---------------------------------------------
+// --- Machine snapshot --------------------------------------------------------
 
 namespace {
 
@@ -139,60 +141,59 @@ u64 System::config_digest() const {
   return h;
 }
 
-sim::Snapshot System::save_state() {
-  sim::Snapshot snap;
-  snap.config_digest = config_digest();
+std::vector<u8> System::save_state() {
   // The save marker goes in first so it is the last event of the saved
   // ring; every restore links back to it by this sequence id.
-  snap.save_seq = machine_->trace().record(machine_->account().cycles(),
-                                           sim::TraceKind::kSnapshot, 1, 0);
+  const u64 save_seq = machine_->trace().record(
+      machine_->account().cycles(), sim::TraceKind::kSnapshot, 1, 0);
+  sim::SnapWriter state;
+  state.put_u64(save_seq);
+  machine_->save_state(state);
+  kernel_->save_state(state);
+  state.put_bool(mbm_ != nullptr);
+  if (mbm_) mbm_->save_state(state);
+  state.put_bool(kvm_ != nullptr);
+  if (kvm_) kvm_->save_state(state);
+  state.put_bool(hypersec_ != nullptr);
+  if (hypersec_) hypersec_->save_state(state);
+
   sim::SnapWriter w;
-  w.put_u64(snap.save_seq);
-  machine_->save_state(w);
-  kernel_->save_state(w);
-  w.put_bool(mbm_ != nullptr);
-  if (mbm_) mbm_->save_state(w);
-  w.put_bool(kvm_ != nullptr);
-  if (kvm_) kvm_->save_state(w);
-  w.put_bool(hypersec_ != nullptr);
-  if (hypersec_) hypersec_->save_state(w);
-  snap.state = w.take();
-  snap.pages = machine_->phys().capture();
-  return snap;
+  sim::begin_snapshot(w, config_digest(), save_seq);
+  w.put_u64(state.data().size());
+  w.put_bytes(state.data().data(), state.data().size());
+  machine_->phys().save_pages(w);
+  return sim::seal_snapshot(w);
 }
 
-Status System::restore_state(const sim::Snapshot& snap) {
-  if (snap.empty()) {
-    return Status::Invalid("snapshot: empty snapshot");
-  }
-  if (snap.config_digest != config_digest()) {
+Status System::restore_state(const std::vector<u8>& bytes) {
+  Result<sim::SnapReader> opened = sim::open_snapshot(bytes);
+  if (!opened.ok()) return opened.status();
+  sim::SnapReader& file = opened.value();
+  const u64 digest = file.get_u64();
+  file.get_u64();  // save_seq: the layered state opens with it too
+  sim::SnapReader r(file.get_span(file.get_count("state")));
+  if (!file.ok()) return file.status();
+  if (digest != config_digest()) {
     return Status::Invalid(
         "snapshot: configuration digest mismatch (snapshot was taken from a "
         "differently configured system)");
   }
-  if (Status s = machine_->phys().adopt(snap.pages); !s.ok()) return s;
-  sim::SnapReader r(snap.state);
+  if (Status s = machine_->phys().restore_pages(file); !s.ok()) return s;
   const u64 save_seq = r.get_u64();
   machine_->restore_state(r);
   kernel_->restore_state(r);
-  r.section("system");
-  const bool had_mbm = r.get_bool();
-  if (r.ok() && had_mbm != (mbm_ != nullptr)) {
-    r.fail("MBM presence does not match this configuration");
-  }
-  if (r.ok() && mbm_) mbm_->restore_state(r);
-  r.section("system");
-  const bool had_kvm = r.get_bool();
-  if (r.ok() && had_kvm != (kvm_ != nullptr)) {
-    r.fail("KVM presence does not match this configuration");
-  }
-  if (r.ok() && kvm_) kvm_->restore_state(r);
-  r.section("system");
-  const bool had_hypersec = r.get_bool();
-  if (r.ok() && had_hypersec != (hypersec_ != nullptr)) {
-    r.fail("Hypersec presence does not match this configuration");
-  }
-  if (r.ok() && hypersec_) hypersec_->restore_state(r);
+  // The optional layers, each behind a presence flag.
+  auto restore_layer = [&r](auto* layer, const char* name) {
+    r.section("system");
+    const bool saved = r.get_bool();
+    if (r.ok() && saved != (layer != nullptr)) {
+      r.fail(std::string(name) + " presence does not match this configuration");
+    }
+    if (r.ok() && layer != nullptr) layer->restore_state(r);
+  };
+  restore_layer(mbm_.get(), "MBM");
+  restore_layer(kvm_.get(), "KVM");
+  restore_layer(hypersec_.get(), "Hypersec");
   if (r.ok() && r.remaining() != 0) {
     r.section("system");
     r.fail("trailing bytes after layered state");

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "common/status.h"
 #include "common/types.h"
@@ -92,21 +93,23 @@ class System {
     return machine_->metrics_snapshot();
   }
 
-  // --- Machine snapshot / COW fork (DESIGN.md §12) ---------------------------
+  // --- Machine snapshot (DESIGN.md §12) -------------------------------------
   /// FNV digest of the configuration fields that shape simulated state.
   /// Host-only knobs (fast path, metrics) are excluded: snapshots restore
   /// across them.
   [[nodiscard]] u64 config_digest() const;
-  /// Capture the full machine + software state: a layered state blob plus
-  /// COW-shared DRAM pages (no RAM copy).  Records a kSnapshot(save) trace
-  /// event first, so the marker is part of the saved ring and its sequence
-  /// id (`save_seq`) survives as the restore event's cause link.
-  [[nodiscard]] sim::Snapshot save_state();
-  /// Restore a snapshot into this live, identically-configured system
-  /// (validated by config digest).  Wiring persists; architectural state
-  /// is replaced.
+  /// The full machine + software state as an HNSNAP file (sim/snapshot.h).
+  /// Records a kSnapshot(save) trace event first, so the marker is part of
+  /// the saved ring and its sequence id survives as the restore event's
+  /// cause link.
+  [[nodiscard]] std::vector<u8> save_state();
+  /// Restore an HNSNAP file into this live, identically configured system:
+  /// the frame, the config digest and the page table are checked before
+  /// DRAM and the layered state are replaced (DESIGN.md §12).  Wiring
+  /// persists.  A non-OK Status from a layer leaves a system fit only for
+  /// destruction.
   /// Records a kSnapshot(restore) event caused by the snapshot's save.
-  Status restore_state(const sim::Snapshot& snap);
+  Status restore_state(const std::vector<u8>& bytes);
 
  private:
   explicit System(const SystemConfig& config) : config_(config) {}

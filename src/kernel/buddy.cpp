@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 
 namespace hn::kernel {
 
@@ -59,11 +60,10 @@ Result<PhysAddr> BuddyAllocator::alloc_pages(unsigned order) {
 }
 
 void BuddyAllocator::free_pages(PhysAddr pa, unsigned order) {
-  assert(owns(pa) && is_page_aligned(pa));
+  assert(is_allocated_block(pa, order) &&
+         "free_pages: not an allocated block head of this order");
   SpinGuard zone(lock_);
   u64 index = frame_index(pa);
-  assert(allocated_[index] && block_order_[index] == order &&
-         "free_pages: not an allocated block head of this order");
   allocated_[index] = false;
   free_pages_ += u64{1} << order;
   obs_free_pages_.add(u64{1} << order);
@@ -78,6 +78,50 @@ void BuddyAllocator::free_pages(PhysAddr pa, unsigned order) {
     ++o;
   }
   free_lists_[o].push_back(index);
+}
+
+void BuddyAllocator::check_blocks(sim::SnapReader& r) const {
+  std::vector<bool> covered(total_pages_, false);
+  // Claims [index, index + 2^order) unless the block is misaligned, runs
+  // past the pool or overlaps one claimed before.
+  auto claim = [&](u64 index, unsigned order) {
+    if (order > kMaxOrder) return false;
+    const u64 span = u64{1} << order;
+    if (index % span != 0 || index >= total_pages_ ||
+        total_pages_ - index < span) {
+      return false;
+    }
+    for (u64 i = index; i < index + span; ++i) {
+      if (covered[i]) return false;
+      covered[i] = true;
+    }
+    return true;
+  };
+  u64 free_pages = 0;
+  for (unsigned order = 0; order <= kMaxOrder; ++order) {
+    for (const u64 index : free_lists_[order]) {
+      if (!claim(index, order)) {
+        return r.fail("free block at frame " + std::to_string(index) +
+                      " does not fit the pool's blocks");
+      }
+      free_pages += u64{1} << order;
+    }
+  }
+  for (u64 index = 0; index < total_pages_; ++index) {
+    if (allocated_[index] && !claim(index, block_order_[index])) {
+      return r.fail("allocated block at frame " + std::to_string(index) +
+                    " does not fit the pool's blocks");
+    }
+  }
+  for (u64 index = 0; index < total_pages_; ++index) {
+    if (!covered[index]) {
+      return r.fail("frame " + std::to_string(index) + " lies in no block");
+    }
+  }
+  if (free_pages != free_pages_) {
+    r.fail("free lists hold " + std::to_string(free_pages) +
+           " pages, the free count says " + std::to_string(free_pages_));
+  }
 }
 
 }  // namespace hn::kernel

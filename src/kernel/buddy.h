@@ -57,6 +57,13 @@ class BuddyAllocator {
   [[nodiscard]] bool owns(PhysAddr pa) const {
     return pa >= base_ && pa < base_ + size();
   }
+  /// True when `pa` heads a block alloc_pages(order) handed out and that
+  /// is not freed yet: exactly what free_pages(pa, order) accepts.
+  [[nodiscard]] bool is_allocated_block(PhysAddr pa, unsigned order) const {
+    if (!owns(pa) || !is_page_aligned(pa)) return false;
+    const u64 index = frame_index(pa);
+    return allocated_[index] && block_order_[index] == order;
+  }
 
   // --- Snapshot support (sim/snapshot.h) ------------------------------------
 
@@ -98,6 +105,7 @@ class BuddyAllocator {
       allocated_[i] = ((bits[i >> 3] >> (i & 7)) & 1) != 0;
     }
     lock_.restore_state(r);
+    if (r.ok()) check_blocks(r);
   }
 
  private:
@@ -109,6 +117,10 @@ class BuddyAllocator {
   }
   /// Remove a specific free block from its order list; true if found.
   bool take_free_block(u64 index, unsigned order);
+  /// Restore check: the free lists and the allocated heads tile the pool,
+  /// each frame in exactly one naturally aligned block, and the free
+  /// blocks add up to the free-page count.
+  void check_blocks(sim::SnapReader& r) const;
 
   PhysAddr base_;
   u64 total_pages_;

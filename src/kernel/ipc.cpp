@@ -1,17 +1,37 @@
 #include "kernel/ipc.h"
 
 #include <cassert>
+#include <set>
+#include <string>
 
 #include "kernel/layout.h"
 
 namespace hn::kernel {
 
-IpcManager::~IpcManager() {
-  for (auto& [id, ch] : pipes_) buddy_.free_page(ch.buf);
-  for (auto& [id, sp] : sockets_) {
-    buddy_.free_page(sp.dir[0].buf);
-    buddy_.free_page(sp.dir[1].buf);
-    buddy_.free_page(sp.skb);
+void IpcManager::check_buffers(sim::SnapReader& r) const {
+  std::set<PhysAddr> pages;
+  auto page_ok = [&](PhysAddr pa) {
+    if (buddy_.is_allocated_block(pa, 0) && pages.insert(pa).second) {
+      return true;
+    }
+    r.fail("buffer page " + std::to_string(pa) +
+           " is not a distinct allocated page");
+    return false;
+  };
+  auto channel_ok = [&](const Channel& ch) {
+    if (!page_ok(ch.buf)) return false;
+    if (ch.fill % kWordSize == 0 && ch.fill <= kPageSize) return true;
+    r.fail("channel fill " + std::to_string(ch.fill) + " does not fit a page");
+    return false;
+  };
+  for (const auto& [id, ch] : pipes_) {
+    if (!channel_ok(ch)) return;
+  }
+  for (const auto& [id, pair] : sockets_) {
+    if (!channel_ok(pair.dir[0]) || !channel_ok(pair.dir[1]) ||
+        !page_ok(pair.skb)) {
+      return;
+    }
   }
 }
 
@@ -22,13 +42,6 @@ Result<u32> IpcManager::create_pipe() {
   const u32 id = next_id_++;
   pipes_[id] = Channel{page.value(), 0};
   return id;
-}
-
-void IpcManager::destroy_pipe(u32 id) {
-  auto it = pipes_.find(id);
-  if (it == pipes_.end()) return;
-  buddy_.free_page(it->second.buf);
-  pipes_.erase(it);
 }
 
 Status IpcManager::channel_write(Channel& ch, const void* data, u64 len) {
@@ -81,15 +94,6 @@ Result<u32> IpcManager::create_socket_pair() {
   const u32 id = next_id_++;
   sockets_[id] = sp;
   return id;
-}
-
-void IpcManager::destroy_socket_pair(u32 id) {
-  auto it = sockets_.find(id);
-  if (it == sockets_.end()) return;
-  buddy_.free_page(it->second.dir[0].buf);
-  buddy_.free_page(it->second.dir[1].buf);
-  buddy_.free_page(it->second.skb);
-  sockets_.erase(it);
 }
 
 Status IpcManager::socket_send(u32 id, unsigned end, const void* data,

@@ -22,20 +22,17 @@ class IpcManager {
   IpcManager(sim::Machine& machine, BuddyAllocator& buddy,
              const KernelCosts& costs)
       : machine_(machine), buddy_(buddy), costs_(costs) {}
-  ~IpcManager();
 
   IpcManager(const IpcManager&) = delete;
   IpcManager& operator=(const IpcManager&) = delete;
 
   Result<u32> create_pipe();
-  void destroy_pipe(u32 id);
   /// Copy `len` bytes (word multiple) into / out of the pipe buffer.
   Status pipe_write(u32 id, const void* data, u64 len);
   Result<u64> pipe_read(u32 id, void* out, u64 len);
   [[nodiscard]] u64 pipe_fill(u32 id) const;
 
   Result<u32> create_socket_pair();
-  void destroy_socket_pair(u32 id);
   Status socket_send(u32 id, unsigned end, const void* data, u64 len);
   Result<u64> socket_recv(u32 id, unsigned end, void* out, u64 len);
 
@@ -84,6 +81,7 @@ class IpcManager {
       sockets_.emplace(id, pair);
     }
     next_id_ = r.get_u32();
+    if (r.ok()) check_buffers(r);
   }
 
  private:
@@ -95,6 +93,10 @@ class IpcManager {
     Channel dir[2];     // payload rings, one per direction
     PhysAddr skb = 0;   // shared sk_buff metadata page
   };
+
+  /// Restore check: every buffer and sk_buff page is a distinct page the
+  /// buddy has handed out, and every fill is a word count that fits.
+  void check_buffers(sim::SnapReader& r) const;
 
   Status channel_write(Channel& ch, const void* data, u64 len);
   Result<u64> channel_read(Channel& ch, void* out, u64 len);

@@ -238,9 +238,30 @@ class ProcessManager {
     next_pid_ = r.get_u32();
     switch_serial_ = r.get_u64();
     rq_lock_.restore_state(r);
+    if (r.ok()) check_tasks(r);
   }
 
  private:
+  /// Restore check: a task's user root is a registered top-level table
+  /// (or 0 once its address space is gone), and a live task's kernel
+  /// stack is an allocated order-2 block.
+  void check_tasks(sim::SnapReader& r) const {
+    for (const auto& [pid, task] : tasks_) {
+      const auto root = kpt_.pt_pages().find(task->ttbr0);
+      if (task->ttbr0 != 0 &&
+          (root == kpt_.pt_pages().end() || root->second != 0)) {
+        r.fail("task pid " + std::to_string(pid) + " has user root " +
+               std::to_string(task->ttbr0) + ", not a top-level table");
+        return;
+      }
+      if (task->alive && !buddy_.is_allocated_block(task->kstack, 2)) {
+        r.fail("task pid " + std::to_string(pid) + " has kernel stack " +
+               std::to_string(task->kstack) + ", not an allocated block");
+        return;
+      }
+    }
+  }
+
   Result<VirtAddr> make_cred(u64 uid, u64 gid);
   void write_cred_word(VirtAddr cred, u64 word, u64 value);
   Result<Task*> make_task();

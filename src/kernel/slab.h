@@ -8,6 +8,8 @@
 #pragma once
 
 #include <functional>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -93,6 +95,7 @@ class SlabCache {
     for (u64 i = 0; r.ok() && i < npages; ++i) pages_.push_back(r.get_u64());
     live_ = r.get_u64();
     lock_.restore_state(r);
+    if (r.ok()) check_objects(r);
   }
 
  private:
@@ -105,6 +108,38 @@ class SlabCache {
       freelist_.push_back(phys_to_virt(page.value() + off));
     }
     return Status::Ok();
+  }
+
+  /// Restore check: every page is a distinct page the buddy has handed
+  /// out, every free object is a distinct object slot of those pages, and
+  /// the live count is what the free ones leave.
+  void check_objects(sim::SnapReader& r) const {
+    std::set<PhysAddr> pages;
+    for (const PhysAddr pa : pages_) {
+      if (!buddy_.is_allocated_block(pa, 0) || !pages.insert(pa).second) {
+        r.fail("slab page " + std::to_string(pa) +
+               " is not a distinct allocated page");
+        return;
+      }
+    }
+    std::set<VirtAddr> free;
+    for (const VirtAddr va : freelist_) {
+      const PhysAddr pa = virt_to_phys(va);
+      const u64 off = pa & kPageMask;
+      if (va < kKernelVaBase || !pages.contains(pa - off) ||
+          off % obj_bytes_ != 0 || off + obj_bytes_ > kPageSize ||
+          !free.insert(va).second) {
+        r.fail("free object " + std::to_string(va) +
+               " is not a distinct object of this cache's pages");
+        return;
+      }
+    }
+    const u64 slots = pages_.size() * (kPageSize / obj_bytes_);
+    if (live_ + freelist_.size() != slots) {
+      r.fail(std::to_string(live_) + " live and " +
+             std::to_string(freelist_.size()) + " free objects in " +
+             std::to_string(slots) + " slots");
+    }
   }
 
   sim::Machine& machine_;

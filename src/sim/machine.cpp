@@ -685,7 +685,7 @@ void Machine::restore_state(SnapReader& r) {
     for (unsigned i = 0; i < SysRegs::kRegCount; ++i) {
       core->sysregs.restore_raw(i, r.get_u64());
     }
-    core->mmu.tlb().restore_state(r);
+    core->mmu.tlb().restore_state(r, phys_.size());
     core->cache.restore_state(r);
     r.section("machine");
     const Cycles cycles = r.get_u64();

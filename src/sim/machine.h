@@ -338,7 +338,7 @@ class Machine {
   /// Append the machine's architectural state (per-core system registers,
   /// TLBs, cache tags, cycle ledgers, ELs, GICs; shared bus count, bus
   /// arbiter, pending IPIs, active core, trace ring) to `w`.  DRAM
-  /// contents travel separately as COW-shared pages (phys().capture()).
+  /// contents travel separately (phys().save_pages()).
   void save_state(SnapWriter& w) const;
   /// Restore architectural state from `r` into this live machine.  Wiring
   /// (handlers, snoopers) and the host fast-path setting persist;

@@ -1,34 +1,34 @@
 // Machine-snapshot persistence: full serialize/restore of machine +
-// kernel state with a versioned binary format (following the trace_io
-// idiom), plus the in-memory copy-on-write fork path
-// (DESIGN.md §12).
+// kernel state in one versioned binary form, HNSNAP (DESIGN.md §12),
+// following the trace_io idiom.
 //
-// A Snapshot has two parts:
+// An HNSNAP file holds, in order:
 //
-//   * `state` — a flat little-endian blob every software/hardware layer
-//     appends its architectural state to via SnapWriter, and restores
-//     from via SnapReader (each layer owns a `save_state`/`restore_state`
-//     pair; hypernel::System orchestrates the fixed layer order);
-//   * `pages` — a PhysicalMemory::PageSet sharing the DRAM contents
-//     copy-on-write, so taking or restoring a snapshot never copies the
-//     64–128 MiB of simulated RAM.
+//   * a header: magic, version, a reserved word, the digest of the
+//     configuration the snapshot was taken from, and the sequence id of
+//     the save marker in the trace ring;
+//   * the layered state: a length-prefixed little-endian section every
+//     software/hardware layer appends its architectural state to via
+//     SnapWriter and restores from via SnapReader (each layer owns a
+//     `save_state`/`restore_state` pair; hypernel::System orchestrates
+//     the fixed layer order);
+//   * the populated-page table of DRAM (PhysicalMemory::save_pages);
+//   * a trailing FNV-1a checksum of everything before it.
 //
 // Restores target a *live* system of the identical configuration
-// (validated by a config digest): component objects, handler wiring and
-// host-side caches persist; only architectural state is replaced.  The
-// file form (pack/unpack) adds a magic/version header, a sparse populated-
-// page table and a trailing FNV checksum, and the parser rejects corrupt
-// blobs with precise diagnostics exactly like parse_trace.
+// (validated by the config digest): component objects, handler wiring
+// and host-side caches persist; only architectural state is replaced.
+// Corrupt files are rejected with precise diagnostics, like parse_trace.
 #pragma once
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "common/types.h"
-#include "sim/phys_mem.h"
 
 namespace hn::sim {
 
@@ -98,7 +98,7 @@ std::vector<const typename Map::value_type*> sorted_entries(const Map& map) {
 /// reads return zero values without advancing.
 class SnapReader {
  public:
-  explicit SnapReader(const std::vector<u8>& blob) : blob_(blob) {}
+  explicit SnapReader(std::span<const u8> blob) : blob_(blob) {}
 
   /// Name the section subsequent reads belong to (for diagnostics).
   void section(const char* name) { section_ = name; }
@@ -112,25 +112,25 @@ class SnapReader {
 
   u8 get_u8() {
     u8 v = 0;
-    take(&v, 1);
+    get_bytes(&v, 1);
     return v;
   }
   bool get_bool() { return get_u8() != 0; }
   u16 get_u16() {
     u8 raw[2] = {};
-    take(raw, 2);
+    get_bytes(raw, 2);
     return static_cast<u16>(raw[0] | (raw[1] << 8));
   }
   u32 get_u32() {
     u8 raw[4] = {};
-    take(raw, 4);
+    get_bytes(raw, 4);
     u32 v = 0;
     for (int i = 0; i < 4; ++i) v |= static_cast<u32>(raw[i]) << (8 * i);
     return v;
   }
   u64 get_u64() {
     u8 raw[8] = {};
-    take(raw, 8);
+    get_bytes(raw, 8);
     u64 v = 0;
     for (int i = 0; i < 8; ++i) v |= static_cast<u64>(raw[i]) << (8 * i);
     return v;
@@ -141,7 +141,24 @@ class SnapReader {
     std::memcpy(&v, &bits, 8);
     return v;
   }
-  void get_bytes(void* dst, u64 n) { take(dst, n); }
+  /// Copies the next `n` bytes; zeroes `dst` once the reader has failed.
+  void get_bytes(void* dst, u64 n) {
+    const std::span<const u8> src = get_span(n);
+    if (src.size() == n) {
+      std::copy(src.begin(), src.end(), static_cast<u8*>(dst));
+    } else {
+      std::memset(dst, 0, n);
+    }
+  }
+  /// The next `n` bytes in place; empty (and failed) when fewer remain.
+  std::span<const u8> get_span(u64 n) {
+    if (failed_ || n > remaining()) {
+      fail("truncated state");
+      return {};
+    }
+    pos_ += n;
+    return blob_.subspan(pos_ - n, n);
+  }
   std::string get_string() {
     const u32 len = get_u32();
     if (len > remaining()) {
@@ -149,7 +166,7 @@ class SnapReader {
       return {};
     }
     std::string s(len, '\0');
-    if (len > 0) take(s.data(), len);
+    if (len > 0) get_bytes(s.data(), len);
     return s;
   }
   /// Element count for a container about to be read; fails (and returns 0)
@@ -170,44 +187,24 @@ class SnapReader {
   }
 
  private:
-  void take(void* dst, u64 n) {
-    if (failed_ || pos_ + n > blob_.size()) {
-      if (!failed_) fail("truncated state");
-      std::memset(dst, 0, n);
-      return;
-    }
-    std::memcpy(dst, blob_.data() + pos_, n);
-    pos_ += n;
-  }
-
-  const std::vector<u8>& blob_;
+  std::span<const u8> blob_;
   u64 pos_ = 0;
   bool failed_ = false;
   const char* section_ = "header";
   std::string error_;
 };
 
-/// A machine snapshot: the layered state blob plus the COW-shared DRAM
-/// pages, tagged with the digest of the configuration it was taken from.
-struct Snapshot {
-  u64 config_digest = 0;
-  /// Sequence id of the kSnapshot trace event recorded at save time
-  /// (kNoCause when tracing was off) — the restore event's cause link.
-  u64 save_seq = ~0ull;
-  std::vector<u8> state;
-  PhysicalMemory::PageSet pages;
+/// Start an HNSNAP file: magic, version, the reserved word, the config
+/// digest and the save marker's sequence id.
+void begin_snapshot(SnapWriter& w, u64 config_digest, u64 save_seq);
 
-  [[nodiscard]] bool empty() const { return state.empty(); }
-};
+/// Finish an HNSNAP file: append the checksum of everything written so far.
+[[nodiscard]] std::vector<u8> seal_snapshot(SnapWriter& w);
 
-/// Serialize a snapshot into the self-contained v1 file format:
-/// magic, version, config digest, state blob, sparse page table
-/// (populated pages only), trailing FNV-1a checksum.
-[[nodiscard]] std::vector<u8> pack_snapshot(const Snapshot& snap);
-
-/// Parse a snapshot file blob.  Returns Invalid with a precise diagnostic
-/// on bad magic, unknown version, truncation, out-of-range page indices,
-/// checksum mismatch or trailing bytes.
-Status unpack_snapshot(const std::vector<u8>& blob, Snapshot& out);
+/// Check an HNSNAP file's frame: magic, header length, then the trailing
+/// checksum before any field is trusted, then the version.  On success
+/// the reader covers the rest of the file up to the checksum, starting
+/// at the config digest.
+Result<SnapReader> open_snapshot(std::span<const u8> bytes);
 
 }  // namespace hn::sim

@@ -169,7 +169,9 @@ class Tlb {
     w.put_u64(next_victim_);
   }
 
-  void restore_state(SnapReader& r) {
+  /// Every valid entry must map a page below `dram_size`: a hit hands its
+  /// frame straight to physical memory.
+  void restore_state(SnapReader& r, u64 dram_size) {
     r.section("tlb");
     const u64 n = r.get_u64();
     if (r.ok() && n != entries_.size()) {
@@ -191,7 +193,18 @@ class Tlb {
       e.s2_write_ok = r.get_bool();
     }
     next_victim_ = r.get_u64();
+    if (r.ok() && next_victim_ >= entries_.size()) {
+      r.fail("victim cursor " + std::to_string(next_victim_) +
+             " beyond the entry array");
+    }
     if (!r.ok()) return;
+    for (const TlbEntry& e : entries_) {
+      if (e.valid && (!is_page_aligned(e.ppage) || e.ppage >= dram_size)) {
+        r.fail("entry for va " + std::to_string(e.vpage) + " maps frame " +
+               std::to_string(e.ppage) + " outside DRAM");
+        return;
+      }
+    }
     // Ascending slot order links each valid slot at its chain's tail,
     // reproducing the sorted chains insert() maintains incrementally.
     clear_index();

@@ -397,7 +397,7 @@ TEST(AuditMemo, MatchesReferenceWalkUnderPtChurn) {
 
   // Snapshot, churn past it (the memo fills with post-snapshot tables),
   // then restore mid-sequence.
-  const sim::Snapshot snap = sys->save_state();
+  const std::vector<u8> snap = sys->save_state();
   Result<u32> second = k.sys_fork();
   ASSERT_TRUE(second.ok());
   k.procs().switch_to(*k.procs().find(second.value()));

@@ -314,7 +314,7 @@ TEST(DcachePruneOrder, OldestFirstRenamedLastAcrossSnapshot) {
   k.vfs().prune_dcache(1);
   ASSERT_EQ(still_cached(k.vfs(), names),
             std::vector<std::string>(order.begin() + 1, order.end()));
-  const sim::Snapshot snap = sys->save_state();
+  const std::vector<u8> snap = sys->save_state();
   auto twin = hypernel::System::create(cfg);
   ASSERT_TRUE(twin.ok()) << twin.status().message();
   ASSERT_TRUE(twin.value()->restore_state(snap).ok());
@@ -604,6 +604,158 @@ TEST_F(KernelTest, RestoreRejectsAnArenaOutsideNormalDram) {
   kernel_->restore_state(r);
   ASSERT_TRUE(r.ok()) << r.status().message();
   EXPECT_TRUE(kernel_->sys_stat("/").ok());
+}
+
+// Each of the next five fields used to restore OK and then stop the next
+// operation that used it on an assert.  Every test restores the field
+// corrupted; when a restore accepts the state, it then runs that
+// operation, as a restored run would.
+
+u64 peek(const std::vector<u8>& blob, size_t offset) {
+  u64 v = 0;
+  for (size_t i = 0; i < 8; ++i) {
+    v |= static_cast<u64>(blob[offset + i]) << (8 * i);
+  }
+  return v;
+}
+
+TEST_F(KernelTest, RestoreRejectsATlbEntryOutsideDram) {
+  // A TLB hit hands the entry's frame straight to physical memory.
+  const VirtAddr va = phys_to_virt(kBuddyPoolBase);
+  ASSERT_TRUE(machine_->read64(va).ok);
+  sim::SnapWriter w;
+  machine_->save_state(w);
+  // The TLB follows the core count, the register count and the registers:
+  // an entry count, then per entry valid(1) vpage(8) asid(2) ppage(8) and
+  // seven attribute bytes.
+  constexpr size_t kTlb = 4 + 4 + 8 * sim::SysRegs::kRegCount;
+  constexpr size_t kEntry = 25;
+  size_t entry = 0;
+  for (size_t i = 0; i < peek(w.data(), kTlb); ++i) {
+    const size_t at = kTlb + 8 + i * kEntry;
+    if (w.data()[at] != 0 && peek(w.data(), at + 1) == va) entry = at;
+  }
+  ASSERT_NE(entry, 0u);
+  const std::vector<u8> blob =
+      patched(w.data(), entry + 11, machine_->phys().size());
+  sim::SnapReader r(blob);
+  machine_->restore_state(r);
+  if (r.ok()) (void)machine_->read64(va);
+  EXPECT_NE(r.status().message().find("outside DRAM"), std::string::npos)
+      << r.status().message();
+}
+
+TEST_F(KernelTest, RestoreRejectsATaskRootThatIsNotATopLevelTable) {
+  // Switching to a task loads its root into TTBR0; the next user access
+  // walks from there.
+  Result<u32> child = kernel_->sys_fork();
+  ASSERT_TRUE(child.ok());
+  sim::SnapWriter w;
+  kernel_->procs().save_state(w);
+  // Task count, then the first task (init): key, pid, asid, ttbr0.
+  for (const PhysAddr root :
+       {machine_->phys().size(), kBuddyPoolBase + 8,
+        kernel_->kpt().kernel_root() + kPageSize}) {
+    const std::vector<u8> blob = patched(w.data(), 8 + 4 + 4 + 2, root);
+    sim::SnapReader r(blob);
+    kernel_->procs().restore_state(r);
+    if (r.ok()) {
+      ProcessManager& procs = kernel_->procs();
+      procs.switch_to(*procs.find(child.value()));
+      procs.switch_to(*procs.find(1));
+      (void)procs.user_read64(0x7000'0000);
+    }
+    EXPECT_NE(r.status().message().find("not a top-level table"),
+              std::string::npos)
+        << std::hex << root << ": " << r.status().message();
+  }
+}
+
+TEST_F(KernelTest, RestoreRejectsAPipeBufferThatIsNotAnAllocatedPage) {
+  // Destroying the kernel used to hand every pipe buffer back to the
+  // buddy allocator, which asserts on a frame it never handed out: the
+  // last state restored here is the one the fixture tears down.
+  ASSERT_TRUE(kernel_->sys_pipe().ok());
+  sim::SnapWriter w;
+  kernel_->ipc().save_state(w);
+  // Pipe count, then the pipe: id, buffer, fill.  A fill past the page
+  // is rejected too.
+  {
+    const std::vector<u8> blob = patched(w.data(), 8 + 4 + 8, kPageSize + 8);
+    sim::SnapReader r(blob);
+    kernel_->ipc().restore_state(r);
+    EXPECT_NE(r.status().message().find("does not fit a page"),
+              std::string::npos)
+        << r.status().message();
+  }
+  for (const PhysAddr buf : {kBuddyPoolBase + 8, machine_->phys().size()}) {
+    const std::vector<u8> blob = patched(w.data(), 8 + 4, buf);
+    sim::SnapReader r(blob);
+    kernel_->ipc().restore_state(r);
+    EXPECT_NE(r.status().message().find("not a distinct allocated page"),
+              std::string::npos)
+        << std::hex << buf << ": " << r.status().message();
+  }
+}
+
+TEST_F(KernelTest, RestoreRejectsASlabObjectOutsideItsPages) {
+  // The next dentry comes off the back of the free list, and every
+  // dentry write must land on a writable slab page.
+  ASSERT_TRUE(kernel_->sys_creat("/grows-the-slab").ok());
+  sim::SnapWriter w;
+  kernel_->dentry_slab().save_state(w);
+  const u64 nfree = peek(w.data(), 0);
+  ASSERT_GT(nfree, 0u);
+  const size_t next = 8 + 8 * (nfree - 1);
+  const VirtAddr object = peek(w.data(), next);
+  for (const VirtAddr va :
+       {phys_to_virt(kTextBase), object + 8, object ^ (u64{1} << 40)}) {
+    const std::vector<u8> blob = patched(w.data(), next, va);
+    sim::SnapReader r(blob);
+    kernel_->dentry_slab().restore_state(r);
+    if (r.ok()) (void)kernel_->sys_creat("/after-restore");
+    EXPECT_NE(r.status().message().find("not a distinct object"),
+              std::string::npos)
+        << std::hex << va << ": " << r.status().message();
+  }
+}
+
+TEST_F(KernelTest, RestoreRejectsBuddyBlockArraysThatDisagree) {
+  // A task's exit frees its order-2 kernel stack, and free_pages asserts
+  // that the frame heads an allocated block of that order.
+  Result<u32> child = kernel_->sys_fork();
+  ASSERT_TRUE(child.ok());
+  BuddyAllocator& buddy = kernel_->buddy();
+  const u64 kstack =
+      (kernel_->procs().find(child.value())->kstack - buddy.base()) >>
+      kPageShift;
+  sim::SnapWriter w;
+  buddy.save_state(w);
+  // Pool size, free count, the free lists, then one order byte per frame
+  // and the allocated bits.
+  size_t orders = 16;
+  for (unsigned o = 0; o <= BuddyAllocator::kMaxOrder; ++o) {
+    orders += 8 + 8 * peek(w.data(), orders);
+  }
+  const size_t bit = orders + buddy.total_pages() + kstack / 8;
+  const u8 cleared = w.data()[bit] & ~(1u << (kstack % 8));
+  struct Case {
+    size_t offset;
+    u8 value;
+  };
+  for (const Case& c : {Case{orders + kstack, 0}, Case{orders + kstack, 3},
+                        Case{orders + kstack, 0x80}, Case{bit, cleared}}) {
+    std::vector<u8> blob = w.data();
+    blob[c.offset] = c.value;
+    sim::SnapReader r(blob);
+    buddy.restore_state(r);
+    if (r.ok()) {
+      ProcessManager& procs = kernel_->procs();
+      procs.switch_to(*procs.find(child.value()));
+      (void)kernel_->sys_exit();
+    }
+    EXPECT_FALSE(r.ok()) << "byte " << c.offset << " = " << int{c.value};
+  }
 }
 
 // ---------------- sections mode & misc ----------------

@@ -2,10 +2,9 @@
 //
 // Three layers, mirroring the feature's own structure:
 //
-//   * the copy-on-write page store — write-after-fork isolation, the
-//     refcount lifecycle, and a threaded fork campaign that gives TSan a
-//     real concurrent workload over the shared refcounts;
-//   * the v1 file format — golden header bytes, deterministic
+//   * the page store — the zero sentinel, whole-page frees, and the
+//     populated-page table it writes and reads;
+//   * the HNSNAP file format — golden header bytes, deterministic
 //     serialization, and precise rejection of every corruption class,
 //     modeled on trace_recorder_test;
 //   * whole-system round trips — an empty (freshly booted) machine and a
@@ -15,12 +14,13 @@
 
 #include <cstring>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "common/blob_file.h"
+#include "common/rng.h"
 #include "hypernel/fingerprint.h"
 #include "hypernel/system.h"
+#include "kernel/layout.h"
 #include "kernel/objects.h"
 #include "secapps/object_monitor.h"
 #include "sim/phys_mem.h"
@@ -29,160 +29,96 @@
 namespace hn::sim {
 namespace {
 
+using hypernel::Mode;
+using hypernel::System;
+using hypernel::SystemConfig;
+
 // ---------------------------------------------------------------------------
-// Copy-on-write page store
+// Page store
 // ---------------------------------------------------------------------------
 
 constexpr u64 kMemBytes = 16 * kPageSize;
+
+/// `mem`'s populated-page table, as a snapshot carries it.
+std::vector<u8> page_table(const PhysicalMemory& mem) {
+  SnapWriter w;
+  mem.save_pages(w);
+  return w.take();
+}
 
 TEST(CowPages, FreshMemoryAllocatesNoPages) {
   PhysicalMemory mem(kMemBytes);
   ASSERT_EQ(mem.page_count(), 16u);
   for (u64 i = 0; i < mem.page_count(); ++i) {
     EXPECT_EQ(mem.page_data(i), nullptr);
-    EXPECT_EQ(mem.page_refs(i), 0u);
   }
   EXPECT_EQ(mem.read64(0), 0u);
   EXPECT_EQ(mem.read64(kMemBytes - 8), 0u);
-}
-
-TEST(CowPages, WriteAfterForkIsolatesParentAndChild) {
-  PhysicalMemory parent(kMemBytes);
-  parent.write64(kPageSize + 8, 0x1111);
-  parent.write64(3 * kPageSize, 0x3333);
-
-  const PhysicalMemory::PageSet snap = parent.capture();
-  PhysicalMemory child(kMemBytes);
-  ASSERT_TRUE(child.adopt(snap).ok());
-  EXPECT_EQ(child.read64(kPageSize + 8), 0x1111u);
-  EXPECT_EQ(child.read64(3 * kPageSize), 0x3333u);
-
-  // Parent writes stay invisible to the child and to the snapshot...
-  parent.write64(kPageSize + 8, 0xAAAA);
-  EXPECT_EQ(child.read64(kPageSize + 8), 0x1111u);
-  u64 in_snap = 0;
-  std::memcpy(&in_snap, snap.page_data(1) + 8, 8);
-  EXPECT_EQ(in_snap, 0x1111u);
-
-  // ...and child writes stay invisible to the parent, including writes
-  // that materialise a page neither side had populated.
-  child.write64(3 * kPageSize, 0xBBBB);
-  child.write64(5 * kPageSize, 0x5555);
-  EXPECT_EQ(parent.read64(3 * kPageSize), 0x3333u);
-  EXPECT_EQ(parent.read64(5 * kPageSize), 0u);
-  EXPECT_EQ(snap.page_data(5), nullptr);
-}
-
-TEST(CowPages, RefcountLifecycle) {
-  PhysicalMemory mem(kMemBytes);
-  mem.write64(kPageSize, 0x42);
-  EXPECT_EQ(mem.page_refs(1), 1u);  // privately owned
-
-  {
-    const PhysicalMemory::PageSet snap = mem.capture();
-    EXPECT_EQ(mem.page_refs(1), 2u);  // shared with the snapshot
-
-    // Copying a PageSet bumps, destroying the copy drops.
-    {
-      const PhysicalMemory::PageSet copy(snap);
-      EXPECT_EQ(mem.page_refs(1), 3u);
-    }
-    EXPECT_EQ(mem.page_refs(1), 2u);
-
-    // A write to a shared page copies first: the memory ends up sole
-    // owner of a fresh page while the snapshot keeps the old bytes.
-    mem.write64(kPageSize, 0x43);
-    EXPECT_EQ(mem.page_refs(1), 1u);
-    u64 in_snap = 0;
-    std::memcpy(&in_snap, snap.page_data(1), 8);
-    EXPECT_EQ(in_snap, 0x42u);
-
-    // Adopting re-shares the snapshot's page and frees the private copy.
-    ASSERT_TRUE(mem.adopt(snap).ok());
-    EXPECT_EQ(mem.page_refs(1), 2u);
-    EXPECT_EQ(mem.read64(kPageSize), 0x42u);
-
-    // A page only the snapshot holds survives until the snapshot dies.
-  }
-  EXPECT_EQ(mem.page_refs(1), 1u);  // snapshot destroyed: sole owner again
-
-  // Re-observing exclusivity: the next write mutates in place.
-  mem.write64(kPageSize, 0x44);
-  EXPECT_EQ(mem.page_refs(1), 1u);
-  EXPECT_EQ(mem.read64(kPageSize), 0x44u);
+  // The table of a fresh memory lists no page.
+  EXPECT_EQ(page_table(mem).size(), 3 * 8u);
 }
 
 TEST(CowPages, ZeroingAWholePageReclaimsSharing) {
+  // A whole-page zero frees the page back to the sentinel; a table saved
+  // before it keeps the old bytes and brings them back.
   PhysicalMemory mem(kMemBytes);
   mem.write64(2 * kPageSize, 0x99);
-  const PhysicalMemory::PageSet snap = mem.capture();
+  const std::vector<u8> saved = page_table(mem);
   mem.zero_range(2 * kPageSize, kPageSize);
-  EXPECT_EQ(mem.page_refs(2), 0u);  // back to the zero sentinel
+  EXPECT_EQ(mem.page_data(2), nullptr);
   EXPECT_EQ(mem.read64(2 * kPageSize), 0u);
-  u64 in_snap = 0;
-  std::memcpy(&in_snap, snap.page_data(2), 8);
-  EXPECT_EQ(in_snap, 0x99u);  // snapshot unaffected
+  SnapReader r(saved);
+  ASSERT_TRUE(mem.restore_pages(r).ok());
+  EXPECT_EQ(mem.read64(2 * kPageSize), 0x99u);
 }
 
 TEST(CowPages, AdoptRejectsPageCountMismatch) {
   PhysicalMemory small(kMemBytes);
   PhysicalMemory big(2 * kMemBytes);
-  const PhysicalMemory::PageSet snap = small.capture();
-  const Status s = big.adopt(snap);
+  big.write64(0, 0x77);
+  const std::vector<u8> saved = page_table(small);
+  SnapReader r(saved);
+  const Status s = big.restore_pages(r);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("page count mismatch"), std::string::npos);
+  EXPECT_EQ(big.read64(0), 0x77u);  // rejected before any page changed
 }
 
-TEST(CowPages, ConcurrentForksShareAndDivergeSafely) {
-  // A captured PageSet may back machines on several threads at once (its
-  // refcounts are atomic).  Model that directly: one shared snapshot,
-  // several threads each adopting (concurrent refcount bumps on the same
-  // pages), writing their own divergent state (concurrent copy-on-write
-  // of shared pages) and re-adopting (concurrent drops).  TSan owns the
-  // verdict; the assertions pin isolation.
-  PhysicalMemory base(kMemBytes);
-  for (u64 p = 0; p < base.page_count(); ++p) {
-    base.write64(p * kPageSize, 0xBA5E0000 + p);
-  }
-  const PhysicalMemory::PageSet snap = base.capture();
+TEST(PageStore, RestoreReplacesEveryPageAndRenewsWatchedEpochs) {
+  // Pages the table holds are written, pages it leaves out are freed, and
+  // every watched page whose contents may change gets a fresh epoch (the
+  // audit memo's contract, DESIGN.md §14).  A watched page that is zero
+  // on both sides keeps its epoch.
+  PhysicalMemory from(kMemBytes);
+  from.write64(1 * kPageSize, 0x11);
+  from.write64(3 * kPageSize + 8, 0x33);
+  const std::vector<u8> saved = page_table(from);
 
-  constexpr unsigned kThreads = 4;
-  constexpr unsigned kRounds = 50;
-  std::vector<std::thread> workers;
-  std::vector<bool> ok(kThreads, false);
-  for (unsigned t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&, t] {
-      PhysicalMemory mine(kMemBytes);
-      bool good = true;
-      for (unsigned round = 0; round < kRounds; ++round) {
-        good &= mine.adopt(snap).ok();
-        for (u64 p = 0; p < mine.page_count(); ++p) {
-          good &= mine.read64(p * kPageSize) == 0xBA5E0000 + p;
-          mine.write64(p * kPageSize, (u64{t} << 32) | round);
-          good &= mine.read64(p * kPageSize) == ((u64{t} << 32) | round);
-        }
-      }
-      ok[t] = good;
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  for (unsigned t = 0; t < kThreads; ++t) {
-    EXPECT_TRUE(ok[t]) << "thread " << t << " observed foreign writes";
-  }
-  // The shared snapshot never changed underneath anyone.
-  for (u64 p = 0; p < base.page_count(); ++p) {
-    u64 v = 0;
-    std::memcpy(&v, snap.page_data(p), 8);
-    EXPECT_EQ(v, 0xBA5E0000 + p);
-    EXPECT_EQ(base.read64(p * kPageSize), 0xBA5E0000 + p);
-  }
+  PhysicalMemory mem(kMemBytes);
+  mem.write64(1 * kPageSize, 0xAA);  // overwritten
+  mem.write64(2 * kPageSize, 0xBB);  // freed
+  for (const u64 page : {1, 2, 3, 4}) mem.watch_page(page);
+  std::vector<u64> before;
+  for (const u64 page : {1, 2, 3, 4}) before.push_back(mem.page_epoch(page));
+
+  SnapReader r(saved);
+  ASSERT_TRUE(mem.restore_pages(r).ok());
+  EXPECT_EQ(mem.read64(1 * kPageSize), 0x11u);
+  EXPECT_EQ(mem.page_data(2), nullptr);
+  EXPECT_EQ(mem.read64(3 * kPageSize + 8), 0x33u);
+  EXPECT_EQ(mem.page_data(4), nullptr);
+  EXPECT_GT(mem.page_epoch(1), before[0]);
+  EXPECT_GT(mem.page_epoch(2), before[1]);
+  EXPECT_GT(mem.page_epoch(3), before[2]);
+  EXPECT_EQ(mem.page_epoch(4), before[3]);
+  EXPECT_EQ(page_table(mem), saved);
 }
 
 // ---------------------------------------------------------------------------
 // File format (modeled on trace_recorder_test)
 // ---------------------------------------------------------------------------
 
-// Mirrors the packer's checksum so corruption tests can tamper with a
+// Mirrors the writer's checksum so corruption tests can tamper with a
 // field and re-seal the file: the parser must reject the *field*, not
 // just notice the broken trailer.
 u64 snapshot_checksum(const std::vector<u8>& blob, u64 payload_len) {
@@ -200,43 +136,63 @@ void reseal(std::vector<u8>& blob) {
   }
 }
 
+u64 peek_u64(const std::vector<u8>& blob, size_t off) {
+  u64 v = 0;
+  for (int i = 0; i < 8; ++i) v |= static_cast<u64>(blob[off + i]) << (8 * i);
+  return v;
+}
+
 void poke_u64(std::vector<u8>& blob, size_t off, u64 v) {
   for (int i = 0; i < 8; ++i) blob[off + i] = static_cast<u8>(v >> (8 * i));
 }
 
-struct SampleSnapshot {
-  Snapshot snap;
-  std::vector<u8> blob;
-  // Fixed header layout: magic(8) version(4) reserved(4) digest(8) seq(8)
-  // state_size(8) state(...), then the page table.
-  size_t page_size_off;
+// Fixed header layout: magic(8) version(4) reserved(4) digest(8) seq(8)
+// state_size(8), the state, then the page table: page size(8), page
+// count(8), populated count(8), then index(8) and bytes per page.
+constexpr size_t kDigestOff = 16;
+constexpr size_t kStateSizeOff = 32;
+constexpr size_t kStateOff = 40;
 
-  SampleSnapshot() {
-    snap.config_digest = 0x1122334455667788ull;
-    snap.save_seq = 7;
-    snap.state = {1, 2, 3, 4, 5};
-    snap.pages.reset(4);
-    u8 page[kPageSize];
-    for (u64 i = 0; i < kPageSize; ++i) page[i] = static_cast<u8>(i * 31);
-    snap.pages.set_page(2, page);
-    blob = pack_snapshot(snap);
-    page_size_off = 8 + 4 + 4 + 8 + 8 + 8 + snap.state.size();
+/// A system on a 64 MiB machine: small enough that a snapshot of it
+/// checksums and restores in a few milliseconds.
+std::unique_ptr<System> make_small(Mode mode, bool mbm) {
+  SystemConfig cfg;
+  cfg.mode = mode;
+  cfg.enable_mbm = mbm;
+  cfg.machine.dram_size = 64ull * 1024 * 1024;
+  auto r = System::create(cfg);
+  EXPECT_TRUE(r.ok()) << r.status().message();
+  return std::move(r).value();
+}
+
+/// A freshly booted Native system and its snapshot file.
+struct SampleSnapshot {
+  std::unique_ptr<System> sys = make_small(Mode::kNative, /*mbm=*/false);
+  std::vector<u8> blob = sys->save_state();
+  size_t page_size_off = kStateOff + peek_u64(blob, kStateSizeOff);
+
+  /// Restore `bytes` into the sample's own system.
+  Status restore(const std::vector<u8>& bytes) {
+    return sys->restore_state(bytes);
   }
 };
 
 TEST(SnapshotFormat, GoldenHeaderBytes) {
   const SampleSnapshot s;
-  ASSERT_GE(s.blob.size(), 16u);
+  ASSERT_GE(s.blob.size(), kStateOff);
   const u8 kGolden[16] = {
       'H', 'N', 'S', 'N', 'A', 'P', 0, 0,  // magic
       3,   0,   0,   0,                    // version 3, little-endian
       0,   0,   0,   0,                    // reserved
   };
   EXPECT_EQ(std::memcmp(s.blob.data(), kGolden, sizeof kGolden), 0);
-  // Config digest immediately follows the fixed header.
-  u64 digest = 0;
-  std::memcpy(&digest, s.blob.data() + 16, 8);
-  EXPECT_EQ(digest, 0x1122334455667788ull);
+  // Config digest immediately follows the fixed header; the state section
+  // sits at a fixed offset, and the page table follows it.
+  EXPECT_EQ(peek_u64(s.blob, kDigestOff), s.sys->config_digest());
+  ASSERT_LT(s.page_size_off + 24, s.blob.size());
+  EXPECT_EQ(peek_u64(s.blob, s.page_size_off), kPageSize);
+  EXPECT_EQ(peek_u64(s.blob, s.page_size_off + 8),
+            s.sys->machine().phys().page_count());
 }
 
 TEST(SnapshotFormat, SerializationIsDeterministic) {
@@ -246,19 +202,29 @@ TEST(SnapshotFormat, SerializationIsDeterministic) {
 }
 
 TEST(SnapshotFormat, PackUnpackRoundTrip) {
+  // The file restores into a twin whose DRAM matches the original page
+  // for page: pages the twin wrote on its own are freed, zero pages stay
+  // implicit, and the twin writes the same file back.
   const SampleSnapshot s;
-  Snapshot back;
-  ASSERT_TRUE(unpack_snapshot(s.blob, back).ok());
-  EXPECT_EQ(back.config_digest, s.snap.config_digest);
-  EXPECT_EQ(back.save_seq, s.snap.save_seq);
-  EXPECT_EQ(back.state, s.snap.state);
-  ASSERT_EQ(back.pages.page_count(), 4u);
-  EXPECT_EQ(back.pages.populated_count(), 1u);
-  EXPECT_EQ(back.pages.page_data(0), nullptr);  // zero pages stay implicit
-  ASSERT_NE(back.pages.page_data(2), nullptr);
-  EXPECT_EQ(
-      std::memcmp(back.pages.page_data(2), s.snap.pages.page_data(2), kPageSize),
-      0);
+  auto twin = make_small(Mode::kNative, /*mbm=*/false);
+  const PhysicalMemory& theirs = s.sys->machine().phys();
+  PhysicalMemory& mine = twin->machine().phys();
+  u64 stray = 0;
+  while (theirs.page_data(stray) != nullptr) ++stray;
+  mine.write64(stray * kPageSize, 0x5757);
+  ASSERT_TRUE(twin->restore_state(s.blob).ok());
+  u64 populated = 0;
+  for (u64 i = 0; i < theirs.page_count(); ++i) {
+    ASSERT_EQ(mine.page_data(i) == nullptr, theirs.page_data(i) == nullptr)
+        << "page " << i;
+    if (theirs.page_data(i) == nullptr) continue;
+    ++populated;
+    EXPECT_EQ(std::memcmp(mine.page_data(i), theirs.page_data(i), kPageSize),
+              0)
+        << "page " << i;
+  }
+  EXPECT_EQ(populated, peek_u64(s.blob, s.page_size_off + 16));
+  EXPECT_EQ(twin->save_state(), s.blob);
 }
 
 TEST(SnapshotFormat, FileRoundTrip) {
@@ -273,18 +239,18 @@ TEST(SnapshotFormat, FileRoundTrip) {
 
 TEST(SnapshotFormat, RejectsBadMagic) {
   SampleSnapshot s;
-  s.blob[0] ^= 0xFF;
-  Snapshot out;
-  const Status st = unpack_snapshot(s.blob, out);
+  std::vector<u8> blob = s.blob;
+  blob[0] ^= 0xFF;
+  const Status st = s.restore(blob);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.message(), "snapshot: bad magic (not a HNSNAP file)");
+  EXPECT_EQ(s.restore({}).message(), st.message());
 }
 
 TEST(SnapshotFormat, RejectsTruncatedHeader) {
-  const SampleSnapshot s;
+  SampleSnapshot s;
   const std::vector<u8> stub(s.blob.begin(), s.blob.begin() + 12);
-  Snapshot out;
-  const Status st = unpack_snapshot(stub, out);
+  const Status st = s.restore(stub);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.message(), "snapshot: truncated header");
 }
@@ -293,15 +259,14 @@ TEST(SnapshotFormat, RejectsChecksumMismatch) {
   // A flipped payload byte and a dropped trailing byte are both checksum
   // failures: the integrity check runs before any field is trusted.
   SampleSnapshot s;
-  s.blob[20] ^= 0x01;
-  Snapshot out;
-  Status st = unpack_snapshot(s.blob, out);
+  std::vector<u8> flipped = s.blob;
+  flipped[20] ^= 0x01;
+  Status st = s.restore(flipped);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.message(), "snapshot: checksum mismatch (corrupt file)");
 
-  const SampleSnapshot fresh;
-  std::vector<u8> shorter(fresh.blob.begin(), fresh.blob.end() - 1);
-  st = unpack_snapshot(shorter, out);
+  const std::vector<u8> shorter(s.blob.begin(), s.blob.end() - 1);
+  st = s.restore(shorter);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.message(), "snapshot: checksum mismatch (corrupt file)");
 }
@@ -309,12 +274,12 @@ TEST(SnapshotFormat, RejectsChecksumMismatch) {
 TEST(SnapshotFormat, RejectsUnsupportedVersion) {
   // 2 is the previous layout (it carried the vm and TLB generations): a
   // v2 file must fail with a Status, never misparse as v3.
+  SampleSnapshot s;
   for (const u8 version : {u8{99}, u8{2}}) {
-    SampleSnapshot s;
-    s.blob[8] = version;
-    reseal(s.blob);
-    Snapshot out;
-    const Status st = unpack_snapshot(s.blob, out);
+    std::vector<u8> blob = s.blob;
+    blob[8] = version;
+    reseal(blob);
+    const Status st = s.restore(blob);
     ASSERT_FALSE(st.ok());
     EXPECT_EQ(st.message(), "snapshot: unsupported format version " +
                                 std::to_string(version));
@@ -323,10 +288,10 @@ TEST(SnapshotFormat, RejectsUnsupportedVersion) {
 
 TEST(SnapshotFormat, RejectsForeignPageSize) {
   SampleSnapshot s;
-  poke_u64(s.blob, s.page_size_off, 2 * kPageSize);
-  reseal(s.blob);
-  Snapshot out;
-  const Status st = unpack_snapshot(s.blob, out);
+  std::vector<u8> blob = s.blob;
+  poke_u64(blob, s.page_size_off, 2 * kPageSize);
+  reseal(blob);
+  const Status st = s.restore(blob);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.message(),
             "snapshot: page size " + std::to_string(2 * kPageSize) +
@@ -335,42 +300,151 @@ TEST(SnapshotFormat, RejectsForeignPageSize) {
 
 TEST(SnapshotFormat, RejectsOverlongPageTable) {
   SampleSnapshot s;
-  poke_u64(s.blob, s.page_size_off + 16, 1000);  // populated-page count
-  reseal(s.blob);
-  Snapshot out;
-  const Status st = unpack_snapshot(s.blob, out);
+  std::vector<u8> blob = s.blob;
+  const size_t populated_off = s.page_size_off + 16;
+  poke_u64(blob, populated_off, peek_u64(blob, populated_off) + 1);
+  reseal(blob);
+  const Status st = s.restore(blob);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.message(), "snapshot: truncated page table");
 }
 
 TEST(SnapshotFormat, RejectsOutOfRangePageIndex) {
   SampleSnapshot s;
-  poke_u64(s.blob, s.page_size_off + 24, 100);  // first entry's index (>= 4)
-  reseal(s.blob);
-  Snapshot out;
-  const Status st = unpack_snapshot(s.blob, out);
+  const u64 pages = s.sys->machine().phys().page_count();
+  std::vector<u8> blob = s.blob;
+  poke_u64(blob, s.page_size_off + 24, pages);  // first entry's index
+  reseal(blob);
+  Status st = s.restore(blob);
   ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.message(),
-            "snapshot: page table index 100 out of order or out of range");
+  EXPECT_EQ(st.message(), "snapshot: page table index " +
+                              std::to_string(pages) +
+                              " out of order or out of range");
+  // One more page than this machine has: every index is in range for the
+  // file, but the file does not fit the machine.
+  blob = s.blob;
+  poke_u64(blob, s.page_size_off + 8, pages + 1);
+  reseal(blob);
+  st = s.restore(blob);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("page count mismatch"), std::string::npos)
+      << st.message();
 }
 
 TEST(SnapshotFormat, RejectsTrailingBytes) {
   SampleSnapshot s;
-  s.blob.insert(s.blob.end() - 8, u8{0});
-  reseal(s.blob);
-  Snapshot out;
-  const Status st = unpack_snapshot(s.blob, out);
+  std::vector<u8> blob = s.blob;
+  blob.insert(blob.end() - 8, u8{0});
+  reseal(blob);
+  const Status st = s.restore(blob);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.message(), "snapshot: trailing bytes after page table");
 }
 
 // ---------------------------------------------------------------------------
-// Whole-system round trips
+// Corruption sweep: every corrupted file either fails to restore with a
+// Status, or restores a system that runs a syscall and tears down cleanly.
+// The checksum is resealed after each change, so the sweep reaches the
+// parsers behind it.  Run it under HN_SANITIZE=address,undefined too.
 // ---------------------------------------------------------------------------
 
-using hypernel::Mode;
-using hypernel::System;
-using hypernel::SystemConfig;
+/// A 64 MiB Hypernel system with some of every kernel table in use
+/// (files, a second process, user memory, a pipe, a socket pair), as a
+/// snapshot file.
+std::vector<u8> busy_snapshot() {
+  auto sys = make_small(Mode::kHypernel, /*mbm=*/true);
+  kernel::Kernel& k = sys->kernel();
+  EXPECT_TRUE(k.sys_mkdir("/d").ok());
+  Result<u64> ino = k.sys_creat("/d/f");
+  EXPECT_TRUE(ino.ok());
+  const std::vector<u8> data(2 * kPageSize, 0x5A);
+  EXPECT_TRUE(k.sys_write(ino.value(), 0, data.data(), data.size()).ok());
+  Result<u32> pid = k.sys_fork();
+  EXPECT_TRUE(pid.ok());
+  k.procs().switch_to(*k.procs().find(pid.value()));
+  EXPECT_TRUE(k.sys_execve().ok());
+  EXPECT_TRUE(k.run_user_memory(256, 16, /*seed=*/3).ok());
+  Result<u32> pipe = k.sys_pipe();
+  EXPECT_TRUE(pipe.ok());
+  EXPECT_TRUE(k.sys_pipe_write(pipe.value(), kernel::kUserHeapBase, 64).ok());
+  Result<u32> socket = k.sys_socketpair();
+  EXPECT_TRUE(socket.ok());
+  EXPECT_TRUE(
+      k.sys_socket_send(socket.value(), 0, kernel::kUserHeapBase, 64).ok());
+  return sys->save_state();
+}
+
+/// Restore `bytes` into a fresh twin.  A rejection must be a snapshot
+/// diagnostic; an accepted state must serve a syscall.  Either way the
+/// twin is then destroyed.  Returns whether the restore was accepted.
+bool restore_and_run(const std::vector<u8>& bytes) {
+  auto twin = make_small(Mode::kHypernel, /*mbm=*/true);
+  const Status s = twin->restore_state(bytes);
+  if (!s.ok()) {
+    EXPECT_EQ(s.message().rfind("snapshot: ", 0), 0u) << s.message();
+    return false;
+  }
+  (void)twin->kernel().sys_creat("/after-restore");
+  return true;
+}
+
+TEST(SnapshotCorruption, TruncatedStateIsRejected) {
+  // Cut the layered state short at a fixed stride, with the header's
+  // length field moved to match: the file stays well formed around a
+  // state that ends early.
+  const std::vector<u8> good = busy_snapshot();
+  const u64 state_size = peek_u64(good, kStateSizeOff);
+  constexpr u64 kCuts = 96;
+  for (u64 cut = 0; cut < kCuts; ++cut) {
+    const u64 keep = state_size * cut / kCuts;
+    std::vector<u8> bad = good;
+    bad.erase(bad.begin() + kStateOff + keep,
+              bad.begin() + kStateOff + state_size);
+    poke_u64(bad, kStateSizeOff, keep);
+    reseal(bad);
+    EXPECT_FALSE(restore_and_run(bad)) << "state cut to " << keep << " bytes";
+  }
+}
+
+TEST(SnapshotCorruption, SeededFlipsAreRejectedOrRun) {
+  // One byte XORed with a non-zero mask per case, at a seeded offset in
+  // the header, the layered state or the page table.
+  const std::vector<u8> good = busy_snapshot();
+  const u64 state_size = peek_u64(good, kStateSizeOff);
+  const u64 page_table = kStateOff + state_size;
+  struct Region {
+    const char* name;
+    u64 begin;
+    u64 end;
+    unsigned flips;
+  };
+  SplitMix64 rng(0x5EED'0F'F11B5ull);
+  unsigned accepted = 0;
+  unsigned rejected = 0;
+  for (const Region& region :
+       {Region{"header", 0, kStateOff, 40},
+        Region{"state", kStateOff, page_table, 400},
+        Region{"page table", page_table, good.size() - 8, 160}}) {
+    for (unsigned i = 0; i < region.flips; ++i) {
+      const u64 offset =
+          region.begin + rng.next_below(region.end - region.begin);
+      const u8 mask = static_cast<u8>(1 + rng.next_below(255));
+      std::vector<u8> bad = good;
+      bad[offset] ^= mask;
+      reseal(bad);
+      SCOPED_TRACE(std::string(region.name) + " byte " +
+                   std::to_string(offset) + " ^ " + std::to_string(mask));
+      (restore_and_run(bad) ? accepted : rejected) += 1;
+    }
+  }
+  // Both outcomes occur: the sweep reaches past the parsers' first checks.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Whole-system round trips
+// ---------------------------------------------------------------------------
 
 std::unique_ptr<System> make_system(Mode mode, bool mbm) {
   SystemConfig cfg;
@@ -386,18 +460,12 @@ TEST(SystemSnapshot, EmptyMachineRoundTrip) {
   // live twin: the twin must be byte-for-byte the same architectural
   // state (its own re-save proves it) and functionally indistinguishable.
   auto original = make_system(Mode::kNative, /*mbm=*/false);
-  Snapshot snap = original->save_state();
-  EXPECT_GT(snap.pages.populated_count(), 0u);
-
-  Snapshot back;
-  ASSERT_TRUE(unpack_snapshot(pack_snapshot(snap), back).ok());
+  const std::vector<u8> snap = original->save_state();
 
   auto twin = make_system(Mode::kNative, /*mbm=*/false);
-  ASSERT_TRUE(twin->restore_state(back).ok());
+  ASSERT_TRUE(twin->restore_state(snap).ok());
 
-  Snapshot resaved = twin->save_state();
-  EXPECT_EQ(resaved.config_digest, snap.config_digest);
-  EXPECT_EQ(resaved.state, snap.state);
+  EXPECT_EQ(twin->save_state(), snap);
   EXPECT_TRUE(hypernel::take_fingerprint(*original)
                   .functionally_equal(hypernel::take_fingerprint(*twin)));
 }
@@ -405,12 +473,11 @@ TEST(SystemSnapshot, EmptyMachineRoundTrip) {
 TEST(SystemSnapshot, RestoreRejectsConfigMismatch) {
   auto native = make_system(Mode::kNative, /*mbm=*/false);
   auto hyper = make_system(Mode::kHypernel, /*mbm=*/true);
-  const Snapshot snap = native->save_state();
-  const Status st = hyper->restore_state(snap);
+  const Status st = hyper->restore_state(native->save_state());
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("configuration digest mismatch"),
             std::string::npos);
-  EXPECT_FALSE(hyper->restore_state(Snapshot{}).ok());  // empty snapshot
+  EXPECT_FALSE(hyper->restore_state({}).ok());  // empty file
 }
 
 /// PostRootkitScenarioRoundTrip at one monitoring granularity.
@@ -439,16 +506,14 @@ void post_rootkit_round_trip(secapps::Granularity granularity) {
   ASSERT_FALSE(mon_a.alerts().empty());
   const size_t alerts_before = mon_a.alerts().size();
 
-  Snapshot snap = original->save_state();
+  const std::vector<u8> snap = original->save_state();
   SnapWriter mon_state;
   mon_a.save_state(mon_state);
-  Snapshot back;
-  ASSERT_TRUE(unpack_snapshot(pack_snapshot(snap), back).ok());
 
   auto twin = make_system(Mode::kHypernel, /*mbm=*/true);
   secapps::ObjectIntegrityMonitor mon_b(*twin, granularity);
   ASSERT_TRUE(mon_b.install().ok());
-  ASSERT_TRUE(twin->restore_state(back).ok());
+  ASSERT_TRUE(twin->restore_state(snap).ok());
   const std::vector<u8> mon_blob = mon_state.take();
   SnapReader mon_reader(mon_blob);
   mon_b.restore_state(mon_reader);
@@ -534,7 +599,7 @@ void forked_twins_diverge(Mode mode) {
   const bool mbm = mode == Mode::kHypernel;
   auto donor = make_system(mode, mbm);
   ASSERT_TRUE(donor->kernel().sys_creat("/seed").ok());
-  const Snapshot snap = donor->save_state();
+  const std::vector<u8> snap = donor->save_state();
 
   auto twin_a = make_system(mode, mbm);
   auto twin_b = make_system(mode, mbm);

@@ -13,7 +13,6 @@
 //   * the contents of every mapped frame.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <vector>
 
 #include "sim/bus.h"
@@ -181,36 +180,6 @@ TEST(ZeroFill, NonCacheablePageKeepsEveryBusWord) {
     zero_words += t.op == BusOp::kWriteWord && t.value == 0;
   }
   EXPECT_EQ(zero_words, kPageSize / kWordSize);
-}
-
-TEST(ZeroFill, FrameSharedWithCapturedPageSetKeepsItsBytes) {
-  // A fork captured the frames before the zero: the captured set must
-  // keep reading the old bytes, whole frame and partial frame alike.
-  Rig a(MemAttr::kNormalCacheable);
-  Rig b(MemAttr::kNormalCacheable);
-  const u64 first = kFrame >> kPageShift;
-  std::vector<u8> old(2 * kPageSize);
-  std::vector<PhysicalMemory::PageSet> sets;
-  for (Rig* rig : {&a, &b}) {
-    rig->fill_pattern(2);
-    sets.push_back(rig->m().phys().capture());
-    EXPECT_EQ(rig->m().phys().page_refs(first), 2u);
-  }
-  a.m().phys().read_block(kFrame, old.data(), old.size());
-  a.store_zeros(kVa, kPageSize + 0x800, /*zero_fill=*/true);
-  b.store_zeros(kVa, kPageSize + 0x800, /*zero_fill=*/false);
-  expect_same_observations(a, b);
-
-  for (const PhysicalMemory::PageSet& set : sets) {
-    for (u64 p = 0; p < 2; ++p) {
-      ASSERT_NE(set.page_data(first + p), nullptr);
-      EXPECT_EQ(0, std::memcmp(set.page_data(first + p),
-                               old.data() + p * kPageSize, kPageSize))
-          << "captured page " << p << " changed";
-    }
-  }
-  EXPECT_EQ(a.m().phys().page_data(first), nullptr);
-  EXPECT_EQ(a.m().phys().page_refs(first + 1), 1u);  // copied, then zeroed
 }
 
 }  // namespace
