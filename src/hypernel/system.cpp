@@ -116,7 +116,7 @@ u64 System::config_digest() const {
   h = fold(h, config_.machine.dram_size);
   h = fold(h, config_.machine.secure_size);
   h = fold(h, config_.machine.cache.size_bytes);
-  h = fold(h, config_.machine.cache.ways);
+  h = fold(h, sim::kCacheWays);
   h = fold(h, config_.machine.cache.enabled);
   h = fold(h, config_.machine.tlb_entries);
   // Folded only for SMP machines so every single-core digest (and with it

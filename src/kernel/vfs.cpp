@@ -26,17 +26,13 @@ void pack_name(std::string_view name, u64& w0, u64& w1) {
   std::memcpy(&w1, buf + 8, 8);
 }
 
-std::vector<std::string> split_path(std::string_view path) {
-  std::vector<std::string> parts;
-  size_t i = 0;
-  while (i < path.size()) {
-    while (i < path.size() && path[i] == '/') ++i;
-    size_t j = i;
-    while (j < path.size() && path[j] != '/') ++j;
-    if (j > i) parts.emplace_back(path.substr(i, j - i));
-    i = j;
-  }
-  return parts;
+/// The next component of `path` at or after `pos`, which moves past it;
+/// empty once the path is exhausted.  Runs of '/' separate components.
+std::string_view next_component(std::string_view path, size_t& pos) {
+  while (pos < path.size() && path[pos] == '/') ++pos;
+  const size_t start = pos;
+  while (pos < path.size() && path[pos] != '/') ++pos;
+  return path.substr(start, pos - start);
 }
 
 }  // namespace
@@ -73,7 +69,7 @@ void Vfs::write_dentry_word(VirtAddr dva, u64 word, u64 value) {
   assert(r.ok && "dentry slab pages must stay writable");
 }
 
-VirtAddr Vfs::instantiate_dentry(u64 parent, const std::string& name, u64 ino) {
+VirtAddr Vfs::instantiate_dentry(u64 parent, std::string_view name, u64 ino) {
   Result<VirtAddr> obj = dentry_slab_.alloc();
   assert(obj.ok() && "dentry slab exhausted");
   const VirtAddr dva = obj.value();
@@ -99,7 +95,8 @@ VirtAddr Vfs::instantiate_dentry(u64 parent, const std::string& name, u64 ino) {
   write_dentry_word(dva, D::kFlags, must_inode(ino).is_dir ? 0x10 : 0x4);
   write_dentry_word(dva, D::kHashNext, dva ^ 0x1111);
   write_dentry_word(dva, D::kHashPrev, dva ^ 0x2222);
-  const auto lru = dcache_lru_.insert(dcache_lru_.end(), DKey{parent, name});
+  const auto lru =
+      dcache_lru_.insert(dcache_lru_.end(), DKey{parent, std::string(name)});
   [[maybe_unused]] const bool inserted =
       dcache_.emplace(*lru, CachedDentry{dva, lru}).second;
   assert(inserted && "dentry instantiated twice");
@@ -123,9 +120,9 @@ void Vfs::dput_touch(VirtAddr dva) {
   }
 }
 
-Result<u64> Vfs::step(u64 parent, const std::string& name) {
+Result<u64> Vfs::step(u64 parent, std::string_view name) {
   machine_.advance(costs_.dcache_lookup);
-  const DKey key{parent, name};
+  const DKeyView key{parent, name};
   if (auto it = dcache_.find(key); it != dcache_.end()) {
     dput_touch(it->second.dva);
     const sim::Access64 ino = machine_.read64(
@@ -135,25 +132,29 @@ Result<u64> Vfs::step(u64 parent, const std::string& name) {
   }
   auto child = children_.find(key);
   if (child == children_.end()) {
-    return Status::NotFound("vfs: no such entry: " + name);
+    return Status::NotFound("vfs: no such entry: " + std::string(name));
   }
   instantiate_dentry(parent, name, child->second);
   return child->second;
 }
 
-Result<std::pair<u64, std::string>> Vfs::resolve_parent(std::string_view path) {
-  std::vector<std::string> parts = split_path(path);
-  if (parts.empty()) return Status::Invalid("vfs: empty path");
+Result<std::pair<u64, std::string_view>> Vfs::resolve_parent(
+    std::string_view path) {
+  size_t pos = 0;
+  std::string_view name = next_component(path, pos);
+  if (name.empty()) return Status::Invalid("vfs: empty path");
   u64 cur = kRootIno;
-  for (size_t i = 0; i + 1 < parts.size(); ++i) {
-    Result<u64> next = step(cur, parts[i]);
+  for (std::string_view after = next_component(path, pos); !after.empty();
+       after = next_component(path, pos)) {
+    Result<u64> next = step(cur, name);
     if (!next.ok()) return next.status();
     if (!must_inode(next.value()).is_dir) {
       return Status::Invalid("vfs: path component is not a directory");
     }
     cur = next.value();
+    name = after;
   }
-  return std::pair<u64, std::string>{cur, parts.back()};
+  return std::pair<u64, std::string_view>{cur, name};
 }
 
 Result<u64> Vfs::alloc_ino(bool is_dir) {
@@ -170,40 +171,37 @@ Result<u64> Vfs::alloc_ino(bool is_dir) {
 
 Result<u64> Vfs::create_file(std::string_view path) {
   SpinGuard ns(lock_);
-  Result<std::pair<u64, std::string>> rp = resolve_parent(path);
+  Result<std::pair<u64, std::string_view>> rp = resolve_parent(path);
   if (!rp.ok()) return rp.status();
   const auto& [parent, name] = rp.value();
-  const DKey key{parent, name};
-  if (children_.contains(key)) {
-    return Status::AlreadyExists("vfs: exists: " + name);
+  if (children_.contains(DKeyView{parent, name})) {
+    return Status::AlreadyExists("vfs: exists: " + std::string(name));
   }
   Result<u64> ino = alloc_ino(/*is_dir=*/false);
   if (!ino.ok()) return ino;
-  children_[key] = ino.value();
+  children_.emplace(DKey{parent, std::string(name)}, ino.value());
   instantiate_dentry(parent, name, ino.value());
   return ino;
 }
 
 Result<u64> Vfs::mkdir(std::string_view path) {
   SpinGuard ns(lock_);
-  Result<std::pair<u64, std::string>> rp = resolve_parent(path);
+  Result<std::pair<u64, std::string_view>> rp = resolve_parent(path);
   if (!rp.ok()) return rp.status();
   const auto& [parent, name] = rp.value();
-  const DKey key{parent, name};
-  if (children_.contains(key)) {
-    return Status::AlreadyExists("vfs: exists: " + name);
+  if (children_.contains(DKeyView{parent, name})) {
+    return Status::AlreadyExists("vfs: exists: " + std::string(name));
   }
   Result<u64> ino = alloc_ino(/*is_dir=*/true);
   if (!ino.ok()) return ino;
-  children_[key] = ino.value();
+  children_.emplace(DKey{parent, std::string(name)}, ino.value());
   instantiate_dentry(parent, name, ino.value());
   return ino;
 }
 
-void Vfs::drop_dentry(u64 parent, const std::string& name,
+void Vfs::drop_dentry(u64 parent, std::string_view name,
                       bool zap_inode_word) {
-  const DKey key{parent, name};
-  auto it = dcache_.find(key);
+  auto it = dcache_.find(DKeyView{parent, name});
   if (it == dcache_.end()) return;
   using D = DentryLayout;
   const VirtAddr dva = it->second.dva;
@@ -235,10 +233,10 @@ void Vfs::remove_entry(Children::iterator child) {
 
 Status Vfs::unlink(std::string_view path) {
   SpinGuard ns(lock_);
-  Result<std::pair<u64, std::string>> rp = resolve_parent(path);
+  Result<std::pair<u64, std::string_view>> rp = resolve_parent(path);
   if (!rp.ok()) return rp.status();
   const auto& [parent, name] = rp.value();
-  auto child = children_.find(DKey{parent, name});
+  auto child = children_.find(DKeyView{parent, name});
   if (child == children_.end()) return Status::NotFound("vfs: no such entry");
   remove_entry(child);
   return Status::Ok();
@@ -246,20 +244,20 @@ Status Vfs::unlink(std::string_view path) {
 
 Status Vfs::rename(std::string_view from, std::string_view to) {
   SpinGuard ns(lock_);
-  Result<std::pair<u64, std::string>> rf = resolve_parent(from);
+  Result<std::pair<u64, std::string_view>> rf = resolve_parent(from);
   if (!rf.ok()) return rf.status();
-  Result<std::pair<u64, std::string>> rt = resolve_parent(to);
+  Result<std::pair<u64, std::string_view>> rt = resolve_parent(to);
   if (!rt.ok()) return rt.status();
   const auto& [fp, fn] = rf.value();
   const auto& [tp, tn] = rt.value();
-  const DKey source{fp, fn};
-  const DKey target{tp, tn};
+  const DKeyView source{fp, fn};
+  const DKeyView target{tp, tn};
   auto child = children_.find(source);
   if (child == children_.end()) return Status::NotFound("vfs: no such entry");
   const u64 ino = child->second;
 
   // Renaming onto an existing name replaces that entry, as unlink would.
-  if (target != source) {
+  if (!DKeyEq{}(target, source)) {
     if (auto old = children_.find(target); old != children_.end()) {
       remove_entry(old);
     }
@@ -280,19 +278,21 @@ Status Vfs::rename(std::string_view from, std::string_view to) {
     write_dentry_word(dva, D::kHashNext, dva ^ 0x7777);
     dcache_lru_.erase(it->second.lru);
     dcache_.erase(it);
-    const auto lru = dcache_lru_.insert(dcache_lru_.end(), target);
-    dcache_.emplace(target, CachedDentry{dva, lru});
+    const auto lru =
+        dcache_lru_.insert(dcache_lru_.end(), DKey{tp, std::string(tn)});
+    dcache_.emplace(*lru, CachedDentry{dva, lru});
   }
   children_.erase(child);
-  children_[target] = ino;
+  children_.emplace(DKey{tp, std::string(tn)}, ino);
   return Status::Ok();
 }
 
 Result<u64> Vfs::lookup(std::string_view path) {
   SpinGuard ns(lock_);
-  std::vector<std::string> parts = split_path(path);
+  size_t pos = 0;
   u64 cur = kRootIno;
-  for (const std::string& part : parts) {
+  for (std::string_view part = next_component(path, pos); !part.empty();
+       part = next_component(path, pos)) {
     Result<u64> next = step(cur, part);
     if (!next.ok()) return next.status();
     cur = next.value();
@@ -416,8 +416,8 @@ void Vfs::prune_dcache(u64 n) {
   }
 }
 
-VirtAddr Vfs::cached_dentry(u64 parent_ino, const std::string& name) const {
-  auto it = dcache_.find(DKey{parent_ino, name});
+VirtAddr Vfs::cached_dentry(u64 parent_ino, std::string_view name) const {
+  auto it = dcache_.find(DKeyView{parent_ino, name});
   return it == dcache_.end() ? 0 : it->second.dva;
 }
 

@@ -100,7 +100,7 @@ class Vfs {
   [[nodiscard]] u64 dcache_size() const { return dcache_.size(); }
   /// Dentry VA for a cached path component, 0 when not cached (tests).
   [[nodiscard]] VirtAddr cached_dentry(u64 parent_ino,
-                                       const std::string& name) const;
+                                       std::string_view name) const;
 
   [[nodiscard]] const Inode* inode(u64 ino) const;
   [[nodiscard]] u64 root_ino() const { return kRootIno; }
@@ -132,9 +132,28 @@ class Vfs {
     std::string name;
     auto operator<=>(const DKey&) const = default;
   };
+  /// A key as a path walk sees it: the name is a view into the path.
+  struct DKeyView {
+    u64 parent;
+    std::string_view name;
+  };
+  /// Hash and equality are transparent, so a lookup by DKeyView builds no
+  /// string.  std::hash<std::string_view> equals std::hash<std::string>:
+  /// a DKeyView lands in its DKey's bucket.
   struct DKeyHash {
+    using is_transparent = void;
+    u64 operator()(const DKeyView& k) const {
+      return std::hash<std::string_view>{}(k.name) ^ k.parent;
+    }
     u64 operator()(const DKey& k) const {
-      return std::hash<std::string>{}(k.name) ^ k.parent;
+      return (*this)(DKeyView{k.parent, k.name});
+    }
+  };
+  struct DKeyEq {
+    using is_transparent = void;
+    template <class A, class B>
+    bool operator()(const A& a, const B& b) const {
+      return a.parent == b.parent && a.name == b.name;
     }
   };
   /// A cached dentry object and its place in the prune order, so dropping
@@ -146,18 +165,20 @@ class Vfs {
 
   Inode* find_inode(u64 ino);
   Inode& must_inode(u64 ino);
-  /// Resolve all but the last component; returns parent ino and leaf name.
-  Result<std::pair<u64, std::string>> resolve_parent(std::string_view path);
+  /// Resolve all but the last component; returns parent ino and leaf name
+  /// (a view into `path`).
+  Result<std::pair<u64, std::string_view>> resolve_parent(
+      std::string_view path);
   /// One component step: dcache hit (refcount churn) or miss (dentry
   /// instantiation with full field initialisation).
-  Result<u64> step(u64 parent, const std::string& name);
-  VirtAddr instantiate_dentry(u64 parent, const std::string& name, u64 ino);
+  Result<u64> step(u64 parent, std::string_view name);
+  VirtAddr instantiate_dentry(u64 parent, std::string_view name, u64 ino);
   void write_dentry_word(VirtAddr dva, u64 word, u64 value);
   void dput_touch(VirtAddr dva);
-  void drop_dentry(u64 parent, const std::string& name, bool zap_inode_word);
+  void drop_dentry(u64 parent, std::string_view name, bool zap_inode_word);
   /// unlink's core: drop the entry's dentry (d_delete), remove the entry,
   /// and free the inode with its last link.
-  using Children = std::unordered_map<DKey, u64, DKeyHash>;
+  using Children = std::unordered_map<DKey, u64, DKeyHash, DKeyEq>;
   void remove_entry(Children::iterator child);
   Result<u64> alloc_ino(bool is_dir);
   PhysAddr ensure_page(Inode& node, u64 page_index);
@@ -170,7 +191,7 @@ class Vfs {
   u64 live_inodes_ = 0;
   // Directory entries (the on-"disk" truth) and cached dentry objects.
   Children children_;
-  std::unordered_map<DKey, CachedDentry, DKeyHash> dcache_;
+  std::unordered_map<DKey, CachedDentry, DKeyHash, DKeyEq> dcache_;
   std::list<DKey> dcache_lru_;  // prune order: creation, renames at the back
   u64 next_ino_ = 2;
   u64 lookup_serial_ = 0;  // drives periodic LRU-touch writes

@@ -200,8 +200,12 @@ class Scope {
       stack.enter(layer);
     }
   }
-  ~Scope() {
+  ~Scope() { close(); }
+  /// End the scope before the guard's lifetime ends; later calls and the
+  /// destructor do nothing.
+  void close() {
     if (stack_ != nullptr) stack_->exit();
+    stack_ = nullptr;
   }
   Scope(const Scope&) = delete;
   Scope& operator=(const Scope&) = delete;

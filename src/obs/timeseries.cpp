@@ -124,7 +124,7 @@ using le::put_u8;
 std::vector<u8> serialize_timeseries(const TimeSeriesData& data) {
   std::vector<u8> out;
   out.reserve(64 + data.samples.size() * (data.tracks.size() + 1) * 8);
-  out.insert(out.end(), kTimeSeriesMagic, kTimeSeriesMagic + 8);
+  for (const char c : kTimeSeriesMagic) put_u8(out, static_cast<u8>(c));
   put_u32(out, kTimeSeriesFormatVersion);
   put_u32(out, 0);  // reserved
   put_f64(out, data.cpu_ghz);

@@ -7,8 +7,18 @@
 // transaction at eviction or explicit flush, when DRAM already holds its
 // final contents.  This models the MBM visibility problem that forces
 // Hypersec to map monitored pages non-cacheable (§5.3).
+//
+// Host-side representation: a packed two-way tag store.  Each line's tag
+// word is its line base with bit 0 as the valid bit, so a lookup is two
+// compares against `base | valid`; dirty bits and the per-set round-robin
+// cursors sit in their own byte arrays.  An invalidated line keeps its
+// base (only the valid bit clears), exactly what the snapshot records.
+// access() and write_alloc_line() are split into an inline hit section
+// (the one tag compare, find()) and an out-of-line miss that evicts,
+// writes back and fills.
 #pragma once
 
+#include <cassert>
 #include <vector>
 
 #include "common/timing.h"
@@ -19,9 +29,11 @@
 
 namespace hn::sim {
 
+/// Every cache is two-way set associative, like the A57's L1D.
+inline constexpr unsigned kCacheWays = 2;
+
 struct CacheConfig {
   u64 size_bytes = 32 * 1024;
-  unsigned ways = 2;
   bool enabled = true;  // disabled => every access behaves as non-cacheable
 };
 
@@ -45,13 +57,37 @@ class Cache {
   /// miss cost, performs fills and dirty evictions via the bus, and marks
   /// the line dirty on writes.  The functional data update is the caller's
   /// job (done before/after as appropriate).
-  void access(PhysAddr pa, bool is_write);
+  void access(PhysAddr pa, bool is_write) {
+    assert(config_.enabled);
+    const u64 line = find(pa);
+    if (line == kMiss) [[unlikely]] {
+      fill(pa, is_write);
+      return;
+    }
+    hit(line, is_write);
+  }
 
   /// Full-line streaming write: the whole line at `pa` is being
   /// overwritten, so a miss allocates the line dirty *without* a DRAM
   /// fetch (DC ZVA / write-streaming behaviour).  Used by bulk zeroing
   /// and large copies.
-  void write_alloc_line(PhysAddr pa);
+  void write_alloc_line(PhysAddr pa) {
+    assert(config_.enabled);
+    const u64 line = find(pa);
+    if (line == kMiss) [[unlikely]] {
+      stream_alloc(pa);
+      return;
+    }
+    hit(line, /*is_write=*/true);
+  }
+
+  /// A store of [pa, pa+len) within one page, line by line in ascending
+  /// address order: lines the span covers whole take write_alloc_line
+  /// (no fetch-on-write), ragged edges take access(line, true).
+  void store_span(PhysAddr pa, u64 len);
+  /// A load of [pa, pa+len) within one page: access(pa + k*64, false) for
+  /// every k with k*64 < len, in ascending order.
+  void load_span(PhysAddr pa, u64 len);
 
   /// Write back (if dirty) and invalidate the line containing `pa`.
   /// Used by Hypersec when it remaps a monitored page non-cacheable, so no
@@ -64,73 +100,62 @@ class Cache {
   /// Invalidate everything, writing back dirty lines.
   void flush_all();
 
-  [[nodiscard]] bool contains_line(PhysAddr pa) const;
-  [[nodiscard]] bool line_dirty(PhysAddr pa) const;
+  [[nodiscard]] bool contains_line(PhysAddr pa) const {
+    return find(pa) != kMiss;
+  }
+  [[nodiscard]] bool line_dirty(PhysAddr pa) const {
+    const u64 line = find(pa);
+    return line != kMiss && dirty_[line] != 0;
+  }
   [[nodiscard]] const CacheConfig& config() const { return config_; }
 
   // --- Snapshot support (sim/snapshot.h) ------------------------------------
   // Tag/victim state only: line *data* lives in PhysicalMemory, restored
-  // via the snapshot's page set.
+  // via the snapshot's page set.  Per line: valid, dirty, base; then one
+  // u32 round-robin cursor per set.
 
-  void save_state(SnapWriter& w) const {
-    w.put_u64(lines_.size());
-    for (const Line& l : lines_) {
-      w.put_bool(l.valid);
-      w.put_bool(l.dirty);
-      w.put_u64(l.base);
-    }
-    w.put_u64(victim_.size());
-    for (const unsigned v : victim_) w.put_u32(v);
-  }
+  void save_state(SnapWriter& w) const;
 
-  void restore_state(SnapReader& r) {
-    r.section("cache");
-    const u64 nlines = r.get_u64();
-    if (r.ok() && nlines != lines_.size()) {
-      r.fail("line count " + std::to_string(nlines) +
-             " does not match configured geometry");
-      return;
-    }
-    for (Line& l : lines_) {
-      l.valid = r.get_bool();
-      l.dirty = r.get_bool();
-      l.base = r.get_u64();
-    }
-    const u64 nsets = r.get_u64();
-    if (r.ok() && nsets != victim_.size()) {
-      r.fail("set count " + std::to_string(nsets) +
-             " does not match configured geometry");
-      return;
-    }
-    for (unsigned& v : victim_) {
-      v = r.get_u32();
-      if (r.ok() && v >= config_.ways) {
-        r.fail("victim way " + std::to_string(v) + " out of range");
-        return;
-      }
-    }
-  }
+  /// Every line base must be line-aligned (bit 0 is the packed valid
+  /// bit), and every valid line must lie below `dram_size`: a write-back
+  /// issues its base on the bus.
+  void restore_state(SnapReader& r, u64 dram_size);
 
  private:
-  struct Line {
-    bool valid = false;
-    bool dirty = false;
-    PhysAddr base = 0;  // line-aligned physical address
-  };
+  static constexpr u64 kValid = 1;        // tag bit 0; bases are 64 B aligned
+  static constexpr u64 kMiss = ~u64{0};   // find(): no way holds the line
 
-  [[nodiscard]] u64 set_index(PhysAddr pa) const {
-    return (pa / kCacheLineSize) & set_mask_;
+  [[nodiscard]] static u64 line_base(PhysAddr pa) {
+    return pa & ~(kCacheLineSize - 1);
   }
-  /// Round-robin victim of `set`, advancing its cursor.
-  unsigned next_victim(u64 set) {
-    const unsigned way = victim_[set];
-    victim_[set] = way + 1 == config_.ways ? 0 : way + 1;
-    return way;
+
+  /// The tag compare: the line index (set * 2 + way) holding `pa`, or
+  /// kMiss.  Way 0 is compared first.
+  [[nodiscard]] u64 find(PhysAddr pa) const {
+    const u64 tag = line_base(pa) | kValid;
+    const u64 first = ((pa / kCacheLineSize) & set_mask_) * kCacheWays;
+    if (tags_[first] == tag) return first;
+    if (tags_[first + 1] == tag) return first + 1;
+    return kMiss;
   }
-  Line* find_line(PhysAddr pa);
-  [[nodiscard]] const Line* find_line(PhysAddr pa) const;
-  void evict(Line& line);
-  void writeback(const Line& line);
+
+  /// The hit section: charge the hit, dirty the line on writes.
+  void hit(u64 line, bool is_write) {
+    account_.charge(timing_.l1_hit);
+    ++account_.counters().l1_hits;
+    if (is_write) dirty_[line] = 1;
+  }
+
+  /// access()'s miss: evict a victim, fill the line through the bus.
+  void fill(PhysAddr pa, bool is_write);
+  /// write_alloc_line()'s miss: evict a victim, allocate dirty, no fetch.
+  void stream_alloc(PhysAddr pa);
+  /// Advance the set's round-robin cursor, then prefer an invalid way:
+  /// the line index the miss will (re)use.
+  u64 victim_line(PhysAddr pa);
+  /// Write the line back if valid and dirty, then invalidate it.
+  void evict(u64 line);
+  void writeback(PhysAddr base);
 
   CacheConfig config_;
   MemoryBus& bus_;
@@ -138,10 +163,10 @@ class Cache {
   const TimingModel& timing_;
   u8 core_id_ = 0;
   Cycles* bus_clock_ = nullptr;  // Machine's shared bus clock (may be null)
-  u64 num_sets_;
-  u64 set_mask_;                  // num_sets_ - 1 (num_sets_ is a power of 2)
-  std::vector<Line> lines_;       // num_sets_ * ways, set-major
-  std::vector<unsigned> victim_;  // round-robin pointer per set
+  u64 set_mask_;             // set count - 1 (the set count is a power of 2)
+  std::vector<u64> tags_;    // line base | kValid, num_sets_ * 2, set-major
+  std::vector<u8> dirty_;    // per line
+  std::vector<u8> victim_;   // round-robin cursor per set: 0 or 1
 };
 
 }  // namespace hn::sim

@@ -153,14 +153,10 @@ void Machine::install_sysreg_trap_handler(ExceptionModel::SysregTrapHandler h) {
 }
 
 WalkContext Machine::walk_context() const {
-  // TTBR0_EL1 carries the ASID in bits [63:48] (TCR.A1 == 0 convention),
-  // so an address-space switch is a single system-register write — and
-  // thus a single TVM trap under Hypernel (§5.2.2).
-  const u64 ttbr0 = cur_->sysregs.get(SysReg::TTBR0_EL1);
   WalkContext ctx;
-  ctx.ttbr0 = ttbr0 & 0x0000'FFFF'FFFF'FFFFull;
+  ctx.ttbr0 = cur_->sysregs.get(SysReg::TTBR0_EL1) & 0x0000'FFFF'FFFF'FFFFull;
   ctx.ttbr1 = cur_->sysregs.get(SysReg::TTBR1_EL1) & 0x0000'FFFF'FFFF'FFFFull;
-  ctx.asid = static_cast<u16>(ttbr0 >> 48);
+  ctx.asid = asid();
   ctx.stage2_enabled = cur_->sysregs.hcr_bit(kHcrVm);
   ctx.vttbr = cur_->sysregs.get(SysReg::VTTBR_EL2);
   return ctx;
@@ -208,25 +204,7 @@ Cycles Machine::bus_timestamp() {
   return now;
 }
 
-u64 Machine::perform(PhysAddr pa, const PageAttrs& attrs, bool is_write,
-                     u64 value) {
-  if (is_write) {
-    ++cur_->account.counters().mem_writes;
-  } else {
-    ++cur_->account.counters().mem_reads;
-  }
-
-  const bool cacheable =
-      attrs.attr == MemAttr::kNormalCacheable && cur_->cache.config().enabled;
-  if (cacheable) {
-    cur_->cache.access(pa, is_write);
-    if (is_write) {
-      phys_.write64(pa, value);
-      return value;
-    }
-    return phys_.read64(pa);
-  }
-
+u64 Machine::perform_bus(PhysAddr pa, bool is_write, u64 value) {
   // Non-cacheable / device: the word access reaches the bus and is
   // therefore visible to the MBM snooper.
   cur_->account.charge(config_.timing.noncacheable_access);
@@ -251,25 +229,19 @@ u64 Machine::perform(PhysAddr pa, const PageAttrs& attrs, bool is_write,
   return r;
 }
 
-Access64 Machine::access64(VirtAddr va, bool is_write, u64 value, bool user) {
-  assert(is_word_aligned(va));
-  AccessType at;
-  at.is_write = is_write;
-  at.is_user = user;
-
+Access64 Machine::access64_slow(VirtAddr va, const AccessType& at, u64 value,
+                                const TlbEntry* hit, obs::Scope& scope) {
+  TranslateOutcome out = hit != nullptr
+                             ? cur_->mmu.hit_outcome(*hit, va, at)
+                             : cur_->mmu.walk(va, at, walk_context());
+  scope.close();
   // A stage-2 fault handler may fix the tables and ask for a retry; bound
   // the loop so a broken handler cannot livelock the simulation.
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    // Built in place: the scope closes after translate returns, and the
-    // outcome is never copied.
-    const TranslateOutcome out = [&] {
-      obs::Scope scope(scopes_, obs::Layer::kSimMmu);
-      return cur_->mmu.translate(va, at, walk_context());
-    }();
+  for (int attempt = 1;; ++attempt) {
     if (out.ok) {
       Access64 r;
       r.ok = true;
-      r.value = perform(out.t.pa, out.t.attrs, is_write, value);
+      r.value = perform(out.t.pa, out.t.attrs, at.is_write, value);
       return r;
     }
 
@@ -282,13 +254,13 @@ Access64 Machine::access64(VirtAddr va, bool is_write, u64 value, bool user) {
           return r;
         }
         trace_.record(bus_order_now(), TraceKind::kS2Fault,
-                      out.fault.ipa, is_write ? 1 : 0);
+                      out.fault.ipa, at.is_write ? 1 : 0);
         obs_s2_fault_exits_.add();
         cur_->account.charge(config_.timing.vm_exit);
         ++cur_->account.counters().vm_exits;
-        const S2FaultAction action = s2_handler_(out.fault, is_write, value);
+        const S2FaultAction action = s2_handler_(out.fault, at.is_write, value);
         cur_->account.charge(config_.timing.vm_entry);
-        if (action == S2FaultAction::kRetry) continue;
+        if (action == S2FaultAction::kRetry) break;
         Access64 r;
         if (action == S2FaultAction::kEmulated) {
           r.ok = true;
@@ -314,18 +286,15 @@ Access64 Machine::access64(VirtAddr va, bool is_write, u64 value, bool user) {
         return r;
       }
     }
+    if (attempt == 8) break;
+    // The retry's translation in its own sim.mmu scope, which closes at
+    // the end of this iteration.
+    obs::Scope retry(scopes_, obs::Layer::kSimMmu);
+    out = cur_->mmu.translate(va, at, walk_context());
   }
   Access64 r;
-  r.fault = Fault{FaultType::kTranslation, 0, va, 0, is_write};
+  r.fault = Fault{FaultType::kTranslation, 0, va, 0, at.is_write};
   return r;
-}
-
-Access64 Machine::read64(VirtAddr va, bool user) {
-  return access64(va, /*is_write=*/false, 0, user);
-}
-
-Access64 Machine::write64(VirtAddr va, u64 value, bool user) {
-  return access64(va, /*is_write=*/true, value, user);
 }
 
 bool Machine::write_block_bulk(VirtAddr va, const void* data, u64 len,
@@ -353,8 +322,8 @@ bool Machine::store_bulk(VirtAddr va, const u8* p, u64 len, bool user) {
     AccessType at;
     at.is_write = true;
     at.is_user = user;
-    const WalkContext ctx = walk_context();
-    const TranslateOutcome out = cur_->mmu.translate(va + off, at, ctx);
+    const TranslateOutcome out =
+        cur_->mmu.translate(va + off, at, walk_context());
     if (!out.ok) {
       // Fall back to the exact path so fault handling (stage-2 fills, COW)
       // behaves identically to single-word accesses.
@@ -367,20 +336,9 @@ bool Machine::store_bulk(VirtAddr va, const u8* p, u64 len, bool user) {
     const PhysAddr pa = out.t.pa;
     if (out.t.attrs.attr == MemAttr::kNormalCacheable &&
         cur_->cache.config().enabled) {
-      // Walk whole cache lines by absolute address: lines fully covered by
-      // the span use streaming allocation (no fetch-on-write); ragged
-      // edges behave as ordinary write-allocate accesses.
-      const PhysAddr first_line = pa & ~(kCacheLineSize - 1);
-      for (PhysAddr line = first_line; line < pa + chunk;
-           line += kCacheLineSize) {
-        const bool full_line =
-            line >= pa && line + kCacheLineSize <= pa + chunk;
-        if (full_line) {
-          cur_->cache.write_alloc_line(line);
-        } else {
-          cur_->cache.access(line, /*is_write=*/true);
-        }
-      }
+      // One cache access per line; lines the chunk covers whole stream
+      // in without a fetch.  The remaining words' hit charges follow.
+      cur_->cache.store_span(pa, chunk);
       const u64 words = chunk / kWordSize;
       cur_->account.charge(config_.timing.l1_hit *
                            (words - chunk / kCacheLineSize));
@@ -416,8 +374,8 @@ bool Machine::read_block_bulk(VirtAddr va, void* out_buf, u64 len, bool user) {
     const u64 chunk = std::min(len - off, page_va + kPageSize - (va + off));
     AccessType at;
     at.is_user = user;
-    const WalkContext ctx = walk_context();
-    const TranslateOutcome out = cur_->mmu.translate(va + off, at, ctx);
+    const TranslateOutcome out =
+        cur_->mmu.translate(va + off, at, walk_context());
     if (!out.ok) {
       const Access64 r = read64(va + off, user);
       if (!r.ok) return false;
@@ -430,9 +388,7 @@ bool Machine::read_block_bulk(VirtAddr va, void* out_buf, u64 len, bool user) {
     const PhysAddr pa = out.t.pa;
     if (out.t.attrs.attr == MemAttr::kNormalCacheable &&
         cur_->cache.config().enabled) {
-      for (u64 line = 0; line < chunk; line += kCacheLineSize) {
-        cur_->cache.access(pa + line, /*is_write=*/false);
-      }
+      cur_->cache.load_span(pa, chunk);
       const u64 words = chunk / kWordSize;
       cur_->account.charge(config_.timing.l1_hit *
                            (words - chunk / kCacheLineSize));
@@ -686,7 +642,7 @@ void Machine::restore_state(SnapReader& r) {
       core->sysregs.restore_raw(i, r.get_u64());
     }
     core->mmu.tlb().restore_state(r, phys_.size());
-    core->cache.restore_state(r);
+    core->cache.restore_state(r, phys_.size());
     r.section("machine");
     const Cycles cycles = r.get_u64();
     core->account.reset();

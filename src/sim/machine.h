@@ -6,8 +6,9 @@
 // their accesses to simulated memory translate through real page tables,
 // hit the TLB/cache models, charge cycles, and emit bus transactions that
 // the MBM can snoop (DESIGN.md §3.1).  Every data access translates
-// through Mmu::translate: the TLB is the one translation cache, and no
-// host-side cache sits in front of it (DESIGN.md §9).
+// through Mmu::translate's TLB-hit section and, on a miss, its walk: the
+// TLB is the one translation cache, and no host-side cache sits in front
+// of it (DESIGN.md §9).
 //
 // SMP (DESIGN.md §15): the machine carries N cores, each a full private
 // bundle (TLB, L1 cache timing model, system registers, cycle ledger,
@@ -21,6 +22,7 @@
 // machine.
 #pragma once
 
+#include <cassert>
 #include <functional>
 #include <initializer_list>
 #include <memory>
@@ -204,8 +206,13 @@ class Machine {
   [[nodiscard]] bool host_fast_path() const { return fast_path_; }
 
   // --- EL0/EL1 virtual-address accesses -------------------------------------
-  Access64 read64(VirtAddr va, bool user = false);
-  Access64 write64(VirtAddr va, u64 value, bool user = false);
+  [[gnu::always_inline]] Access64 read64(VirtAddr va, bool user = false) {
+    return access64(va, /*is_write=*/false, 0, user);
+  }
+  [[gnu::always_inline]] Access64 write64(VirtAddr va, u64 value,
+                                          bool user = false) {
+    return access64(va, /*is_write=*/true, value, user);
+  }
 
   /// Bulk transfer optimised for large cacheable buffers (page-cache data,
   /// COW copies): one translation per page, one cache access per line,
@@ -372,15 +379,35 @@ class Machine {
     InterruptController gic;
   };
 
+  /// One word access.  A TLB hit that permits the access and an L1 hit
+  /// run inline (defined below the class) and make no out-of-line call;
+  /// everything else continues in access64_slow.
   Access64 access64(VirtAddr va, bool is_write, u64 value, bool user);
+  /// access64 past the TLB-hit section.  The first translation finishes
+  /// inside the caller's still-open sim.mmu `scope` (`hit` is the entry
+  /// whose permissions refused the access, or null on a miss); then the
+  /// scope closes and the fault, retry and perform paths run.
+  Access64 access64_slow(VirtAddr va, const AccessType& at, u64 value,
+                         const TlbEntry* hit, obs::Scope& scope);
   /// The one bulk-store loop behind write_block_bulk (source `p`) and
   /// zero_block_bulk (`p` null: the source is all zeros).
   bool store_bulk(VirtAddr va, const u8* p, u64 len, bool user);
   /// Enroll the built-in per-core tracks (sim.core{K}.*) — always done,
   /// so arming later samples a fixed, deterministic track order.
   void enroll_builtin_tracks();
-  /// Perform the physical access after a successful translation.
+  /// Perform the physical access after a successful translation: the
+  /// cacheable section inline, non-cacheable and device pages through
+  /// perform_bus.
   u64 perform(PhysAddr pa, const PageAttrs& attrs, bool is_write, u64 value);
+  /// The word reaches the bus, where the MBM snoops it.
+  u64 perform_bus(PhysAddr pa, bool is_write, u64 value);
+  /// The active core's ASID.  TTBR0_EL1 carries it in bits [63:48]
+  /// (TCR.A1 == 0 convention), so an address-space switch is a single
+  /// system-register write — and thus a single TVM trap under Hypernel
+  /// (§5.2.2).
+  [[nodiscard]] u16 asid() const {
+    return static_cast<u16>(cur_->sysregs.get(SysReg::TTBR0_EL1) >> 48);
+  }
   /// The active core's translation regime, read from its live system
   /// registers.
   [[nodiscard]] WalkContext walk_context() const;
@@ -418,5 +445,47 @@ class Machine {
   obs::Counter obs_bulk_exact_words_;
   obs::Counter obs_s2_fault_exits_;
 };
+
+[[gnu::always_inline]] inline u64 Machine::perform(PhysAddr pa,
+                                                   const PageAttrs& attrs,
+                                                   bool is_write, u64 value) {
+  if (is_write) {
+    ++cur_->account.counters().mem_writes;
+  } else {
+    ++cur_->account.counters().mem_reads;
+  }
+  if (attrs.attr != MemAttr::kNormalCacheable ||
+      !cur_->cache.config().enabled) [[unlikely]] {
+    return perform_bus(pa, is_write, value);
+  }
+  cur_->cache.access(pa, is_write);
+  if (is_write) {
+    phys_.write64(pa, value);
+    return value;
+  }
+  return phys_.read64(pa);
+}
+
+[[gnu::always_inline]] inline Access64 Machine::access64(VirtAddr va,
+                                                         bool is_write,
+                                                         u64 value,
+                                                         bool user) {
+  assert(is_word_aligned(va));
+  AccessType at;
+  at.is_write = is_write;
+  at.is_user = user;
+  obs::Scope scope(scopes_, obs::Layer::kSimMmu);
+  const TlbEntry* e = cur_->mmu.tlb_hit(va, asid());
+  if (e == nullptr || !Mmu::hit_permits(*e, at)) [[unlikely]] {
+    return access64_slow(va, at, value, e, scope);
+  }
+  const PhysAddr pa = e->ppage + (va & kPageMask);
+  const PageAttrs attrs = e->attrs;
+  scope.close();
+  Access64 r;
+  r.ok = true;
+  r.value = perform(pa, attrs, is_write, value);
+  return r;
+}
 
 }  // namespace hn::sim

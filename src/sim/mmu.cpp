@@ -32,13 +32,6 @@ u64 Mmu::fetch_descriptor(PhysAddr pa, bool stage2) {
   return mem_.read64(pa);
 }
 
-bool Mmu::permission_ok(const PageAttrs& attrs, const AccessType& access) {
-  if (access.is_user && !attrs.user) return false;
-  if (access.is_write && !attrs.write) return false;
-  if (access.is_exec && !attrs.exec) return false;
-  return true;
-}
-
 TranslateOutcome Mmu::translate_ipa(IpaAddr ipa, bool is_write,
                                     const WalkContext& ctx) {
   assert(ctx.stage2_enabled);
@@ -171,27 +164,27 @@ TranslateOutcome Mmu::walk_stage1(VirtAddr va, const AccessType& access,
       Fault{FaultType::kTranslation, 3, va, 0, access.is_write});
 }
 
-TranslateOutcome Mmu::translate(VirtAddr va, const AccessType& access,
-                                const WalkContext& ctx) {
-  if (const TlbEntry* e = tlb_.lookup(va, ctx.asid)) {
-    ++account_.counters().tlb_hits;
-    obs_tlb_hits_.add();
-    if (!permission_ok(e->attrs, access)) {
-      return TranslateOutcome::fail(
-          Fault{FaultType::kPermission, 3, va, 0, access.is_write});
-    }
-    if (access.is_write && !e->s2_write_ok) {
-      ++account_.counters().s2_permission_faults;
-      const IpaAddr ipa = e->ppage + (va & kPageMask);  // IPA==PA-keyed model
-      return TranslateOutcome::fail(
-          Fault{FaultType::kS2Permission, 3, va, ipa, true});
-    }
-    Translation t;
-    t.pa = e->ppage + (va & kPageMask);
-    t.attrs = e->attrs;
-    t.s2_write_ok = e->s2_write_ok;
-    return TranslateOutcome::success(t);
+TranslateOutcome Mmu::hit_outcome(const TlbEntry& e, VirtAddr va,
+                                  const AccessType& access) {
+  if (!permission_ok(e.attrs, access)) {
+    return TranslateOutcome::fail(
+        Fault{FaultType::kPermission, 3, va, 0, access.is_write});
   }
+  if (access.is_write && !e.s2_write_ok) {
+    ++account_.counters().s2_permission_faults;
+    const IpaAddr ipa = e.ppage + (va & kPageMask);  // IPA==PA-keyed model
+    return TranslateOutcome::fail(
+        Fault{FaultType::kS2Permission, 3, va, ipa, true});
+  }
+  Translation t;
+  t.pa = e.ppage + (va & kPageMask);
+  t.attrs = e.attrs;
+  t.s2_write_ok = e.s2_write_ok;
+  return TranslateOutcome::success(t);
+}
+
+TranslateOutcome Mmu::walk(VirtAddr va, const AccessType& access,
+                           const WalkContext& ctx) {
   ++account_.counters().tlb_misses;
   obs_tlb_misses_.add();
   obs_s1_walks_.add();

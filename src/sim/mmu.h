@@ -82,7 +82,36 @@ class Mmu {
   /// permission fault the (read-valid) mapping is still cached so that
   /// subsequent writes fault without re-walking, like real hardware.
   TranslateOutcome translate(VirtAddr va, const AccessType& access,
-                             const WalkContext& ctx);
+                             const WalkContext& ctx) {
+    if (const TlbEntry* e = tlb_hit(va, ctx.asid)) {
+      return hit_outcome(*e, va, access);
+    }
+    return walk(va, access, ctx);
+  }
+
+  /// translate()'s TLB-hit section, which needs only the ASID: the entry
+  /// translating `va`, with the hit counted, or nullptr (nothing counted)
+  /// when walk() must run.  Every translation starts here.
+  const TlbEntry* tlb_hit(VirtAddr va, u16 asid) {
+    const TlbEntry* e = tlb_.lookup(va, asid);
+    if (e != nullptr) {
+      ++account_.counters().tlb_hits;
+      obs_tlb_hits_.add();
+    }
+    return e;
+  }
+  /// True when a hit on `e` serves `access` without a fault: stage-1
+  /// permissions hold and, for a write, stage 2 permits writes.
+  static bool hit_permits(const TlbEntry& e, const AccessType& access) {
+    return permission_ok(e.attrs, access) &&
+           (!access.is_write || e.s2_write_ok);
+  }
+  /// translate()'s outcome for a hit on `e`, faults included.
+  TranslateOutcome hit_outcome(const TlbEntry& e, VirtAddr va,
+                               const AccessType& access);
+  /// translate()'s miss: count it and walk the tables.
+  TranslateOutcome walk(VirtAddr va, const AccessType& access,
+                        const WalkContext& ctx);
 
   /// Stage-2-only translation of an IPA (used for the final output and for
   /// nested descriptor fetches; exposed for tests and the KVM module).
@@ -94,7 +123,12 @@ class Mmu {
 
  private:
   /// Stage-1 permission check against decoded attributes.
-  static bool permission_ok(const PageAttrs& attrs, const AccessType& access);
+  static bool permission_ok(const PageAttrs& attrs, const AccessType& access) {
+    if (access.is_user && !attrs.user) return false;
+    if (access.is_write && !attrs.write) return false;
+    if (access.is_exec && !attrs.exec) return false;
+    return true;
+  }
 
   /// Fetch one descriptor (cacheable access + fixed walk-step overhead).
   u64 fetch_descriptor(PhysAddr pa, bool stage2);

@@ -56,15 +56,7 @@ class Tlb {
   /// Returns the matching entry or nullptr.
   const TlbEntry* lookup(VirtAddr va, u16 asid) const {
     const VirtAddr vpage = page_align_down(va);
-    if (!index_enabled_) {
-      // Reference mode: the original fully-associative scan.
-      for (const TlbEntry& e : entries_) {
-        if (e.valid && e.vpage == vpage && (e.attrs.global || e.asid == asid)) {
-          return &e;
-        }
-      }
-      return nullptr;
-    }
+    if (!index_enabled_) return scan(vpage, asid);
     for (u32 slot = head_[bucket(vpage)]; slot != kNil;
          slot = chain_next_[slot]) {
       const TlbEntry& e = entries_[slot];
@@ -217,6 +209,18 @@ class Tlb {
 
  private:
   static constexpr u32 kNil = ~u32{0};
+
+  /// Reference mode: the original fully-associative scan.  Kept out of
+  /// line, so the inline hit section that calls lookup() stays small and
+  /// the scan's code is the same wherever a lookup sits.
+  [[gnu::noinline]] const TlbEntry* scan(VirtAddr vpage, u16 asid) const {
+    for (const TlbEntry& e : entries_) {
+      if (e.valid && e.vpage == vpage && (e.attrs.global || e.asid == asid)) {
+        return &e;
+      }
+    }
+    return nullptr;
+  }
 
   [[nodiscard]] size_t bucket(VirtAddr vpage) const {
     return (vpage >> kPageShift) & (head_.size() - 1);

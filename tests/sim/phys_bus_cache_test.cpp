@@ -149,10 +149,10 @@ TEST_F(CacheFixture, CacheableWriteInvisibleUntilEviction) {
 
 TEST_F(CacheFixture, EvictionWritesBackDirtyLine) {
   const CacheConfig& cfg = cache_.config();
-  const u64 num_sets = cfg.size_bytes / kCacheLineSize / cfg.ways;
+  const u64 num_sets = cfg.size_bytes / kCacheLineSize / kCacheWays;
   const u64 way_stride = num_sets * kCacheLineSize;
   // Fill every way of set 0 with dirty lines, then one more.
-  for (unsigned w = 0; w <= cfg.ways; ++w) {
+  for (unsigned w = 0; w <= kCacheWays; ++w) {
     cache_.access(w * way_stride, true);
   }
   bool saw_writeback = false;
@@ -165,9 +165,9 @@ TEST_F(CacheFixture, EvictionWritesBackDirtyLine) {
 
 TEST_F(CacheFixture, CleanEvictionSilent) {
   const CacheConfig& cfg = cache_.config();
-  const u64 num_sets = cfg.size_bytes / kCacheLineSize / cfg.ways;
+  const u64 num_sets = cfg.size_bytes / kCacheLineSize / kCacheWays;
   const u64 way_stride = num_sets * kCacheLineSize;
-  for (unsigned w = 0; w <= cfg.ways; ++w) {
+  for (unsigned w = 0; w <= kCacheWays; ++w) {
     cache_.access(w * way_stride, false);  // reads only
   }
   for (const auto& t : snoop_.txns) {
@@ -215,15 +215,57 @@ TEST_F(CacheFixture, RestoreRejectsOutOfRangeVictimWay) {
   SnapWriter w;
   cache_.save_state(w);
   std::vector<u8> blob = w.take();
-  const u32 ways = cache_.config().ways;
+  const u32 ways = kCacheWays;
   for (int i = 0; i < 4; ++i) {
     blob[blob.size() - 4 + i] = static_cast<u8>(ways >> (8 * i));
   }
   SnapReader r(blob);
-  cache_.restore_state(r);
+  cache_.restore_state(r, mem_.size());
   EXPECT_EQ(r.status().message(),
             "snapshot: cache: victim way " + std::to_string(ways) +
                 " out of range");
+}
+
+/// The saved state with line `line`'s valid flag and base replaced.  A
+/// line's record is valid (1 byte), dirty (1 byte), base (8 bytes), after
+/// the 8-byte line count.
+std::vector<u8> with_line(const Cache& cache, u64 line, bool valid,
+                          PhysAddr base) {
+  SnapWriter w;
+  cache.save_state(w);
+  std::vector<u8> blob = w.take();
+  const u64 at = 8 + line * 10;
+  blob[at] = valid ? 1 : 0;
+  for (int i = 0; i < 8; ++i) {
+    blob[at + 2 + i] = static_cast<u8>(base >> (8 * i));
+  }
+  return blob;
+}
+
+TEST_F(CacheFixture, RestoreRejectsUnalignedLineBase) {
+  // The packed tag keeps the valid bit in the base's low bits, so an
+  // unaligned base would alias it, valid line or not.
+  const std::vector<u8> blob = with_line(cache_, 3, false, 0x2001);
+  SnapReader r(blob);
+  cache_.restore_state(r, mem_.size());
+  EXPECT_EQ(r.status().message(),
+            "snapshot: cache: line base 8193 is not line-aligned");
+}
+
+TEST_F(CacheFixture, RestoreRejectsValidLineOutsideDram) {
+  // A valid line past DRAM would be written back to an address no memory
+  // backs.  An invalid line there is never written back, so it restores.
+  const std::vector<u8> outside = with_line(cache_, 5, true, mem_.size());
+  SnapReader r(outside);
+  cache_.restore_state(r, mem_.size());
+  EXPECT_EQ(r.status().message(),
+            "snapshot: cache: valid line base " +
+                std::to_string(mem_.size()) + " lies outside DRAM");
+
+  const std::vector<u8> stale = with_line(cache_, 5, false, mem_.size());
+  SnapReader ok(stale);
+  cache_.restore_state(ok, mem_.size());
+  EXPECT_TRUE(ok.ok()) << ok.status().message();
 }
 
 }  // namespace
