@@ -202,8 +202,7 @@ std::vector<Result> run_cells(u64 n, unsigned jobs, Fn&& fn) {
   std::vector<Result> results =
       exec::run_sharded<Result>(n, std::forward<Fn>(fn), opt, &report);
   std::fprintf(stderr, "bench exec: %llu cells, jobs=%u, wall=%.1fms\n",
-               static_cast<unsigned long long>(n),
-               jobs == 0 ? exec::ThreadPool::default_parallelism() : jobs,
+               static_cast<unsigned long long>(n), report.jobs,
                report.wall_ms);
   return results;
 }

@@ -12,6 +12,10 @@
 // regardless of worker count, scheduling order, or machine load.
 // Parallelism changes wall-clock only, never results.
 //
+// Fan-out: `jobs` threads each claim the next index from one atomic
+// cursor (one fetch_add) until the range is exhausted, so a free worker
+// always takes the lowest index nobody has claimed yet.
+//
 // Cooperative cancellation: with `fail_fast`, the shared token holds the
 // lowest index seen so far whose result satisfies `failed`, and a worker
 // skips an index only when it lies above the token (a skipped slot keeps
@@ -19,46 +23,54 @@
 // The token only moves down, so every index below the lowest failing one
 // is guaranteed to have a valid result, whatever the scheduling.
 //
-// Exceptions: if `fn` throws, the index lowers the same token, so the
-// remaining work above it is cancelled and every index below it still
-// runs.  The runner rethrows the exception of the lowest throwing index
-// after the run drains.  No result is partially merged.
+// Exceptions: if `fn` or `failed` throws, the index lowers the same
+// token, so the remaining work above it is cancelled and every index
+// below it still runs.  The runner rethrows the exception of the lowest
+// throwing index after every worker has joined.  No result is partially
+// merged.
 #pragma once
 
 #include <atomic>
-#include <cstddef>
 #include <exception>
-#include <latch>
 #include <mutex>
+#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/stopwatch.h"
 #include "common/types.h"
-#include "exec/thread_pool.h"
 
 namespace hn::exec {
 
+/// std::thread::hardware_concurrency(), clamped to at least 1.
+[[nodiscard]] inline unsigned default_parallelism() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : hw;
+}
+
 struct ShardOptions {
-  /// Worker threads; 0 = ThreadPool::default_parallelism().  With 1 the
-  /// runner degenerates to the plain sequential loop on the calling
-  /// thread — no pool, no queue, today's exact behaviour.
+  /// Worker threads; 0 = default_parallelism().  With 1 the runner
+  /// degenerates to the plain sequential loop on the calling thread.
   unsigned jobs = 1;
-  /// Indices per submitted job.  1 maximizes load balance; larger shards
-  /// amortize queue traffic when fn is very cheap.
-  u64 shard_size = 1;
   /// Stop scheduling new indices once any result satisfies `failed`.
   bool fail_fast = false;
 };
 
+/// One worker's share of a parallel run.
+struct WorkerStats {
+  u64 jobs = 0;     // indices evaluated (including ones that threw)
+  u64 busy_ns = 0;  // wall-time spent inside fn and failed
+};
+
 struct ShardReport {
+  unsigned jobs = 1;  // resolved worker count
   u64 indices_total = 0;
   u64 indices_run = 0;
   u64 indices_skipped = 0;  // skipped by fail-fast/exception cancellation
   bool cancelled = false;
   double wall_ms = 0;
-  /// Per-worker counters for this run (empty when jobs == 1).
+  /// Per-worker counters for this run (empty when run sequentially).
   std::vector<WorkerStats> workers;
 };
 
@@ -75,8 +87,8 @@ std::vector<Result> run_sharded(u64 n, Fn&& fn, FailFn&& failed,
   local.indices_total = n;
   Stopwatch watch;
 
-  const unsigned jobs =
-      opt.jobs == 0 ? ThreadPool::default_parallelism() : opt.jobs;
+  const unsigned jobs = opt.jobs == 0 ? default_parallelism() : opt.jobs;
+  local.jobs = jobs;
   if (jobs == 1 || n <= 1) {
     for (u64 i = 0; i < n; ++i) {
       results[i] = fn(i);
@@ -92,10 +104,8 @@ std::vector<Result> run_sharded(u64 n, Fn&& fn, FailFn&& failed,
     return results;
   }
 
-  const u64 shard = opt.shard_size == 0 ? 1 : opt.shard_size;
-  const u64 num_shards = (n + shard - 1) / shard;
-  std::latch done(static_cast<std::ptrdiff_t>(num_shards));
   constexpr u64 kNone = ~0ull;
+  std::atomic<u64> cursor{0};          // the next unclaimed index
   std::atomic<u64> stop_above{kNone};  // the lowest failing index
   auto lower_stop = [&stop_above](u64 i) {
     u64 cur = stop_above.load(std::memory_order_relaxed);
@@ -104,24 +114,24 @@ std::vector<Result> run_sharded(u64 n, Fn&& fn, FailFn&& failed,
     }
   };
   std::atomic<u64> run_count{0};
-  std::atomic<u64> skip_count{0};
 
   std::mutex err_mu;
   std::exception_ptr first_err;
   u64 first_err_index = kNone;
 
+  local.workers.resize(jobs);
   {
-    ThreadPool pool(jobs, /*queue_capacity=*/2 * jobs);
-    for (u64 lo = 0; lo < n; lo += shard) {
-      const u64 hi = lo + shard < n ? lo + shard : n;
-      pool.submit([&, lo, hi] {
-        for (u64 i = lo; i < hi; ++i) {
-          if (i > stop_above.load(std::memory_order_acquire)) {
-            skip_count.fetch_add(1, std::memory_order_relaxed);
-            continue;
-          }
+    std::vector<std::jthread> workers;
+    workers.reserve(jobs);
+    for (WorkerStats& stats : local.workers) {
+      workers.emplace_back([&, worker = &stats] {
+        for (u64 i = cursor.fetch_add(1); i < n; i = cursor.fetch_add(1)) {
+          if (i > stop_above.load(std::memory_order_acquire)) continue;
+          Stopwatch busy;
           try {
             results[i] = fn(i);
+            if (opt.fail_fast && failed(results[i])) lower_stop(i);
+            run_count.fetch_add(1, std::memory_order_relaxed);
           } catch (...) {
             std::lock_guard lock(err_mu);
             if (!first_err || i < first_err_index) {
@@ -129,22 +139,16 @@ std::vector<Result> run_sharded(u64 n, Fn&& fn, FailFn&& failed,
               first_err_index = i;
             }
             lower_stop(i);
-            skip_count.fetch_add(1, std::memory_order_relaxed);
-            continue;
           }
-          run_count.fetch_add(1, std::memory_order_relaxed);
-          if (opt.fail_fast && failed(results[i])) lower_stop(i);
+          ++worker->jobs;
+          worker->busy_ns += busy.elapsed_ns();
         }
-        done.count_down();
       });
     }
-    done.wait();
-    pool.close();
-    local.workers = pool.stats();
-  }
+  }  // every jthread joins here
 
   local.indices_run = run_count.load(std::memory_order_relaxed);
-  local.indices_skipped = skip_count.load(std::memory_order_relaxed);
+  local.indices_skipped = n - local.indices_run;  // cancelled or threw
   local.cancelled = stop_above.load(std::memory_order_relaxed) != kNone;
   local.wall_ms = watch.elapsed_ms();
   if (report != nullptr) *report = local;

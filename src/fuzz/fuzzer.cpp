@@ -182,29 +182,22 @@ CampaignResult run_campaign(const FuzzOptions& options, std::ostream* log) {
                        .collect_metrics = options.collect_metrics,
                        .profile = options.profile};
 
+  CampaignResult result;
+  result.corpus_digest = hypernel::kFnvOffset;
   // Fan the sequences out: each index is an independent universe (its
   // seed comes from the index alone), so any worker count produces the
   // same slot array.  jobs == 1 degenerates to the plain sequential
   // loop inside run_sharded.
   exec::ShardOptions shard;
-  shard.jobs = options.jobs == 0 ? exec::ThreadPool::default_parallelism()
-                                 : options.jobs;
+  shard.jobs = options.jobs;
   shard.fail_fast = options.fail_fast;
-  exec::ShardReport shard_report;
   std::vector<SequenceOutcome> outcomes = exec::run_sharded<SequenceOutcome>(
       options.sequences,
       [&](u64 index) {
         return evaluate_sequence(index, options, gen, specs, exec);
       },
       [](const SequenceOutcome& o) { return !o.report.ok(); }, shard,
-      &shard_report);
-
-  CampaignResult result;
-  result.corpus_digest = hypernel::kFnvOffset;
-  result.exec.jobs = shard.jobs;
-  result.exec.wall_ms = shard_report.wall_ms;
-  result.exec.sequences_skipped = shard_report.indices_skipped;
-  result.exec.workers = shard_report.workers;
+      &result.exec);
 
   // Merge in index order on this thread.  Every statement below sees
   // exactly what the old sequential loop saw, so logs, digests and

@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "exec/thread_pool.h"
+#include "exec/sharded_runner.h"
 #include "fuzz/executor.h"
 #include "fuzz/generator.h"
 #include "fuzz/oracles.h"
@@ -103,16 +103,6 @@ struct SequenceFailure {
   std::string replay;              // command line reproducing the failure
 };
 
-/// Host-side execution stats of one campaign (wall time, per-worker
-/// throughput).  Reporting only — never part of the determinism
-/// contract, so tools print it to stderr.
-struct CampaignExecStats {
-  unsigned jobs = 1;  // resolved worker count actually used
-  double wall_ms = 0;
-  u64 sequences_skipped = 0;  // skipped by --fail-fast cancellation
-  std::vector<exec::WorkerStats> workers;  // empty when jobs == 1
-};
-
 struct CampaignResult {
   u64 sequences_run = 0;
   u64 failures = 0;
@@ -126,7 +116,10 @@ struct CampaignResult {
   std::vector<u64> sequence_digests;
   std::vector<u8> sequence_verdicts;
   std::vector<SequenceFailure> failure_details;
-  CampaignExecStats exec;
+  /// Host-side execution stats of the fan-out (wall time, per-worker
+  /// throughput).  Reporting only — never part of the determinism
+  /// contract, so tools print it to stderr.
+  exec::ShardReport exec;
   /// Campaign-wide metrics fold (FuzzOptions::collect_metrics): every
   /// run's snapshot merged in (sequence, matrix) order.  Merge is
   /// commutative and associative, so the result is identical at any

@@ -244,11 +244,13 @@ Status PageTableManager::protect_linear(PhysAddr pa, const PageAttrs& attrs) {
 void PageTableManager::free_user_tree(PhysAddr root, bool free_leaf_frames) {
   // Depth-first teardown.  A real kernel scans only the present VMA
   // ranges; we model that with one flat scan charge per table page rather
-  // than 512 individual charged loads, then act on the valid descriptors.
+  // than 512 individual charged loads, then act on the valid descriptors
+  // of one uncharged copy of the page.
   auto recurse = [&](auto&& self, PhysAddr table, unsigned level) -> void {
     machine_.advance(64);
-    for (u64 idx = 0; idx < kPtEntries; ++idx) {
-      const u64 desc = machine_.phys().read64(table + idx * 8);
+    std::array<u64, kPtEntries> descs{};
+    machine_.phys().read_block(table, descs.data(), kPageSize);
+    for (const u64 desc : descs) {
       if (!sim::desc_valid(desc)) continue;
       if (sim::desc_is_table(desc, level)) {
         const PhysAddr next = sim::desc_out_addr(desc);

@@ -5,6 +5,8 @@
 // the ablations read the event counters.
 #pragma once
 
+#include <iterator>
+
 #include "common/types.h"
 
 namespace hn::sim {
@@ -41,36 +43,49 @@ struct Counters {
   u64 ipi_latency_cycles = 0;  // bus-order cycles from post to delivery
 
   /// Per-field difference `*this - earlier`.
-  [[nodiscard]] Counters delta(const Counters& earlier) const {
-    Counters d;
-    d.mem_reads = mem_reads - earlier.mem_reads;
-    d.mem_writes = mem_writes - earlier.mem_writes;
-    d.l1_hits = l1_hits - earlier.l1_hits;
-    d.l1_misses = l1_misses - earlier.l1_misses;
-    d.dirty_writebacks = dirty_writebacks - earlier.dirty_writebacks;
-    d.noncacheable_accesses = noncacheable_accesses - earlier.noncacheable_accesses;
-    d.tlb_hits = tlb_hits - earlier.tlb_hits;
-    d.tlb_misses = tlb_misses - earlier.tlb_misses;
-    d.pt_descriptor_fetches = pt_descriptor_fetches - earlier.pt_descriptor_fetches;
-    d.s2_descriptor_fetches = s2_descriptor_fetches - earlier.s2_descriptor_fetches;
-    d.svc_calls = svc_calls - earlier.svc_calls;
-    d.hvc_calls = hvc_calls - earlier.hvc_calls;
-    d.sysreg_traps = sysreg_traps - earlier.sysreg_traps;
-    d.irqs_delivered = irqs_delivered - earlier.irqs_delivered;
-    d.vm_exits = vm_exits - earlier.vm_exits;
-    d.s2_translation_faults = s2_translation_faults - earlier.s2_translation_faults;
-    d.s2_permission_faults = s2_permission_faults - earlier.s2_permission_faults;
-    d.el1_permission_faults = el1_permission_faults - earlier.el1_permission_faults;
-    d.context_switches = context_switches - earlier.context_switches;
-    d.ipis_sent = ipis_sent - earlier.ipis_sent;
-    d.ipis_delivered = ipis_delivered - earlier.ipis_delivered;
-    d.bus_waits = bus_waits - earlier.bus_waits;
-    d.bus_wait_cycles = bus_wait_cycles - earlier.bus_wait_cycles;
-    d.spin_contentions = spin_contentions - earlier.spin_contentions;
-    d.ipi_latency_cycles = ipi_latency_cycles - earlier.ipi_latency_cycles;
-    return d;
-  }
+  [[nodiscard]] Counters delta(const Counters& earlier) const;
 };
+
+/// Every Counters field, in declaration order: the one list that delta
+/// and the machine snapshot's counter section (sim/machine.cpp) walk.
+inline constexpr u64 Counters::* kCounterFields[] = {
+    &Counters::mem_reads,
+    &Counters::mem_writes,
+    &Counters::l1_hits,
+    &Counters::l1_misses,
+    &Counters::l1_stream_allocs,
+    &Counters::dirty_writebacks,
+    &Counters::noncacheable_accesses,
+    &Counters::tlb_hits,
+    &Counters::tlb_misses,
+    &Counters::pt_descriptor_fetches,
+    &Counters::s2_descriptor_fetches,
+    &Counters::svc_calls,
+    &Counters::hvc_calls,
+    &Counters::sysreg_traps,
+    &Counters::irqs_delivered,
+    &Counters::vm_exits,
+    &Counters::s2_translation_faults,
+    &Counters::s2_permission_faults,
+    &Counters::el1_permission_faults,
+    &Counters::context_switches,
+    &Counters::ipis_sent,
+    &Counters::ipis_delivered,
+    &Counters::bus_waits,
+    &Counters::bus_wait_cycles,
+    &Counters::spin_contentions,
+    &Counters::ipi_latency_cycles,
+};
+static_assert(std::size(kCounterFields) * sizeof(u64) == sizeof(Counters),
+              "a Counters field is missing from kCounterFields");
+
+inline Counters Counters::delta(const Counters& earlier) const {
+  Counters d;
+  for (u64 Counters::* field : kCounterFields) {
+    d.*field = this->*field - earlier.*field;
+  }
+  return d;
+}
 
 /// The machine's cycle ledger.
 class CycleAccount {

@@ -509,68 +509,6 @@ u64 Machine::hvc(u64 func, std::initializer_list<u64> args) {
 
 // --- Snapshot support --------------------------------------------------------
 
-namespace {
-
-void save_counters(SnapWriter& w, const Counters& c) {
-  w.put_u64(c.mem_reads);
-  w.put_u64(c.mem_writes);
-  w.put_u64(c.l1_hits);
-  w.put_u64(c.l1_misses);
-  w.put_u64(c.l1_stream_allocs);
-  w.put_u64(c.dirty_writebacks);
-  w.put_u64(c.noncacheable_accesses);
-  w.put_u64(c.tlb_hits);
-  w.put_u64(c.tlb_misses);
-  w.put_u64(c.pt_descriptor_fetches);
-  w.put_u64(c.s2_descriptor_fetches);
-  w.put_u64(c.svc_calls);
-  w.put_u64(c.hvc_calls);
-  w.put_u64(c.sysreg_traps);
-  w.put_u64(c.irqs_delivered);
-  w.put_u64(c.vm_exits);
-  w.put_u64(c.s2_translation_faults);
-  w.put_u64(c.s2_permission_faults);
-  w.put_u64(c.el1_permission_faults);
-  w.put_u64(c.context_switches);
-  w.put_u64(c.ipis_sent);
-  w.put_u64(c.ipis_delivered);
-  w.put_u64(c.bus_waits);
-  w.put_u64(c.bus_wait_cycles);
-  w.put_u64(c.spin_contentions);
-  w.put_u64(c.ipi_latency_cycles);
-}
-
-void restore_counters(SnapReader& r, Counters& c) {
-  c.mem_reads = r.get_u64();
-  c.mem_writes = r.get_u64();
-  c.l1_hits = r.get_u64();
-  c.l1_misses = r.get_u64();
-  c.l1_stream_allocs = r.get_u64();
-  c.dirty_writebacks = r.get_u64();
-  c.noncacheable_accesses = r.get_u64();
-  c.tlb_hits = r.get_u64();
-  c.tlb_misses = r.get_u64();
-  c.pt_descriptor_fetches = r.get_u64();
-  c.s2_descriptor_fetches = r.get_u64();
-  c.svc_calls = r.get_u64();
-  c.hvc_calls = r.get_u64();
-  c.sysreg_traps = r.get_u64();
-  c.irqs_delivered = r.get_u64();
-  c.vm_exits = r.get_u64();
-  c.s2_translation_faults = r.get_u64();
-  c.s2_permission_faults = r.get_u64();
-  c.el1_permission_faults = r.get_u64();
-  c.context_switches = r.get_u64();
-  c.ipis_sent = r.get_u64();
-  c.ipis_delivered = r.get_u64();
-  c.bus_waits = r.get_u64();
-  c.bus_wait_cycles = r.get_u64();
-  c.spin_contentions = r.get_u64();
-  c.ipi_latency_cycles = r.get_u64();
-}
-
-}  // namespace
-
 void Machine::save_state(SnapWriter& w) const {
   // Per-core architectural state first (count-prefixed so a restore into
   // a machine of a different shape fails loudly), then the shared
@@ -584,7 +522,9 @@ void Machine::save_state(SnapWriter& w) const {
     core->mmu.tlb().save_state(w);
     core->cache.save_state(w);
     w.put_u64(core->account.cycles());
-    save_counters(w, core->account.counters());
+    for (u64 Counters::* field : kCounterFields) {
+      w.put_u64(core->account.counters().*field);
+    }
     core->gic.save_state(w);
     w.put_u8(static_cast<u8>(core->exceptions.current_el()));
     w.put_u64(core->last_bus_local);
@@ -647,7 +587,9 @@ void Machine::restore_state(SnapReader& r) {
     const Cycles cycles = r.get_u64();
     core->account.reset();
     core->account.charge(cycles);
-    restore_counters(r, core->account.counters());
+    for (u64 Counters::* field : kCounterFields) {
+      core->account.counters().*field = r.get_u64();
+    }
     core->gic.restore_state(r);
     r.section("machine");
     core->exceptions.restore_el(static_cast<El>(r.get_u8()));

@@ -320,7 +320,7 @@ class Machine {
   /// mapped through the same local-delta rule bus_timestamp() applies,
   /// without claiming a bus slot or advancing the arbiter.  CPU-side
   /// flight-recorder events (IRQ delivery, verifier verdicts, faults)
-  /// stamp with this so every v2 trace timestamp shares one clock
+  /// stamp with this so every trace timestamp shares one clock
   /// domain with the bus-stamped kBusWrite/kMbmFifo/kMbmDetect events —
   /// cross-core detection chains stay subtractable.  Identity at
   /// cores == 1 (the one local clock is the bus clock).

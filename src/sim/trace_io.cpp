@@ -58,8 +58,8 @@ std::vector<u8> serialize_trace(const Trace& trace,
     put_u64(out, s.end);
     put_u64(out, s.self);
   }
-  // v3 time-series section: a length-prefixed embedded HNTSERIE blob
-  // (zero length when the run sampled nothing).
+  // Time-series section: a length-prefixed embedded HNTSERIE blob (zero
+  // length when the run sampled nothing).
   if (timeseries != nullptr && !timeseries->tracks.empty()) {
     const std::vector<u8> ts = obs::serialize_timeseries(*timeseries);
     put_u64(out, ts.size());
@@ -98,7 +98,7 @@ Status parse_trace(const std::vector<u8>& blob, TraceData& out) {
   if (!r.u32_(out.version) || !r.u32_(reserved)) {
     return Status::Invalid("trace: truncated header");
   }
-  if (out.version < 1 || out.version > kTraceFormatVersion) {
+  if (out.version != kTraceFormatVersion) {
     return Status::Invalid("trace: unsupported format version " +
                            std::to_string(out.version));
   }
@@ -108,10 +108,8 @@ Status parse_trace(const std::vector<u8>& blob, TraceData& out) {
       !r.u64_(event_count) || !r.u64_(name_count) || !r.u64_(span_count)) {
     return Status::Invalid("trace: truncated header");
   }
-  // Each event is 41 bytes (v1) or 42 (v2, trailing core byte); cheap
-  // sanity bound before reserving.
-  const u64 event_bytes = out.version == 1 ? 41 : 42;
-  if (event_count * event_bytes > r.remaining()) {
+  // Each event is 42 bytes; cheap sanity bound before reserving.
+  if (event_count * 42 > r.remaining()) {
     return Status::Invalid("trace: truncated event table");
   }
   out.events.clear();
@@ -120,10 +118,7 @@ Status parse_trace(const std::vector<u8>& blob, TraceData& out) {
     TraceEvent e;
     u8 kind = 0;
     if (!r.u64_(e.seq) || !r.u64_(e.cause) || !r.u64_(e.at) || !r.u64_(e.a) ||
-        !r.u64_(e.b) || !r.u8_(kind)) {
-      return Status::Invalid("trace: truncated event table");
-    }
-    if (out.version >= 2 && !r.u8_(e.core)) {
+        !r.u64_(e.b) || !r.u8_(kind) || !r.u8_(e.core)) {
       return Status::Invalid("trace: truncated event table");
     }
     if (kind > static_cast<u8>(TraceKind::kSnapshot)) {
@@ -164,19 +159,17 @@ Status parse_trace(const std::vector<u8>& blob, TraceData& out) {
     out.spans.push_back(s);
   }
   out.timeseries = obs::TimeSeriesData{};
-  if (out.version >= 3) {
-    u64 ts_len = 0;
-    if (!r.u64_(ts_len) || ts_len > r.remaining()) {
+  u64 ts_len = 0;
+  if (!r.u64_(ts_len) || ts_len > r.remaining()) {
+    return Status::Invalid("trace: truncated time-series section");
+  }
+  if (ts_len > 0) {
+    std::vector<u8> ts_blob(ts_len);
+    if (!r.bytes(ts_blob.data(), ts_len)) {
       return Status::Invalid("trace: truncated time-series section");
     }
-    if (ts_len > 0) {
-      std::vector<u8> ts_blob(ts_len);
-      if (!r.bytes(ts_blob.data(), ts_len)) {
-        return Status::Invalid("trace: truncated time-series section");
-      }
-      if (Status s = obs::parse_timeseries(ts_blob, out.timeseries); !s.ok()) {
-        return s;
-      }
+    if (Status s = obs::parse_timeseries(ts_blob, out.timeseries); !s.ok()) {
+      return s;
     }
   }
   if (r.remaining() != 0) {

@@ -25,11 +25,11 @@ namespace hn::sim {
 
 class Machine;
 
-/// Binary trace format version.  Bump on any layout change.  v2 appends
+/// Binary trace format version.  Bump on any layout change.  v2 appended
 /// the originating core to every event (SMP provenance); v3 appends a
 /// length-prefixed time-series section (an embedded HNTSERIE blob,
 /// obs/timeseries.h; length 0 when the run sampled nothing) after the
-/// span table.  The parser still accepts v1 and v2 blobs.
+/// span table.  The parser reads v3 only and rejects any other version.
 inline constexpr u32 kTraceFormatVersion = 3;
 
 /// 8-byte file magic: "HNTRACE\0".

@@ -144,10 +144,10 @@ std::string render_attribution(const AttributionReport& report,
           static_cast<unsigned long long>(report.broken_chains));
 
   // Originating core of a chain is the core that issued the monitored bus
-  // store.  Reports over single-core traces (and v1 traces, parsed as
-  // core 0) render exactly as before; the core= tags and the per-core
-  // grouping below appear for any genuinely SMP trace — even one whose
-  // detections all trace back to a single core, since "every alert came
+  // store.  Reports over single-core traces render exactly as before;
+  // the core= tags and the per-core grouping below appear for any
+  // genuinely SMP trace — even one whose detections all trace back to a
+  // single core, since "every alert came
   // from core 1 while core 0 ran clean" is itself the finding.
   const bool multi_core = report.smp_trace;
 

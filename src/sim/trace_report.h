@@ -57,7 +57,7 @@ struct AttributionReport {
   u64 broken_chains = 0;          // upstream link evicted from the ring
   /// Any event in the trace carries a nonzero core id — i.e. this is a
   /// genuinely SMP trace.  Gates the core= chain tags and the per-core
-  /// attribution table (single-core and v1 traces render as before).
+  /// attribution table (single-core traces render as before).
   bool smp_trace = false;
 };
 

@@ -2,6 +2,8 @@
 // derivation, secure-space sizing errors, and the measurement helpers.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "hypernel/system.h"
 #include "kernel/layout.h"
 
@@ -98,6 +100,29 @@ TEST(System, SnapshotHelpersMeasureWindows) {
   const sim::Counters d = sys.counters_since(before);
   EXPECT_EQ(d.svc_calls, 1u);
   EXPECT_GT(d.mem_writes, 0u);
+}
+
+TEST(System, CountersSinceReportsStreamAllocations) {
+  // A page-sized file write stores whole lines, which the L1 allocates
+  // without a fill; the window's delta carries them like every other
+  // counter.
+  SystemConfig cfg;
+  cfg.mode = Mode::kNative;
+  cfg.enable_mbm = false;
+  auto sys_r = System::create(cfg);
+  ASSERT_TRUE(sys_r.ok());
+  auto& sys = *sys_r.value();
+  const auto ino = sys.kernel().sys_creat("/stream-test");
+  ASSERT_TRUE(ino.ok());
+  const std::vector<u8> page(kPageSize, 0x5A);
+  const auto before = sys.snapshot();
+  const Status written =
+      sys.kernel().sys_write(ino.value(), 0, page.data(), page.size());
+  ASSERT_TRUE(written.ok());
+  const sim::Counters& now = sys.machine().account().counters();
+  const u64 streamed = now.l1_stream_allocs - before.counters.l1_stream_allocs;
+  EXPECT_GT(streamed, 0u);
+  EXPECT_EQ(sys.counters_since(before).l1_stream_allocs, streamed);
 }
 
 TEST(System, RegisterAppRequiresHypersec) {

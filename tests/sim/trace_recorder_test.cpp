@@ -120,8 +120,8 @@ TEST(TraceIo, ParseRejectsCorruptBlobs) {
 }
 
 TEST(TraceIo, RoundTripPreservesCoreProvenance) {
-  // v2 of the format appends the originating core to every event; the
-  // ambient stamp is set by the machine on every core switch.
+  // Every event carries its originating core; the ambient stamp is set
+  // by the machine on every core switch.
   Trace trace(8);
   trace.set_enabled(true);
   trace.record(10, TraceKind::kSvc, 1);
@@ -139,42 +139,21 @@ TEST(TraceIo, RoundTripPreservesCoreProvenance) {
   EXPECT_EQ(data.events[2].core, 0u);
 }
 
-TEST(TraceIo, ParsesVersion1BlobsAsCoreZero) {
-  // Pre-SMP blobs (41-byte events, no core byte, no time-series
-  // section) must keep loading: rewrite a v3 blob into its exact v1
-  // form and parse it.
+TEST(TraceIo, RejectsVersions1And2) {
+  // No writer has emitted v1 (41-byte events) or v2 (no time-series
+  // section) since v3: such a blob must fail with a Status, never
+  // misparse as v3.
   Fixture f;
-  const std::vector<u8> v3 = serialize_trace(f.trace, &f.scopes, 2.0);
-  TraceData expected;
-  ASSERT_TRUE(parse_trace(v3, expected).ok());
-
-  std::vector<u8> v1 = v3;
-  v1[8] = 1;  // version field follows the 8-byte magic
-  // v1 has no trailing time-series section: drop the 8-byte length
-  // word (0 here — the fixture machine never arms the sampler).
-  v1.resize(v1.size() - 8);
-  // Events start right after the 80-byte header; strip each trailing
-  // core byte (last of 42), back to front so offsets stay valid.
-  constexpr u64 kHeader = 80;
-  for (size_t i = expected.events.size(); i-- > 0;) {
-    v1.erase(v1.begin() + static_cast<long>(kHeader + i * 42 + 41));
+  for (const u8 version : {u8{1}, u8{2}}) {
+    std::vector<u8> blob = serialize_trace(f.trace, &f.scopes, 2.0);
+    blob[8] = version;  // version field follows the 8-byte magic
+    TraceData data;
+    const Status st = parse_trace(blob, data);
+    ASSERT_FALSE(st.ok());
+    const std::string want =
+        "trace: unsupported format version " + std::to_string(version);
+    EXPECT_EQ(st.message(), want);
   }
-  TraceData data;
-  ASSERT_TRUE(parse_trace(v1, data).ok());
-  EXPECT_EQ(data.version, 1u);
-  ASSERT_EQ(data.events.size(), expected.events.size());
-  for (size_t i = 0; i < data.events.size(); ++i) {
-    EXPECT_EQ(data.events[i].core, 0u) << "event " << i;
-    EXPECT_EQ(data.events[i].seq, expected.events[i].seq) << "event " << i;
-    EXPECT_EQ(data.events[i].at, expected.events[i].at) << "event " << i;
-    EXPECT_EQ(data.events[i].kind, expected.events[i].kind) << "event " << i;
-  }
-  EXPECT_EQ(data.span_names, expected.span_names);
-
-  // A truncated v1 event table is still rejected precisely.
-  std::vector<u8> truncated = v1;
-  truncated.resize(truncated.size() - 1);
-  EXPECT_FALSE(parse_trace(truncated, data).ok());
 }
 
 /// A synthetic but faithfully-shaped detection chain: PT-write root, bus

@@ -343,14 +343,14 @@ int main(int argc, char** argv) {
   CampaignResult result = hn::fuzz::run_campaign(opt.fuzz, &std::cout);
   // Host-side execution stats go to stderr: stdout stays byte-identical
   // across --jobs values (the determinism contract the CI pins).
-  const hn::fuzz::CampaignExecStats& exec = result.exec;
+  const hn::exec::ShardReport& exec = result.exec;
   std::fprintf(stderr, "exec: jobs=%u wall=%.1fms throughput=%.1f seq/s%s\n",
                exec.jobs, exec.wall_ms,
                exec.wall_ms > 0
                    ? 1000.0 * static_cast<double>(result.sequences_run) /
                          exec.wall_ms
                    : 0.0,
-               opt.fuzz.fail_fast && exec.sequences_skipped > 0
+               opt.fuzz.fail_fast && exec.indices_skipped > 0
                    ? " (fail-fast cancelled)"
                    : "");
   for (size_t w = 0; w < exec.workers.size(); ++w) {
