@@ -14,14 +14,14 @@ enum Func : u64 {
   /// read-only) and performs the write on the kernel's behalf (§5.2.1).
   kPtWrite = 1,
   /// Register a freshly allocated, zeroed page as a page-table page:
-  /// args = {pa, level} (level 0 = root).  Hypersec remaps it read-only in
-  /// the kernel linear map.
+  /// args = {pa, level} (level 0 = root; pa a page inside DRAM).  Hypersec
+  /// remaps it read-only in the kernel linear map.
   kPtAlloc = 2,
   /// Retire a page-table page: args = {pa}.  Hypersec restores it to RW
   /// after verifying no live root references it.
   kPtFree = 3,
   /// Register a user page-table root so TTBR0 switches to it validate:
-  /// args = {root_pa}.
+  /// args = {root_pa}, a page registered by kPtAlloc at level 0.
   kPtRegisterRoot = 4,
   /// Drop a user root at process teardown: args = {root_pa}.
   kPtUnregisterRoot = 5,

@@ -1,7 +1,9 @@
 #include "hypersec/hypersec.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <cstring>
 
 #include "common/hvc_abi.h"
 #include "common/log.h"
@@ -13,6 +15,111 @@ namespace hn::hypersec {
 
 using sim::SysReg;
 using sim::TrapVerdict;
+
+namespace {
+
+/// Descriptor output addresses end at bit 47: the next leaf of a run
+/// whose output would carry past it has other attribute bits.
+constexpr PhysAddr kOutLimit = PhysAddr{1} << 48;
+
+/// The leaf checks, in item order, of one leaf mapping [out, out+span).
+void check_leaf(const sim::PhysicalMemory& phys, PhysAddr secure_base,
+                u64 secure_size, PhysAddr out, u64 span,
+                const sim::PageAttrs& attrs, AuditTableScan& scan) {
+  // 2. nothing maps the secure space.
+  if (ranges_overlap(out, span, secure_base, secure_size)) {
+    scan.items.push_back(
+        AuditScanItem{.code = AuditCode::kSecureMapped,
+                      .detail = ": mapping reaches the secure space"});
+  }
+  // 3. W^X.
+  if (attrs.write && attrs.exec) {
+    scan.items.push_back(
+        AuditScanItem{.code = AuditCode::kWxViolation,
+                      .detail = ": writable+executable mapping"});
+  }
+  // 1. PT pages are read-only through any alias.
+  if (attrs.write && phys.any_watched(out, span)) {
+    scan.items.push_back(
+        AuditScanItem{.code = AuditCode::kPtWritableAlias,
+                      .detail = ": writable alias of a PT page"});
+  }
+}
+
+/// The scan of the table whose 4 KiB of descriptors are `bytes`, by runs.
+void scan_runs(const sim::PhysicalMemory& phys, PhysAddr secure_base,
+               u64 secure_size, const u8* bytes, unsigned level,
+               AuditTableScan& scan) {
+  auto desc_at = [bytes](u64 idx) {
+    u64 d = 0;
+    std::memcpy(&d, bytes + idx * kWordSize, kWordSize);
+    return d;
+  };
+  const u64 span = sim::level_span(level);
+  for (u64 idx = 0; idx < kPtEntries;) {
+    const u64 desc = desc_at(idx);
+    if (!sim::desc_valid(desc)) {
+      ++idx;
+      continue;
+    }
+    if (sim::desc_is_table(desc, level)) {
+      scan.items.push_back(AuditScanItem{.is_child = true,
+                                         .child = sim::desc_out_addr(desc)});
+      ++idx;
+      continue;
+    }
+    const bool leaf = (level == 3 && bit(desc, sim::kDescTable)) ||
+                      sim::desc_is_block(desc, level);
+    if (!leaf) {
+      ++idx;
+      continue;
+    }
+    // The run: the leaves after this one that repeat its descriptor with
+    // the output advanced by one span each.
+    const PhysAddr out = sim::desc_out_addr(desc);
+    const u64 stop =
+        std::min(kPtEntries, idx + (kOutLimit - 1 - out) / span + 1);
+    u64 end = idx + 1;
+    for (u64 next = desc + span; end < stop && desc_at(end) == next;
+         next += span) {
+      ++end;
+    }
+    const u64 len = (end - idx) * span;
+    const sim::PageAttrs attrs = sim::decode_attrs(desc);
+    if (attrs.write) {
+      scan.reach_lo = std::min(scan.reach_lo, out);
+      scan.reach_hi = std::max(scan.reach_hi, out + len);
+    }
+    // The run's checks at once; a finding repeats them leaf by leaf.
+    if (ranges_overlap(out, len, secure_base, secure_size) ||
+        (attrs.write && (attrs.exec || phys.any_watched(out, len)))) {
+      for (PhysAddr p = out; p < out + len; p += span) {
+        check_leaf(phys, secure_base, secure_size, p, span, attrs, scan);
+      }
+    }
+    idx = end;
+  }
+}
+
+}  // namespace
+
+void scan_audit_table(const sim::PhysicalMemory& phys, PhysAddr secure_base,
+                      u64 secure_size, PhysAddr table, unsigned level,
+                      AuditTableScan& scan) {
+  if (!is_page_aligned(table)) {
+    // Every tree the kernel builds has page-aligned tables; a table
+    // straddling two pages is copied out first.
+    std::array<u8, kPageSize> copy{};
+    phys.read_block(table, copy.data(), copy.size());
+    scan_runs(phys, secure_base, secure_size, copy.data(), level, scan);
+    return;
+  }
+  // One read of the page; an all-zero page holds no valid descriptor.
+  const u8* bytes = phys.page_data(table >> kPageShift);
+  if (bytes != nullptr) {
+    scan_runs(phys, secure_base, secure_size, bytes, level, scan);
+  }
+}
 
 Hypersec::Hypersec(sim::Machine& machine, kernel::Kernel& kernel,
                    mbm::MemoryBusMonitor* mbm, const HypersecConfig& config)
@@ -172,58 +279,16 @@ std::vector<AuditFinding> Hypersec::audit_report() const {
   // invalidation rules.  All table reads are uncharged phys() peeks, so
   // memoization changes no simulated state whatsoever.
   const bool memoize = machine_.host_fast_path();
-
   auto scan_table = [&](PhysAddr table, unsigned level,
-                        AuditTableEntry& entry) {
-    std::vector<AuditScanItem>& items = entry.items;
-    for (u64 idx = 0; idx < kPtEntries; ++idx) {
-      const u64 desc = machine_.phys().read64(table + idx * 8);
-      if (!sim::desc_valid(desc)) continue;
-      if (sim::desc_is_table(desc, level)) {
-        items.push_back(AuditScanItem{.is_child = true,
-                                      .child = sim::desc_out_addr(desc)});
-        continue;
-      }
-      const bool leaf =
-          (level == 3 && bit(desc, sim::kDescTable)) ||
-          sim::desc_is_block(desc, level);
-      if (!leaf) continue;
-      const PhysAddr out = sim::desc_out_addr(desc);
-      const u64 span = sim::level_span(level);
-      const sim::PageAttrs attrs = sim::decode_attrs(desc);
-      // 2. nothing maps the secure space.
-      if (ranges_overlap(out, span, machine_.secure_base(),
-                         machine_.secure_size())) {
-        items.push_back(
-            AuditScanItem{.code = AuditCode::kSecureMapped,
-                          .detail = ": mapping reaches the secure space"});
-      }
-      // 3. W^X.
-      if (attrs.write && attrs.exec) {
-        items.push_back(
-            AuditScanItem{.code = AuditCode::kWxViolation,
-                          .detail = ": writable+executable mapping"});
-      }
-      // 1. PT pages are read-only through any alias.
-      if (attrs.write) {
-        entry.reach_lo = std::min(entry.reach_lo, out);
-        entry.reach_hi = std::max(entry.reach_hi, out + span);
-        for (PhysAddr p = out; p < out + span; p += kPageSize) {
-          if (verifier_.is_pt_page(p)) {
-            items.push_back(
-                AuditScanItem{.code = AuditCode::kPtWritableAlias,
-                              .detail = ": writable alias of a PT page"});
-            break;
-          }
-        }
-      }
-    }
+                        AuditTableScan& scan) {
+    scan_audit_table(machine_.phys(), machine_.secure_base(),
+                     machine_.secure_size(), table, level, scan);
   };
 
   auto walk_tree = [&](auto&& self, PhysAddr table, unsigned level,
                        const char* which) -> void {
     const std::vector<AuditScanItem>* items = nullptr;
-    AuditTableEntry local;
+    AuditTableScan local;
     if (memoize && verifier_.is_pt_page(table)) {
       const u64 epoch = machine_.phys().page_epoch(table >> kPageShift);
       auto it = audit_cache_.find(table);
@@ -302,6 +367,11 @@ u64 Hypersec::handle_hvc(u64 func, std::span<const u64> args) {
       return do_pt_free(args);
     case hvc::kPtRegisterRoot:
       if (args.size() != 1) return hvc::kBadArgs;
+      // Only a registered top-level table may become a TTBR0 root
+      // (§5.2.2); any other frame would escape the PT-write checks.
+      if (!is_page_aligned(args[0]) || verifier_.pt_level(args[0]) != 0) {
+        return hvc::kDenied;
+      }
       ++stats_.root_registrations;
       verifier_.add_user_root(args[0]);
       return hvc::kOk;
@@ -348,13 +418,14 @@ u64 Hypersec::do_pt_alloc(std::span<const u64> args) {
   if (args.size() != 2) return hvc::kBadArgs;
   const PhysAddr pa = args[0];
   const auto level = static_cast<unsigned>(args[1]);
-  if (!is_page_aligned(pa) || level > 3) return hvc::kBadArgs;
+  if (!is_page_aligned(pa) || level > 3 ||
+      !machine_.phys().contains(pa, kPageSize)) {
+    return hvc::kBadArgs;
+  }
   if (machine_.in_secure_space(pa, kPageSize)) return hvc::kDenied;
   if (verifier_.is_pt_page(pa)) return hvc::kDenied;
   // The page must arrive zeroed: no pre-seeded descriptors.
-  for (u64 off = 0; off < kPageSize; off += kWordSize) {
-    if (machine_.el2_read64(pa + off) != 0) return hvc::kDenied;
-  }
+  if (!machine_.el2_page_is_zero(pa)) return hvc::kDenied;
   ++stats_.pt_allocs;
   add_pt_page(pa, level);
   // Lock it read-only in the EL1 linear map.

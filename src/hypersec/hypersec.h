@@ -66,6 +66,34 @@ struct AuditFinding {
   std::string detail;  // which tree / what was reached
 };
 
+/// One table page's audit scan: child descents and findings interleaved
+/// in descriptor order, so replaying the items reproduces the finding
+/// order of a recursive walk.
+struct AuditScanItem {
+  bool is_child = false;         // true: descend into `child`
+  AuditCode code{};              // finding code when !is_child
+  PhysAddr child = 0;
+  const char* detail = nullptr;  // finding suffix (without tree prefix)
+};
+struct AuditTableScan {
+  // [reach_lo, reach_hi): bounding range of the writable leaf outputs,
+  // empty (lo > hi) while the table maps nothing writable.
+  PhysAddr reach_lo = ~PhysAddr{0};
+  PhysAddr reach_hi = 0;
+  std::vector<AuditScanItem> items;
+};
+
+/// Scan the 512 descriptors of the level-`level` table at `table` into
+/// `scan` (DESIGN.md §14): a child item per table descriptor, and per
+/// leaf a finding if it reaches the secure space, maps writable and
+/// executable, or maps a PT page writable; PT pages are the watched
+/// pages of `phys`.  The page is read once and walked by runs of leaves
+/// that repeat one descriptor's attribute bits with consecutive outputs;
+/// only a run with a finding is checked leaf by leaf.
+void scan_audit_table(const sim::PhysicalMemory& phys, PhysAddr secure_base,
+                      u64 secure_size, PhysAddr table, unsigned level,
+                      AuditTableScan& scan);
+
 struct HypersecConfig {
   /// EL2 cycles of verification work per hypercall / trap.
   Cycles verify_cost = 80;
@@ -209,20 +237,9 @@ class Hypersec {
   // entry's, and any table that is *not* watched — e.g. reached through a
   // corrupted descriptor pointing at an unregistered page — is scanned
   // afresh, so attack-crafted trees can never be served stale.
-  struct AuditScanItem {
-    bool is_child = false;         // true: descend into `child`
-    AuditCode code{};              // finding code when !is_child
-    PhysAddr child = 0;
-    const char* detail = nullptr;  // finding suffix (without tree prefix)
-  };
-  struct AuditTableEntry {
+  struct AuditTableEntry : AuditTableScan {
     u64 epoch = 0;
     unsigned level = 0;
-    // [reach_lo, reach_hi): bounding range of the writable leaf outputs,
-    // empty (lo > hi) while the table maps nothing writable.
-    PhysAddr reach_lo = ~PhysAddr{0};
-    PhysAddr reach_hi = 0;
-    std::vector<AuditScanItem> items;
   };
 
   /// Every inventory change goes through these two, so the audit memo

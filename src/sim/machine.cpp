@@ -424,6 +424,40 @@ u64 Machine::el2_read64(PhysAddr pa) {
   return phys_.read64(pa);
 }
 
+bool Machine::el2_page_is_zero(PhysAddr page) {
+  assert(is_page_aligned(page) && phys_.contains(page, kPageSize));
+  constexpr u64 kLineWords = kCacheLineSize / kWordSize;
+  for (u64 off = 0; off < kPageSize; off += kCacheLineSize) {
+    el2_read64(page + off);
+    // Read after the access: a write-back's snooper may have written.
+    const u8* bytes = phys_.page_data(page >> kPageShift);
+    u64 reads = kLineWords;  // up to and including the first non-zero
+    bool zero = true;
+    for (u64 w = 0; bytes != nullptr && w < kLineWords; ++w) {
+      u64 v = 0;
+      std::memcpy(&v, bytes + off + w * kWordSize, kWordSize);
+      if (v != 0) {
+        reads = w + 1;
+        zero = false;
+        break;
+      }
+    }
+    // The line's later reads hit: its first read left it cached.
+    const u64 rest = reads - 1;
+    Counters& c = cur_->account.counters();
+    c.mem_reads += rest;
+    if (cur_->cache.config().enabled) {
+      cur_->account.charge(config_.timing.l1_hit * rest);
+      c.l1_hits += rest;
+    } else {
+      cur_->account.charge(config_.timing.noncacheable_access * rest);
+      c.noncacheable_accesses += rest;
+    }
+    if (!zero) return false;
+  }
+  return true;
+}
+
 void Machine::el2_write64(PhysAddr pa, u64 value) {
   ++cur_->account.counters().mem_writes;
   if (cur_->cache.config().enabled) {

@@ -234,6 +234,13 @@ class Machine {
 
   // --- EL2 physical accesses (Hypersec's VA==PA linear map, §6.1) ----------
   u64 el2_read64(PhysAddr pa);
+  /// el2_read64 of the page's words in address order up to the first
+  /// non-zero one, with exactly its charges, counters, bus traffic and
+  /// cache state; true when all 512 words are zero.  A line at a time:
+  /// the first word's read (which may miss, fill and write back a
+  /// victim), then the line's words read from memory, then the reads up
+  /// to the first non-zero word charged as the L1 hits they are.
+  bool el2_page_is_zero(PhysAddr page);
   void el2_write64(PhysAddr pa, u64 value);
   /// Non-cacheable EL2 word write: reaches the bus, so the MBM observes it.
   /// Hypersec programs the MBM bitmap this way so the bitmap cache sees

@@ -17,6 +17,7 @@
 //     of a machine snapshot (sim/snapshot.h).
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <memory>
@@ -169,6 +170,15 @@ class PhysicalMemory {
   [[nodiscard]] u64 page_epoch(u64 index) const {
     assert(page_watched(index));
     return page_epoch_.find(index)->second;
+  }
+  /// True when a watched page intersects [pa, pa+len); no page past the
+  /// end of DRAM is watched.
+  [[nodiscard]] bool any_watched(PhysAddr pa, u64 len) const {
+    const u64 first = pa >> kPageShift;
+    const u64 end = std::min<u64>((pa + len + kPageMask) >> kPageShift,
+                                  pages_.size());
+    return first < end &&
+           std::memchr(&watched_[first], 1, end - first) != nullptr;
   }
 
   [[nodiscard]] u64 page_count() const { return pages_.size(); }

@@ -5,8 +5,9 @@
 // determinism contract: TLB replacement order, walk charges, bus traffic
 // timing, oracle verdicts.  Two pins live here:
 //
-//   * the golden digest for the canonical quick campaign (--seed=1
-//     --sequences=50) — any change to simulated behaviour, intended or
+//   * the golden digests for the canonical quick campaign (--seed=1
+//     --sequences=50) and a full-matrix one (--seed=3 --sequences=10
+//     --matrix=full) — any change to simulated behaviour, intended or
 //     not, shows up as a digest mismatch and must be justified;
 //   * host-mode equality — the host fast path (DESIGN.md §9), snapshot
 //     boot and metrics collection must each reproduce the digest
@@ -41,6 +42,27 @@ TEST(CampaignDigest, GoldenQuickCampaign) {
   EXPECT_EQ(r.failures, 0u);
   EXPECT_EQ(r.sequences_run, 50u);
   EXPECT_EQ(r.corpus_digest, kGoldenDigest);
+}
+
+/// Golden digest of `hypernel_fuzz --seed=3 --sequences=10 --matrix=full`.
+/// Only the full matrix runs Hypernel with the cache off and with a 4 KiB
+/// cache (the non-cacheable and write-back sides of the kPtAlloc zero
+/// check) and with a 4-entry TLB.
+constexpr u64 kGoldenFullMatrixDigest = 0x5907e4c507da93a0ull;
+
+TEST(CampaignDigest, GoldenFullMatrixCampaign) {
+  FuzzOptions opt;
+  opt.seed = 3;
+  opt.sequences = 10;
+  opt.full_matrix = true;
+  opt.jobs = 0;
+  for (const bool fast_path : {true, false}) {
+    opt.host_fast_path = fast_path;
+    const CampaignResult r = run_campaign(opt);
+    EXPECT_EQ(r.failures, 0u) << "fast path " << fast_path;
+    EXPECT_EQ(r.corpus_digest, kGoldenFullMatrixDigest)
+        << "fast path " << fast_path;
+  }
 }
 
 TEST(CampaignDigest, ReferenceModeIsBitIdentical) {

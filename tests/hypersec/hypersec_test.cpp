@@ -1,6 +1,7 @@
 // Hypersec tests: the PT-write verifier's policy rules, boot-time sealing,
-// TVM trap handling (TTBR/SCTLR), the hypercall interface, and the
-// MBM-driver registration/teardown paths.
+// TVM trap handling (TTBR/SCTLR), the hypercall interface, the audit memo
+// and the audit's table scan by runs against the per-leaf reference, and
+// the MBM-driver registration/teardown paths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,9 +10,11 @@
 #include <vector>
 
 #include "common/hvc_abi.h"
+#include "common/rng.h"
 #include "hypernel/system.h"
 #include "hypersec/pt_verifier.h"
 #include "kernel/layout.h"
+#include "sim/pagetable.h"
 #include "sim/sysregs.h"
 
 namespace hn::hypersec {
@@ -238,6 +241,58 @@ TEST(Hypersec, PtAllocRejectsSecurePage) {
   EXPECT_EQ(sys->machine().hvc(
                 hvc::kPtAlloc, {sys->machine().secure_base(), 3}),
             hvc::kDenied);
+}
+
+TEST(Hypersec, PtAllocRejectsFrameOutsideDram) {
+  // A forged frame past the end of DRAM is no frame at all: it must be
+  // refused before the zero check reads it.
+  auto sys = make_system();
+  sim::Machine& m = sys->machine();
+  const u64 dram = m.phys().size();
+  EXPECT_EQ(m.hvc(hvc::kPtAlloc, {dram, 3}), hvc::kBadArgs);
+  EXPECT_EQ(m.hvc(hvc::kPtAlloc, {dram + 64 * kPageSize, 0}), hvc::kBadArgs);
+  EXPECT_EQ(m.hvc(hvc::kPtAlloc, {~kPageMask, 1}), hvc::kBadArgs);
+  EXPECT_EQ(sys->hypersec()->stats().pt_allocs, 0u);
+  EXPECT_TRUE(sys->hypersec()->audit().empty());
+}
+
+TEST(Hypersec, PtRegisterRootRequiresATopLevelTable) {
+  // §5.2.2: TTBR0 may only name a root Hypersec vets.  A kernel-owned
+  // frame that is no page table must not become one by hypercall.
+  auto sys = make_system();
+  sim::Machine& m = sys->machine();
+  kernel::Kernel& k = sys->kernel();
+  Result<PhysAddr> frame = k.buddy().alloc_page();
+  ASSERT_TRUE(frame.ok());
+  const PhysAddr forged = frame.value();
+  ASSERT_EQ(sys->hypersec()->verifier().pt_level(forged), -1);
+  EXPECT_FALSE(m.write_sysreg_el1(sim::SysReg::TTBR0_EL1, forged));
+  EXPECT_EQ(m.hvc(hvc::kPtRegisterRoot, {forged}), hvc::kDenied);
+  EXPECT_FALSE(m.write_sysreg_el1(sim::SysReg::TTBR0_EL1, forged));
+
+  // A table below the top level, and an address inside a root's page,
+  // are refused too.
+  const PhysAddr root = k.procs().current().ttbr0;
+  PhysAddr lower = 0;
+  for (u64 idx = 0; idx < kPtEntries && lower == 0; ++idx) {
+    const u64 d = m.phys().read64(root + idx * kWordSize);
+    if (sim::desc_is_table(d, 0)) lower = sim::desc_out_addr(d);
+  }
+  ASSERT_NE(lower, 0u);
+  ASSERT_EQ(sys->hypersec()->verifier().pt_level(lower), 1);
+  EXPECT_EQ(m.hvc(hvc::kPtRegisterRoot, {lower}), hvc::kDenied);
+  EXPECT_EQ(m.hvc(hvc::kPtRegisterRoot, {root + kWordSize}), hvc::kDenied);
+
+  // The kernel's own path still works: a fresh root goes through kPtAlloc
+  // at level 0, then registers.
+  const u64 registrations = sys->hypersec()->stats().root_registrations;
+  Result<PhysAddr> fresh = k.kpt().alloc_user_root();
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(sys->hypersec()->stats().root_registrations, registrations + 1);
+  EXPECT_TRUE(sys->hypersec()->verifier().is_user_root(fresh.value()));
+  EXPECT_TRUE(m.write_sysreg_el1(sim::SysReg::TTBR0_EL1, fresh.value()));
+  EXPECT_TRUE(m.write_sysreg_el1(sim::SysReg::TTBR0_EL1, root));
+  EXPECT_TRUE(sys->hypersec()->audit().empty());
 }
 
 TEST(Hypersec, TtbrTrapValidatesRoots) {
@@ -486,6 +541,262 @@ TEST(AuditMemo, AliasCreatedByInventoryChangeAlone) {
   EXPECT_TRUE(hs.audit().empty());
   m.set_host_fast_path(true);
   EXPECT_TRUE(hs.audit().empty());
+}
+
+// ---------------- the audit's table scan ----------------
+
+constexpr u64 kScanDram = 64ull * 1024 * 1024;
+constexpr PhysAddr kScanSecureBase = 48ull * 1024 * 1024;
+constexpr u64 kScanSecureSize = kScanDram - kScanSecureBase;
+constexpr PhysAddr kScanTable = 0x10'0000;
+
+/// The per-leaf scan scan_audit_table replaced, as the reference model:
+/// every descriptor read on its own, every leaf checked on its own, a
+/// page-by-page PT test over a writable leaf's span.
+AuditTableScan reference_scan(const sim::PhysicalMemory& phys, PhysAddr table,
+                              unsigned level) {
+  AuditTableScan scan;
+  for (u64 idx = 0; idx < kPtEntries; ++idx) {
+    const u64 desc = phys.read64(table + idx * 8);
+    if (!sim::desc_valid(desc)) continue;
+    if (sim::desc_is_table(desc, level)) {
+      scan.items.push_back(AuditScanItem{.is_child = true,
+                                         .child = sim::desc_out_addr(desc)});
+      continue;
+    }
+    const bool leaf = (level == 3 && bit(desc, sim::kDescTable)) ||
+                      sim::desc_is_block(desc, level);
+    if (!leaf) continue;
+    const PhysAddr out = sim::desc_out_addr(desc);
+    const u64 span = sim::level_span(level);
+    const sim::PageAttrs attrs = sim::decode_attrs(desc);
+    if (ranges_overlap(out, span, kScanSecureBase, kScanSecureSize)) {
+      scan.items.push_back(
+          AuditScanItem{.code = AuditCode::kSecureMapped,
+                        .detail = ": mapping reaches the secure space"});
+    }
+    if (attrs.write && attrs.exec) {
+      scan.items.push_back(
+          AuditScanItem{.code = AuditCode::kWxViolation,
+                        .detail = ": writable+executable mapping"});
+    }
+    if (attrs.write) {
+      scan.reach_lo = std::min(scan.reach_lo, out);
+      scan.reach_hi = std::max(scan.reach_hi, out + span);
+      for (PhysAddr p = out; p < out + span; p += kPageSize) {
+        const u64 index = p >> kPageShift;
+        if (index < phys.page_count() && phys.page_watched(index)) {
+          scan.items.push_back(
+              AuditScanItem{.code = AuditCode::kPtWritableAlias,
+                            .detail = ": writable alias of a PT page"});
+          break;
+        }
+      }
+    }
+  }
+  return scan;
+}
+
+/// Run both scans of the table at `table`; they must agree item for item
+/// and on the writable reach.  Returns the reference scan.
+AuditTableScan expect_scan_matches_reference(const sim::PhysicalMemory& phys,
+                                             PhysAddr table, unsigned level) {
+  AuditTableScan runs;
+  scan_audit_table(phys, kScanSecureBase, kScanSecureSize, table, level, runs);
+  AuditTableScan ref = reference_scan(phys, table, level);
+  EXPECT_EQ(runs.reach_lo, ref.reach_lo);
+  EXPECT_EQ(runs.reach_hi, ref.reach_hi);
+  EXPECT_EQ(runs.items.size(), ref.items.size());
+  for (size_t i = 0; i < std::min(runs.items.size(), ref.items.size()); ++i) {
+    const AuditScanItem& a = runs.items[i];
+    const AuditScanItem& b = ref.items[i];
+    EXPECT_EQ(a.is_child, b.is_child) << "item " << i;
+    EXPECT_EQ(a.child, b.child) << "item " << i;
+    if (!a.is_child && !b.is_child) {
+      EXPECT_EQ(a.code, b.code) << "item " << i;
+      EXPECT_STREQ(a.detail, b.detail) << "item " << i;
+    }
+  }
+  return ref;
+}
+
+size_t count_code(const AuditTableScan& scan, AuditCode code) {
+  return static_cast<size_t>(
+      std::count_if(scan.items.begin(), scan.items.end(),
+                    [code](const AuditScanItem& it) {
+                      return !it.is_child && it.code == code;
+                    }));
+}
+
+/// A table holding `leaves` from index `first`, written raw.
+void put_leaves(sim::PhysicalMemory& phys, PhysAddr table, u64 first,
+                const std::vector<u64>& leaves) {
+  for (u64 i = 0; i < leaves.size(); ++i) {
+    phys.write64(table + (first + i) * kWordSize, leaves[i]);
+  }
+}
+
+/// `n` leaves from `desc` on, the output advancing one span each.
+std::vector<u64> run_of(u64 desc, u64 n, unsigned level) {
+  std::vector<u64> out;
+  for (u64 i = 0; i < n; ++i) out.push_back(desc + i * sim::level_span(level));
+  return out;
+}
+
+TEST(AuditScan, RunBrokenByAnAttributeBit) {
+  sim::PhysicalMemory phys(kScanDram);
+  const sim::PageAttrs rw{.write = true};
+  std::vector<u64> leaves = run_of(sim::make_page_desc(0x20'0000, rw), 8, 3);
+  leaves[3] = sim::desc_with_attrs(leaves[3], {.write = true, .exec = true});
+  leaves[5] = with_bit(leaves[5], sim::kDescNonGlobal, true);
+  put_leaves(phys, kScanTable, 4, leaves);
+  const AuditTableScan ref = expect_scan_matches_reference(phys, kScanTable, 3);
+  EXPECT_EQ(count_code(ref, AuditCode::kWxViolation), 1u);
+  EXPECT_EQ(ref.reach_lo, 0x20'0000u);
+  EXPECT_EQ(ref.reach_hi, 0x20'0000u + 8 * kPageSize);
+}
+
+TEST(AuditScan, RunBrokenByAnOutputGap) {
+  // The skipped frame is a PT page: a run merged across the gap would
+  // report an alias that no leaf maps.
+  sim::PhysicalMemory phys(kScanDram);
+  const u64 first = sim::make_page_desc(0x30'0000, {.write = true});
+  std::vector<u64> leaves = run_of(first, 4, 3);
+  for (const u64 d : run_of(first + 5 * kPageSize, 4, 3)) leaves.push_back(d);
+  put_leaves(phys, kScanTable, 0, leaves);
+  phys.watch_page((0x30'0000 >> kPageShift) + 4);
+  const AuditTableScan ref = expect_scan_matches_reference(phys, kScanTable, 3);
+  EXPECT_EQ(count_code(ref, AuditCode::kPtWritableAlias), 0u);
+}
+
+TEST(AuditScan, RunBrokenByAnOutputCarryPastBit47) {
+  // Consecutive descriptors whose output carries out of bits 47:12: the
+  // third leaf maps frame 0 (a PT page) with bit 48 set.
+  sim::PhysicalMemory phys(kScanDram);
+  const PhysAddr top = (PhysAddr{1} << 48) - 2 * kPageSize;
+  put_leaves(phys, kScanTable, 10,
+             run_of(sim::make_page_desc(top, {.write = true}), 4, 3));
+  phys.watch_page(0);
+  const AuditTableScan ref = expect_scan_matches_reference(phys, kScanTable, 3);
+  EXPECT_EQ(count_code(ref, AuditCode::kPtWritableAlias), 1u);
+  EXPECT_EQ(ref.reach_lo, 0u);
+  EXPECT_EQ(ref.reach_hi, PhysAddr{1} << 48);
+}
+
+TEST(AuditScan, SecureOverlapsWxLeavesAndPlantedPtPages) {
+  sim::PhysicalMemory phys(kScanDram);
+  // Three leaves before the secure base and three inside it.
+  put_leaves(phys, kScanTable, 0,
+             run_of(sim::make_page_desc(kScanSecureBase - 3 * kPageSize, {}),
+                    6, 3));
+  // Five writable+executable leaves.
+  put_leaves(phys, kScanTable, 20,
+             run_of(sim::make_page_desc(0x40'0000, {.write = true, .exec = true}),
+                    5, 3));
+  // Sixteen writable leaves over two planted PT pages.
+  put_leaves(phys, kScanTable, 40,
+             run_of(sim::make_page_desc(0x50'0000, {.write = true}), 16, 3));
+  phys.watch_page((0x50'0000 >> kPageShift) + 2);
+  phys.watch_page((0x50'0000 >> kPageShift) + 9);
+  // A read-only run over a PT page is no alias.
+  put_leaves(phys, kScanTable, 60,
+             run_of(sim::make_page_desc(0x50'0000, {}), 16, 3));
+  const AuditTableScan ref = expect_scan_matches_reference(phys, kScanTable, 3);
+  EXPECT_EQ(count_code(ref, AuditCode::kSecureMapped), 3u);
+  EXPECT_EQ(count_code(ref, AuditCode::kWxViolation), 5u);
+  EXPECT_EQ(count_code(ref, AuditCode::kPtWritableAlias), 2u);
+}
+
+TEST(AuditScan, TwoMibAndOneGibBlocks) {
+  sim::PhysicalMemory phys(kScanDram);
+  // Level 2: three writable 2 MiB blocks, a PT page inside the middle one.
+  put_leaves(phys, kScanTable, 7,
+             run_of(sim::make_block_desc(0x40'0000, {.write = true}), 3, 2));
+  phys.watch_page((0x60'0000 >> kPageShift) + 17);
+  AuditTableScan ref = expect_scan_matches_reference(phys, kScanTable, 2);
+  EXPECT_EQ(count_code(ref, AuditCode::kPtWritableAlias), 1u);
+  // Level 1: a block encoding is no leaf there, so the run yields nothing.
+  const PhysAddr l1 = kScanTable + kPageSize;
+  put_leaves(phys, l1, 0,
+             run_of(sim::make_block_desc(0, {.write = true, .exec = true}), 4, 1));
+  phys.write64(l1 + 100 * kWordSize, sim::make_table_desc(kScanTable));
+  ref = expect_scan_matches_reference(phys, l1, 1);
+  ASSERT_EQ(ref.items.size(), 1u);
+  EXPECT_TRUE(ref.items[0].is_child);
+}
+
+TEST(AuditScan, AllZeroPageAndUnalignedTable) {
+  sim::PhysicalMemory phys(kScanDram);
+  AuditTableScan ref = expect_scan_matches_reference(phys, kScanTable, 3);
+  EXPECT_TRUE(ref.items.empty());
+  EXPECT_GT(ref.reach_lo, ref.reach_hi);
+  // A table that starts mid-page runs into the next page; its run
+  // crosses the boundary.
+  const PhysAddr table = kScanTable + 3 * kPageSize + 24;
+  put_leaves(phys, page_align_down(table), 500,
+             run_of(sim::make_page_desc(0x70'0000, {.write = true}), 20, 3));
+  phys.watch_page((0x70'0000 >> kPageShift) + 10);
+  ref = expect_scan_matches_reference(phys, table, 3);
+  EXPECT_EQ(count_code(ref, AuditCode::kPtWritableAlias), 1u);
+}
+
+TEST(AuditScan, SeededTablesMatchThePerLeafReference) {
+  // Random tables at levels 1-3: runs of leaves broken by attribute
+  // bits, output gaps and carries, child descriptors, garbage words, and
+  // planted PT pages; one table in eight starts mid-page.
+  SplitMix64 rng(0x5CA9);
+  const unsigned attr_bits[] = {2, 3, 4, 6, 7, 11, 52, 53, 54, 60};
+  for (int iter = 0; iter < 600; ++iter) {
+    SCOPED_TRACE(iter);
+    const auto level = static_cast<unsigned>(1 + iter % 3);
+    const u64 span = sim::level_span(level);
+    sim::PhysicalMemory phys(kScanDram);
+    for (int i = 0; i < 24; ++i) phys.watch_page(rng.next_below(2048));
+    const PhysAddr table =
+        kScanTable + (rng.chance(1, 8) ? 8 * rng.next_in(1, 511) : 0);
+    u64 idx = 0;
+    while (idx < kPtEntries) {
+      const PhysAddr slot = table + idx * kWordSize;
+      switch (rng.next_below(6)) {
+        case 0:  // zero descriptors
+          idx += rng.next_below(24);
+          break;
+        case 1:
+          phys.write64(slot, sim::make_table_desc(rng.next_below(2048)
+                                                  << kPageShift));
+          ++idx;
+          break;
+        case 2:
+          phys.write64(slot, rng.next());
+          ++idx;
+          break;
+        default: {  // a run of leaves
+          PhysAddr out = 0;
+          switch (rng.next_below(4)) {
+            case 0: out = rng.next_below(2048) << kPageShift; break;
+            case 1: out = kScanSecureBase - rng.next_below(8) * span; break;
+            case 2: out = (PhysAddr{1} << 48) - rng.next_in(1, 8) * span; break;
+            default: out = rng.next_below(kScanDram >> kPageShift) << kPageShift;
+          }
+          const sim::PageAttrs attrs{.write = rng.chance(3, 4),
+                                     .exec = rng.chance(1, 4),
+                                     .user = rng.chance(1, 2),
+                                     .global = rng.chance(1, 2)};
+          u64 desc = level == 3 ? sim::make_page_desc(out, attrs)
+                                : sim::make_block_desc(out, attrs);
+          const u64 n = rng.next_in(1, 64);
+          for (u64 k = 0; k < n && idx < kPtEntries; ++k, ++idx) {
+            phys.write64(table + idx * kWordSize, desc);
+            desc += span;
+            if (rng.chance(1, 24)) desc ^= u64{1} << attr_bits[rng.next_below(10)];
+            if (rng.chance(1, 24)) desc += span * rng.next_in(1, 3);
+          }
+        }
+      }
+    }
+    expect_scan_matches_reference(phys, table, level);
+    if (HasFailure()) break;
+  }
 }
 
 // ---------------- MBM driver ----------------

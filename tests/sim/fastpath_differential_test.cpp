@@ -8,15 +8,20 @@
 // every counter, the bus transaction count, and the memory contents the
 // scenario touched.
 //
+// The same ledger comparison pins the line-at-a-time kPtAlloc zero check
+// (Machine::el2_page_is_zero) to the word loop it replaced.
+//
 // The disturbance scenarios are the sharp edge: a bus snooper raising an
 // IRQ mid-bulk-transfer whose handler inserts TLB entries or rewrites
 // translation registers must leave no seam in the ledger.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
 #include <vector>
 
 #include "common/rng.h"
+#include "kernel/spinlock.h"
 #include "sim/bus.h"
 #include "sim/irq.h"
 #include "sim/machine.h"
@@ -32,17 +37,19 @@ namespace {
 /// twin machine in the other mode).
 class Rig {
  public:
-  explicit Rig(bool fast_path, unsigned tlb_entries = 16)
-      : machine_(make_config(fast_path, tlb_entries)),
+  explicit Rig(bool fast_path, unsigned tlb_entries = 16, unsigned cores = 1)
+      : machine_(make_config(fast_path, tlb_entries, cores)),
         next_table_(1 * 1024 * 1024) {
     root_ = alloc_table();
-    machine_.set_sysreg_raw(SysReg::TTBR1_EL1, root_);
+    machine_.set_sysreg_raw_all(SysReg::TTBR1_EL1, root_);
   }
 
-  static MachineConfig make_config(bool fast_path, unsigned tlb_entries) {
+  static MachineConfig make_config(bool fast_path, unsigned tlb_entries,
+                                   unsigned cores) {
     MachineConfig cfg;
     cfg.host_fast_path = fast_path;
     cfg.tlb_entries = tlb_entries;  // small: eviction pressure in scenarios
+    cfg.cores = cores;
     return cfg;
   }
 
@@ -84,55 +91,47 @@ class Rig {
 
 /// Everything the simulation is allowed to observe.
 struct Ledger {
-  Cycles cycles = 0;
-  Counters counters;
+  std::vector<Cycles> cycles;      // per core
+  std::vector<Counters> counters;  // per core
   u64 bus_txns = 0;
   std::vector<u8> payload;  // scenario-chosen memory extract
 };
 
-#define HN_EXPECT_COUNTER_EQ(field) \
-  EXPECT_EQ(a.counters.field, b.counters.field) << #field
+/// Fill in the machine's side of `ledger`: every core's clock and
+/// counters, and the bus transaction count.
+void record_machine(Machine& m, Ledger& ledger) {
+  for (unsigned core = 0; core < m.cores(); ++core) {
+    ledger.cycles.push_back(m.core_account(core).cycles());
+    ledger.counters.push_back(m.core_account(core).counters());
+  }
+  ledger.bus_txns = m.bus().transaction_count();
+}
 
 void expect_ledgers_equal(const Ledger& a, const Ledger& b) {
   EXPECT_EQ(a.cycles, b.cycles);
   EXPECT_EQ(a.bus_txns, b.bus_txns);
-  HN_EXPECT_COUNTER_EQ(mem_reads);
-  HN_EXPECT_COUNTER_EQ(mem_writes);
-  HN_EXPECT_COUNTER_EQ(l1_hits);
-  HN_EXPECT_COUNTER_EQ(l1_misses);
-  HN_EXPECT_COUNTER_EQ(l1_stream_allocs);
-  HN_EXPECT_COUNTER_EQ(dirty_writebacks);
-  HN_EXPECT_COUNTER_EQ(noncacheable_accesses);
-  HN_EXPECT_COUNTER_EQ(tlb_hits);
-  HN_EXPECT_COUNTER_EQ(tlb_misses);
-  HN_EXPECT_COUNTER_EQ(pt_descriptor_fetches);
-  HN_EXPECT_COUNTER_EQ(s2_descriptor_fetches);
-  HN_EXPECT_COUNTER_EQ(svc_calls);
-  HN_EXPECT_COUNTER_EQ(hvc_calls);
-  HN_EXPECT_COUNTER_EQ(sysreg_traps);
-  HN_EXPECT_COUNTER_EQ(irqs_delivered);
-  HN_EXPECT_COUNTER_EQ(vm_exits);
-  HN_EXPECT_COUNTER_EQ(s2_translation_faults);
-  HN_EXPECT_COUNTER_EQ(s2_permission_faults);
-  HN_EXPECT_COUNTER_EQ(el1_permission_faults);
-  HN_EXPECT_COUNTER_EQ(context_switches);
+  ASSERT_EQ(a.counters.size(), b.counters.size());
+  for (size_t core = 0; core < a.counters.size(); ++core) {
+    for (size_t f = 0; f < std::size(kCounterFields); ++f) {
+      EXPECT_EQ(a.counters[core].*kCounterFields[f],
+                b.counters[core].*kCounterFields[f])
+          << "core " << core << ", Counters field " << f;
+    }
+  }
   EXPECT_EQ(a.payload, b.payload);
 }
-
-#undef HN_EXPECT_COUNTER_EQ
 
 /// Run `scenario` on a fresh rig with the fast path on and in reference
 /// mode, and require identical ledgers.
 template <typename Scenario>
-void differential(Scenario scenario, unsigned tlb_entries = 16) {
+void differential(Scenario scenario, unsigned tlb_entries = 16,
+                  unsigned cores = 1) {
   Ledger ledgers[2];
   for (const bool fast_path : {true, false}) {
-    Rig rig(fast_path, tlb_entries);
+    Rig rig(fast_path, tlb_entries, cores);
     Ledger& ledger = ledgers[fast_path ? 0 : 1];
     scenario(rig, ledger);
-    ledger.cycles = rig.m().account().cycles();
-    ledger.counters = rig.m().counters();
-    ledger.bus_txns = rig.m().bus().transaction_count();
+    record_machine(rig.m(), ledger);
     // The modes must agree they ran in the intended mode.
     EXPECT_EQ(rig.m().host_fast_path(), fast_path);
     EXPECT_EQ(rig.m().tlb().index_enabled(), fast_path);
@@ -143,40 +142,73 @@ void differential(Scenario scenario, unsigned tlb_entries = 16) {
 constexpr VirtAddr kVa = kKernelVaBase + 0x100000;
 constexpr PhysAddr kPa = 4 * 1024 * 1024;
 
+/// Random single-word reads/writes over more pages than TLB slots, with
+/// interleaved flushes: exercises index insert/evict/flush against the
+/// reference scan, with distinct pages sharing index buckets.  On a
+/// multi-core rig the core with the lowest clock runs each access under
+/// one spinlock and the flushes are shootdowns, so IPIs, shared-bus waits
+/// and lock contention all occur.
+void mixed_access_churn(Rig& rig, Ledger& out) {
+  const unsigned kPages = 48;  // 3x the 16-entry TLB
+  for (unsigned p = 0; p < kPages; ++p) {
+    PageAttrs a{.write = true};
+    if (p % 5 == 0) a.attr = MemAttr::kNonCacheable;
+    a.global = (p % 3 != 0);
+    rig.map(kVa + p * kPageSize, kPa + p * kPageSize, a);
+  }
+  Machine& m = rig.m();
+  kernel::SpinLock lock;
+  lock.bind(m);
+  SplitMix64 rng(42);
+  for (int i = 0; i < 4000; ++i) {
+    unsigned next = 0;
+    for (unsigned c = 1; c < m.cores(); ++c) {
+      if (m.core_account(c).cycles() < m.core_account(next).cycles()) next = c;
+    }
+    if (next != m.active_core()) m.set_active_core(next);
+    const VirtAddr va = kVa + rng.next_below(kPages) * kPageSize +
+                        rng.next_below(kPageSize / 8) * 8;
+    lock.lock();
+    if (rng.chance(1, 2)) {
+      ASSERT_TRUE(m.write64(va, rng.next()).ok);
+    } else {
+      ASSERT_TRUE(m.read64(va).ok);
+    }
+    lock.unlock();
+    if (rng.chance(1, 64)) {
+      m.tlb_shootdown_va(kVa + rng.next_below(kPages) * kPageSize);
+      m.charge_tlbi();
+    }
+    if (rng.chance(1, 256)) {
+      m.tlb_shootdown_all();
+      m.charge_tlbi();
+    }
+  }
+  out.payload.resize(kPages * kPageSize);
+  m.phys().read_block(kPa, out.payload.data(), out.payload.size());
+}
+
 TEST(FastPathDifferential, MixedAccessChurn) {
-  // Random single-word reads/writes over more pages than TLB slots, with
-  // interleaved flushes: exercises index insert/evict/flush against the
-  // reference scan, with distinct pages sharing index buckets.
-  differential([](Rig& rig, Ledger& out) {
-    const unsigned kPages = 48;  // 3x the 16-entry TLB
-    for (unsigned p = 0; p < kPages; ++p) {
-      PageAttrs a{.write = true};
-      if (p % 5 == 0) a.attr = MemAttr::kNonCacheable;
-      a.global = (p % 3 != 0);
-      rig.map(kVa + p * kPageSize, kPa + p * kPageSize, a);
-    }
-    Machine& m = rig.m();
-    SplitMix64 rng(42);
-    for (int i = 0; i < 4000; ++i) {
-      const VirtAddr va = kVa + rng.next_below(kPages) * kPageSize +
-                          rng.next_below(kPageSize / 8) * 8;
-      if (rng.chance(1, 2)) {
-        ASSERT_TRUE(m.write64(va, rng.next()).ok);
-      } else {
-        ASSERT_TRUE(m.read64(va).ok);
-      }
-      if (rng.chance(1, 64)) {
-        m.tlb().flush_va(kVa + rng.next_below(kPages) * kPageSize);
-        m.charge_tlbi();
-      }
-      if (rng.chance(1, 256)) {
-        m.tlb().flush_all();
-        m.charge_tlbi();
-      }
-    }
-    out.payload.resize(kPages * kPageSize);
-    m.phys().read_block(kPa, out.payload.data(), out.payload.size());
-  });
+  differential(mixed_access_churn);
+}
+
+TEST(FastPathDifferential, MixedAccessChurnOnTwoCores) {
+  differential(mixed_access_churn, 16, /*cores=*/2);
+  // The six SMP counters took part in the comparison above.
+  Rig rig(/*fast_path=*/true, 16, /*cores=*/2);
+  Ledger ledger;
+  mixed_access_churn(rig, ledger);
+  Counters sum;
+  for (unsigned core = 0; core < 2; ++core) {
+    const Counters& c = rig.m().core_account(core).counters();
+    for (u64 Counters::* field : kCounterFields) sum.*field += c.*field;
+  }
+  EXPECT_GT(sum.ipis_sent, 0u);
+  EXPECT_GT(sum.ipis_delivered, 0u);
+  EXPECT_GT(sum.bus_waits, 0u);
+  EXPECT_GT(sum.bus_wait_cycles, 0u);
+  EXPECT_GT(sum.spin_contentions, 0u);
+  EXPECT_GT(sum.ipi_latency_cycles, 0u);
 }
 
 TEST(FastPathDifferential, BulkTransfersCacheableAndNot) {
@@ -399,6 +431,115 @@ TEST(FastPathDifferential, El2BlockCountsNoncacheableAccessesWhenCacheOff) {
             lines * m.timing().noncacheable_access);
   EXPECT_EQ(m.counters().mem_writes, buf.size() / 8);
   EXPECT_EQ(m.counters().mem_reads, buf.size() / 8);
+}
+
+// --- The kPtAlloc zero check against the word loop ---------------------------
+
+/// The word loop Machine::el2_page_is_zero replaced, as the reference
+/// model: one EL2 read per word, up to the first non-zero one.
+bool word_loop_page_is_zero(Machine& m, PhysAddr page) {
+  for (u64 off = 0; off < kPageSize; off += kWordSize) {
+    if (m.el2_read64(page + off) != 0) return false;
+  }
+  return true;
+}
+
+/// Snooper that re-enters the cache on every dirty write-back: an EL2
+/// read in the written-back line's set, then an EL2 write beside it.  On
+/// the third write-back it also plants a non-zero word at `plant` (0:
+/// never), so the check must read a line's words after its first read.
+struct ReenterOnWriteback : BusSnooper {
+  Machine* machine = nullptr;
+  u64 set_stride = 0;  // bytes between two lines of one cache set
+  PhysAddr plant = 0;
+  u64 writebacks = 0;
+  bool inside = false;
+  void on_transaction(const BusTransaction& t) override {
+    if (t.op != BusOp::kWriteLine || inside) return;
+    inside = true;
+    ++writebacks;
+    const PhysAddr other = t.paddr + 3 * set_stride;
+    machine->el2_read64(other);
+    machine->el2_write64(other + kCacheLineSize, writebacks);
+    if (plant != 0 && writebacks == 3) machine->phys().write64(plant, 0x5A);
+    inside = false;
+  }
+};
+
+struct ZeroCheckCase {
+  bool cache = true;
+  u64 cache_bytes = 32 * 1024;
+  int nonzero = -1;      // word index of the first non-zero word; -1: none
+  bool victims = false;  // every set the page maps to holds dirty lines
+  u64 plant_word = 0;    // word the snooper plants; 0: none
+};
+
+Ledger run_zero_check(const ZeroCheckCase& c, bool reference) {
+  MachineConfig cfg;
+  cfg.cache.enabled = c.cache;
+  cfg.cache.size_bytes = c.cache_bytes;
+  Machine m(cfg);
+  constexpr PhysAddr kPage = 0x20'0000;
+  const u64 stride = c.cache_bytes / kCacheWays;
+  if (c.nonzero >= 0) {
+    m.phys().write64(kPage + static_cast<u64>(c.nonzero) * kWordSize, 0xF00D);
+  }
+  if (c.victims) {
+    for (u64 off = 0; off < kPageSize; off += kCacheLineSize) {
+      m.el2_write64(kPage + off + 5 * stride, off);
+      m.el2_write64(kPage + off + 6 * stride, off);
+    }
+  }
+  ReenterOnWriteback snoop;
+  snoop.machine = &m;
+  snoop.set_stride = stride;
+  snoop.plant = c.plant_word != 0 ? kPage + c.plant_word * kWordSize : 0;
+  m.bus().attach_snooper(&snoop);
+  const bool zero = reference ? word_loop_page_is_zero(m, kPage)
+                              : m.el2_page_is_zero(kPage);
+  m.bus().detach_snooper(&snoop);
+  Ledger ledger;
+  record_machine(m, ledger);
+  ledger.payload.push_back(zero ? 1 : 0);
+  ledger.payload.push_back(static_cast<u8>(snoop.writebacks));
+  SnapWriter w;
+  m.cache().save_state(w);
+  ledger.payload.insert(ledger.payload.end(), w.data().begin(),
+                        w.data().end());
+  return ledger;
+}
+
+TEST(El2ZeroCheck, MatchesTheWordLoop) {
+  // First non-zero word at 0, 7, 8, 63 and 511, or none; with the cache
+  // off, the default 32 KiB cache and a 4 KiB one; with dirty victims
+  // written back to a snooper that re-enters the cache and plants a word
+  // in the line under check (21) or in one already passed (9).
+  const int firsts[] = {0, 7, 8, 63, 511, -1};
+  std::vector<ZeroCheckCase> cases;
+  for (const int first : firsts) {
+    cases.push_back({.cache = false, .nonzero = first});
+    for (const u64 bytes : {u64{32 * 1024}, u64{4 * 1024}}) {
+      cases.push_back({.cache_bytes = bytes, .nonzero = first});
+      for (const u64 plant : {u64{0}, u64{21}, u64{9}}) {
+        cases.push_back({.cache_bytes = bytes, .nonzero = first,
+                         .victims = true, .plant_word = plant});
+      }
+    }
+  }
+  u64 writebacks = 0;
+  for (const ZeroCheckCase& c : cases) {
+    SCOPED_TRACE(testing::Message()
+                 << "cache=" << c.cache << " bytes=" << c.cache_bytes
+                 << " nonzero=" << c.nonzero << " victims=" << c.victims
+                 << " plant=" << c.plant_word);
+    const Ledger lines = run_zero_check(c, /*reference=*/false);
+    const Ledger words = run_zero_check(c, /*reference=*/true);
+    expect_ledgers_equal(lines, words);
+    writebacks += lines.payload[1];
+    EXPECT_EQ(lines.payload[0] != 0,
+              c.nonzero < 0 && (c.plant_word == 0 || c.plant_word == 9));
+  }
+  EXPECT_GT(writebacks, 0u);  // the re-entrant path really ran
 }
 
 }  // namespace
